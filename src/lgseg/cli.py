@@ -4,8 +4,8 @@ Every run writes its artifacts plus a JSON report embedding the verbatim
 config text, the seed, and sha256 hashes of the artifacts, so identical
 inputs are checkable for byte-identical outputs.  Exit codes: 0 success,
 1 usage/config error, 2 data error.  LGSEG_THREADS caps worker fan-out for
-per-tile inference (absent means 1, the deterministic single-thread default;
-results are byte-identical for any worker count).
+per-tile inference in infer, ablate and tree-fit (absent means 1, the
+single-thread default; results are byte-identical for any worker count).
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import numpy as np
 from . import counting, evaluation, raster, tree
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .engine import load_checkpoint, save_checkpoint
-from .network import Blank, LgSegModel, build_model, train
+from .network import GLOBAL_WIDTH, LOCAL_WIDTH, Blank, LgSegModel, build_model, train
 from .raster import DataError
 from .rng import SplitMix64
-from .sampling import (grid_centers, image_window, make_triplet, stitch,
-                       valid_center_range)
+from .sampling import (balanced_centers, grid_centers, grid_shape, image_window,
+                       make_triplet, stitch)
 from .synth import synth_scene
 
 
@@ -106,34 +106,19 @@ def _scene_pairs(data_dir: Path):
     return pairs
 
 
-def _balanced_centers(labels, count: int, positive_fraction: float, rng: SplitMix64):
-    """Training centres: a seeded mix of house-pixel-anchored and uniform draws."""
-    rmin, rmax, cmin, cmax = valid_center_range(labels.height, labels.width)
-    positives = np.argwhere(labels.labels == 1)
-    n_pos = int(round(positive_fraction * count)) if len(positives) else 0
-    centers = []
-    for i in range(count):
-        if i < n_pos:
-            r, c = positives[rng.below(len(positives))]
-            centers.append((min(max(int(r), rmin), rmax), min(max(int(c), cmin), cmax)))
-        else:
-            centers.append((rng.int_range(rmin, rmax), rng.int_range(cmin, cmax)))
-    return centers
-
-
-def _infer_map(model: LgSegModel, img: raster.Raster, blank: Blank = Blank.NONE) -> np.ndarray:
-    shape = (img.height, img.width)
-    centers = grid_centers(shape)
+def _tile_patches(model: LgSegModel, img: raster.Raster, blank: Blank = Blank.NONE):
+    """Grid centres of the image and the model's 16x16 patch at each, one
+    forward pass per tile (spread over LGSEG_THREADS workers)."""
+    centers = grid_centers((img.height, img.width))
 
     def predict(center):
-        local = image_window(img.pixels, center, 64) if model.local_spec is not None else None
-        global_ = image_window(img.pixels, center, 256) if model.global_spec is not None else None
-        if blank is Blank.NONE:
-            return model.forward(local, global_)
+        local = image_window(img.pixels, center, LOCAL_WIDTH) \
+            if model.local_spec is not None else None
+        global_ = image_window(img.pixels, center, GLOBAL_WIDTH) \
+            if model.global_spec is not None else None
         return model.ablate(local, global_, blank)
 
-    patches = _parallel_map(predict, centers)
-    return stitch(centers, patches, shape)
+    return centers, _parallel_map(predict, centers)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +162,7 @@ def _cmd_train(args, cfg: RunConfig) -> int:
         if use_grid:
             centers = grid_centers((labels.height, labels.width))
         else:
-            centers = _balanced_centers(labels, per_scene, positive_fraction, rng)
+            centers = balanced_centers(labels, per_scene, positive_fraction, rng)
         for center in centers:
             triplets.append(make_triplet(img, labels, center))
 
@@ -202,7 +187,7 @@ def _cmd_infer(args, cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model = _load_model(cfg, args.model)
     img = raster.read_raster(args.image)
-    prob = _infer_map(model, img)
+    prob = stitch(*_tile_patches(model, img), (img.height, img.width))
     base = args.name or Path(args.image).stem
     pgm_path = out / f"{base}_prob.pgm"
     raster.write_raster(raster.prob_to_raster(prob), pgm_path)
@@ -247,10 +232,13 @@ def _cmd_tree_fit(args, cfg: RunConfig) -> int:
     validation = []
     for image_path, prob_path, gt_path in zip(args.image, args.prob, args.gt):
         img = raster.read_raster(image_path)
-        ra = tree.ra_scores_from_model(model, img)
         prob = _read_prob(Path(prob_path))
         if prob.shape != (img.height, img.width):
             raise DataError(f"{prob_path}: extents do not match {Path(image_path).name}")
+        # the RA score of a tile is its own patch mean: in a stitched map the
+        # shifted margin tiles overwrite part of their neighbours
+        _, patches = _tile_patches(model, img)
+        ra = np.array([patch.mean() for patch in patches]).reshape(grid_shape(prob.shape))
         validation.append((tree.TreeInput(ra, prob), raster.read_label(gt_path)))
     result = tree.fit_thresholds(
         validation,
@@ -281,7 +269,7 @@ def _cmd_ablate(args, cfg: RunConfig) -> int:
     # local_only: the local pathway sees real data (global blanked), and so on
     for tag, blank in (("full", Blank.NONE), ("local_only", Blank.GLOBAL),
                        ("global_only", Blank.LOCAL)):
-        prob = _infer_map(model, img, blank)
+        prob = stitch(*_tile_patches(model, img, blank), (img.height, img.width))
         pgm_path = out / f"{base}_{tag}.pgm"
         raster.write_raster(raster.prob_to_raster(prob), pgm_path)
         sidecar_path = out / f"{base}_{tag}.lgprob"

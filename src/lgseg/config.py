@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .evaluation import threshold_grid
 from .network import (FUSION_HIDDEN, ConvSpec, GLOBAL_WIDTH, LOCAL_WIDTH,
                       PathwaySpec, PoolSpec, ReluSpec, TrainConfig)
 from .synth import SceneSpec
@@ -118,7 +119,7 @@ _SCHEMA = {
         "threshold_step": ("float", 0.01, _step_range),
     },
     "tree": {
-        "grid_step": ("float", 0.01, _positive),
+        "grid_step": ("float", 0.01, _step_range),
         "tol": ("float", 1e-4, _positive),
         "max_cycles": ("int", 20, _positive),
         "min_houses": ("int", 15, _positive),
@@ -223,9 +224,7 @@ class RunConfig:
         )
 
     def eval_thresholds(self) -> tuple:
-        step = self.get("eval", "threshold_step")
-        n = int(round(1.0 / step)) - 1
-        return tuple(round(i * step, 10) for i in range(1, n + 1))
+        return threshold_grid(self.get("eval", "threshold_step"))
 
 
 def default_config() -> RunConfig:

@@ -18,7 +18,17 @@ import numpy as np
 from scipy import ndimage
 
 DEFAULT_RHO = 3
-DEFAULT_THRESHOLDS = tuple(i / 100.0 for i in range(1, 100))
+
+
+def threshold_grid(step: float) -> tuple:
+    """Ascending thresholds step, 2*step, ... below 1, rounded to 10 decimals."""
+    if not 0.0 < step <= 0.5:
+        raise ValueError("threshold step must lie in (0, 0.5]")
+    n = int(round(1.0 / step)) - 1
+    return tuple(round(i * step, 10) for i in range(1, n + 1))
+
+
+DEFAULT_THRESHOLDS = threshold_grid(0.01)
 
 # Published full-scale scores for this method family, kept for context only;
 # desk-scale synthetic runs are not expected to reproduce them.
@@ -94,6 +104,15 @@ def relaxed_pr(pred: np.ndarray, gt: np.ndarray, rho: int = DEFAULT_RHO) -> tupl
     return precision, recall
 
 
+def unit_array(values, what: str = "probabilities") -> np.ndarray:
+    """values as a float64 array, rejected unless every one is finite and in
+    [0, 1] (NaN fails both comparisons, so it is rejected too)."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValueError(f"{what} must be finite and lie in [0, 1]")
+    return values
+
+
 def _check_thresholds(thresholds) -> tuple:
     thresholds = tuple(float(t) for t in thresholds)
     if not thresholds:
@@ -106,9 +125,7 @@ def _check_thresholds(thresholds) -> tuple:
 def pr_curve(prob: np.ndarray, gt: np.ndarray, rho: int = DEFAULT_RHO,
              thresholds=DEFAULT_THRESHOLDS) -> PrCurve:
     """Relaxed PR at each threshold of an ascending grid (prediction = prob >= t)."""
-    prob = np.asarray(prob, dtype=np.float64)
-    if prob.min() < 0.0 or prob.max() > 1.0:
-        raise ValueError("probabilities must lie in [0, 1]")
+    prob = unit_array(prob)
     thresholds = _check_thresholds(thresholds)
     points = []
     for t in thresholds:
@@ -125,7 +142,7 @@ def set_curve(probs, gts, rho: int = DEFAULT_RHO, thresholds=DEFAULT_THRESHOLDS,
     the stored precision/recall are plain means as well.  "pooled": relaxed hit
     and denominator counts are summed across images before deriving P/R/F.
     """
-    probs = list(probs)
+    probs = [unit_array(p) for p in probs]
     gts = list(gts)
     if len(probs) != len(gts) or not probs:
         raise ValueError("need equally many probability maps and ground truths")
@@ -149,7 +166,6 @@ def set_curve(probs, gts, rho: int = DEFAULT_RHO, thresholds=DEFAULT_THRESHOLDS,
     gt_hits = np.zeros(len(thresholds))
     gt_totals = np.zeros(len(thresholds))
     for prob, gt in zip(probs, gts):
-        prob = np.asarray(prob, dtype=np.float64)
         gt = np.asarray(gt).astype(bool)
         gt_sq = nearest_sqdist(gt)
         for i, t in enumerate(thresholds):

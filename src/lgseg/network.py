@@ -8,6 +8,14 @@ ending in 256 sigmoid units, reshaped to the 16x16 per-pixel probability
 patch centred at the same location.  Either pathway may be omitted to get the
 local-only or global-only variant.
 
+The model describes each pathway, and the fusion head, as one flat list of
+ops: (kind, parameter name or None, spec) entries such as
+("conv", "local.0", ConvSpec), ("pool", None, PoolSpec), ("relu", None, None),
+("flatten", None, None), ("dense", "local.fc", output width) and
+("sigmoid", None, None).  build_model creates the parameters by walking these
+lists; one loop runs any of them forward, appending what each op needs for its
+gradient to a tape, and one loop runs them backward, popping the tape.
+
 The per-patch loss is the summed binary cross entropy over the 256 output
 pixels; training is plain SGD with momentum and L2 weight decay, mini-batch
 gradients summed (or averaged, by configuration) over the batch.
@@ -137,6 +145,29 @@ class Blank(Enum):
 # model
 
 
+def _pathway_ops(prefix: str, spec: PathwaySpec) -> list:
+    """A pathway's layers as ops, then its flatten -> dense -> relu embedding."""
+    ops, convs = [], 0
+    for layer in spec.layers:
+        if isinstance(layer, ConvSpec):
+            ops.append(("conv", f"{prefix}.{convs}", layer))
+            convs += 1
+        elif isinstance(layer, PoolSpec):
+            ops.append(("pool", None, layer))
+        else:
+            ops.append(("relu", None, None))
+    return ops + [("flatten", None, None), ("dense", f"{prefix}.fc", spec.embed_width),
+                  ("relu", None, None)]
+
+
+def _fusion_ops(hidden: tuple) -> list:
+    """Dense -> relu per hidden width, then dense -> sigmoid onto the output pixels."""
+    ops = []
+    for i, width in enumerate(hidden):
+        ops += [("dense", f"fusion.{i}", width), ("relu", None, None)]
+    return ops + [("dense", f"fusion.{len(hidden)}", OUTPUT_PIXELS), ("sigmoid", None, None)]
+
+
 class LgSegModel:
     """Parameters plus topology; built via build_model()."""
 
@@ -152,20 +183,20 @@ class LgSegModel:
         self.global_spec = global_spec
         self.fusion_hidden = tuple(fusion_hidden)
         self.params = params
+        # present pathways in embedding-concatenation order, and the op lists
+        self.pathways = {prefix: spec for prefix, spec in
+                         (("local", local_spec), ("global", global_spec)) if spec is not None}
+        self.ops = {prefix: _pathway_ops(prefix, spec) for prefix, spec in self.pathways.items()}
+        self.ops["fusion"] = _fusion_ops(self.fusion_hidden)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def fusion_input_width(self) -> int:
-        width = 0
-        if self.local_spec is not None:
-            width += self.local_spec.embed_width
-        if self.global_spec is not None:
-            width += self.global_spec.embed_width
-        return width
+        return sum(spec.embed_width for spec in self.pathways.values())
 
     def is_dual(self) -> bool:
-        return self.local_spec is not None and self.global_spec is not None
+        return len(self.pathways) == 2
 
     def load_params(self, tensors: dict) -> None:
         """Replace parameters from a checkpoint; names and shapes must match."""
@@ -184,103 +215,67 @@ class LgSegModel:
             raise ValueError(f"{label} input must have shape (3, {width}, {width}), got {x.shape}")
         return x
 
-    def _pathway_forward(self, prefix: str, spec: PathwaySpec, x, caches: list | None):
-        conv_idx = 0
-        for layer in spec.layers:
-            if isinstance(layer, ConvSpec):
-                w = self.params[f"{prefix}.{conv_idx}.weight"]
-                b = self.params[f"{prefix}.{conv_idx}.bias"]
-                if caches is not None:
-                    caches.append(("conv", conv_idx, x))
-                x = engine.conv2d_forward(x, w, b, layer.stride, layer.padding())
-                conv_idx += 1
-            elif isinstance(layer, PoolSpec):
-                x, idx = engine.maxpool2d(x, layer.k, layer.stride)
-                if caches is not None:
-                    caches.append(("pool", idx))
-            else:  # relu
-                if caches is not None:
-                    caches.append(("relu", x))
+    def _run(self, ops, x, tape: list | None):
+        """Forward pass through an op list; with a tape, append per op what
+        _unrun needs to take the step back."""
+        for kind, name, spec in ops:
+            saved = x
+            if kind == "conv":
+                x = engine.conv2d_forward(x, self.params[f"{name}.weight"],
+                                          self.params[f"{name}.bias"], spec.stride, spec.padding())
+            elif kind == "pool":
+                x, saved = engine.maxpool2d(x, spec.k, spec.stride)
+            elif kind == "relu":
                 x = engine.relu(x)
-        shape = x.shape
-        flat = x.reshape(-1)
-        if caches is not None:
-            caches.append(("flatten", shape, flat))
-        z = engine.dense_forward(flat, self.params[f"{prefix}.fc.weight"],
-                                 self.params[f"{prefix}.fc.bias"])
-        if caches is not None:
-            caches.append(("fc_pre", z))
-        return engine.relu(z)
+            elif kind == "flatten":
+                saved = x.shape
+                x = x.reshape(-1)
+            elif kind == "dense":
+                x = engine.dense_forward(x, self.params[f"{name}.weight"],
+                                         self.params[f"{name}.bias"])
+            else:  # sigmoid
+                x = saved = engine.sigmoid(x)
+            if tape is not None:
+                tape.append(saved)
+        return x
 
-    def _pathway_backward(self, prefix: str, spec: PathwaySpec, caches: list, grad, grads: dict):
-        steps = list(caches)
-        z = steps.pop()
-        assert z[0] == "fc_pre"
-        grad = engine.relu_backward(z[1], grad)
-        fl = steps.pop()
-        assert fl[0] == "flatten"
-        grad, gw, gb = engine.dense_backward(fl[2], self.params[f"{prefix}.fc.weight"], grad)
-        grads[f"{prefix}.fc.weight"] += gw
-        grads[f"{prefix}.fc.bias"] += gb
-        grad = grad.reshape(fl[1])
-        for layer in reversed(spec.layers):
-            step = steps.pop()
-            if isinstance(layer, ConvSpec):
-                kind, conv_idx, x = step
-                assert kind == "conv"
-                name = f"{prefix}.{conv_idx}"
-                grad, gw, gb = engine.conv2d_backward(
-                    x, self.params[f"{name}.weight"], grad, layer.stride, layer.padding())
+    def _unrun(self, ops, tape: list, grad, grads: dict):
+        """Backward pass through an op list, popping its entries off the end
+        of the tape; parameter gradients are added into grads and the input
+        gradient is returned."""
+        for kind, name, spec in reversed(ops):
+            saved = tape.pop()
+            if kind == "conv":
+                grad, gw, gb = engine.conv2d_backward(saved, self.params[f"{name}.weight"], grad,
+                                                      spec.stride, spec.padding())
+            elif kind == "pool":
+                grad = engine.maxpool2d_backward(saved, grad)
+            elif kind == "relu":
+                grad = engine.relu_backward(saved, grad)
+            elif kind == "flatten":
+                grad = grad.reshape(saved)
+            elif kind == "dense":
+                grad, gw, gb = engine.dense_backward(saved, self.params[f"{name}.weight"], grad)
+            else:  # sigmoid
+                grad = engine.sigmoid_backward(saved, grad)
+            if name is not None:
                 grads[f"{name}.weight"] += gw
                 grads[f"{name}.bias"] += gb
-            elif isinstance(layer, PoolSpec):
-                assert step[0] == "pool"
-                grad = engine.maxpool2d_backward(step[1], grad)
-            else:
-                assert step[0] == "relu"
-                grad = engine.relu_backward(step[1], grad)
         return grad
 
-    def _forward(self, local_patch, global_patch, caches: dict | None):
+    def _forward(self, local_patch, global_patch, tape: list | None):
         embeds = []
-        if self.local_spec is not None:
-            if local_patch is None:
-                raise ValueError("model has a local pathway: local_patch is required")
-            x = self._check_input(local_patch, LOCAL_WIDTH, "local")
-            sub = [] if caches is not None else None
-            embeds.append(self._pathway_forward("local", self.local_spec, x, sub))
-            if caches is not None:
-                caches["local"] = sub
-        elif local_patch is not None:
-            raise ValueError("model has no local pathway but local_patch was given")
-        if self.global_spec is not None:
-            if global_patch is None:
-                raise ValueError("model has a global pathway: global_patch is required")
-            x = self._check_input(global_patch, GLOBAL_WIDTH, "global")
-            sub = [] if caches is not None else None
-            embeds.append(self._pathway_forward("global", self.global_spec, x, sub))
-            if caches is not None:
-                caches["global"] = sub
-        elif global_patch is not None:
-            raise ValueError("model has no global pathway but global_patch was given")
-
-        z = np.concatenate(embeds)
-        n_fusion = len(self.fusion_hidden) + 1
-        if caches is not None:
-            caches["fusion"] = []
-        for i in range(n_fusion):
-            w = self.params[f"fusion.{i}.weight"]
-            b = self.params[f"fusion.{i}.bias"]
-            if caches is not None:
-                caches["fusion"].append(z)
-            z = engine.dense_forward(z, w, b)
-            if i < n_fusion - 1:
-                if caches is not None:
-                    caches["fusion"].append(("pre_relu", z))
-                z = engine.relu(z)
-        probs = engine.sigmoid(z)
-        if caches is not None:
-            caches["sigmoid_out"] = probs
+        for prefix, patch in (("local", local_patch), ("global", global_patch)):
+            spec = self.pathways.get(prefix)
+            if spec is None:
+                if patch is not None:
+                    raise ValueError(f"model has no {prefix} pathway but {prefix}_patch was given")
+                continue
+            if patch is None:
+                raise ValueError(f"model has a {prefix} pathway: {prefix}_patch is required")
+            x = self._check_input(patch, spec.input_width, prefix)
+            embeds.append(self._run(self.ops[prefix], x, tape))
+        probs = self._run(self.ops["fusion"], np.concatenate(embeds), tape)
         return probs.reshape(TARGET_WIDTH, TARGET_WIDTH)
 
     def forward(self, local_patch=None, global_patch=None) -> np.ndarray:
@@ -288,11 +283,12 @@ class LgSegModel:
         return self._forward(local_patch, global_patch, None)
 
     def forward_with_caches(self, local_patch=None, global_patch=None):
-        caches: dict = {}
-        probs = self._forward(local_patch, global_patch, caches)
-        return probs, caches
+        """Probabilities plus the tape that backward() consumes."""
+        tape: list = []
+        probs = self._forward(local_patch, global_patch, tape)
+        return probs, tape
 
-    def backward(self, caches: dict, grad_probs, out: dict | None = None):
+    def backward(self, caches: list, grad_probs, out: dict | None = None):
         """Gradients of a scalar loss given d(loss)/d(probs).
 
         Returns (param_grads, local_input_grad, global_input_grad).  With
@@ -301,31 +297,14 @@ class LgSegModel:
         pathways.
         """
         grads = self.zero_grads() if out is None else out
-        grad = engine.sigmoid_backward(caches["sigmoid_out"], np.asarray(grad_probs).reshape(-1))
-        fusion_steps = list(caches["fusion"])
-        n_fusion = len(self.fusion_hidden) + 1
-        for i in range(n_fusion - 1, -1, -1):
-            if i < n_fusion - 1:
-                tagged = fusion_steps.pop()
-                assert tagged[0] == "pre_relu"
-                grad = engine.relu_backward(tagged[1], grad)
-            z_in = fusion_steps.pop()
-            grad, gw, gb = engine.dense_backward(z_in, self.params[f"fusion.{i}.weight"], grad)
-            grads[f"fusion.{i}.weight"] += gw
-            grads[f"fusion.{i}.bias"] += gb
-
-        grad_local = grad_global = None
-        offset = 0
-        if self.local_spec is not None:
-            width = self.local_spec.embed_width
-            grad_local = self._pathway_backward("local", self.local_spec,
-                                                caches["local"], grad[offset:offset + width], grads)
-            offset += width
-        if self.global_spec is not None:
-            width = self.global_spec.embed_width
-            grad_global = self._pathway_backward("global", self.global_spec,
-                                                 caches["global"], grad[offset:offset + width], grads)
-        return grads, grad_local, grad_global
+        tape = list(caches)
+        grad = self._unrun(self.ops["fusion"], tape, np.asarray(grad_probs).reshape(-1), grads)
+        input_grads = {}
+        for prefix in reversed(self.pathways):  # the tape is last in, first out
+            width = self.pathways[prefix].embed_width
+            grad, embed_grad = grad[:-width], grad[-width:]
+            input_grads[prefix] = self._unrun(self.ops[prefix], tape, embed_grad, grads)
+        return grads, input_grads.get("local"), input_grads.get("global")
 
     def zero_grads(self) -> dict:
         return {name: np.zeros_like(arr) for name, arr in self.params.items()}
@@ -353,49 +332,29 @@ def build_model(local_spec: PathwaySpec | None = LOCAL_PATHWAY,
                 fusion_hidden: tuple = FUSION_HIDDEN,
                 seed: int = 0) -> LgSegModel:
     """Xavier-initialise all parameters from the seed (one RNG split per tensor,
-    in a fixed order, so the same seed always gives the same checkpoint)."""
+    in op-list order, so the same seed always gives the same checkpoint)."""
+    model = LgSegModel(local_spec, global_spec, fusion_hidden, {})
     rng = SplitMix64(seed)
-    params: dict = {}
-
-    def add(name, shape, fan_in, fan_out):
-        params[name] = engine.xavier_init(shape, fan_in, fan_out, rng.split())
-
-    def add_pathway(prefix, spec):
-        trace = spec.shape_trace()
-        conv_idx = 0
-        pos = 0
-        for layer in spec.layers:
-            pos += 1
-            if isinstance(layer, ConvSpec):
-                in_ch = trace[pos - 1][0]
-                fan_in = in_ch * layer.kernel * layer.kernel
-                fan_out = layer.out_channels * layer.kernel * layer.kernel
-                add(f"{prefix}.{conv_idx}.weight",
-                    (layer.out_channels, in_ch, layer.kernel, layer.kernel), fan_in, fan_out)
-                add(f"{prefix}.{conv_idx}.bias", (layer.out_channels,), fan_in, fan_out)
-                conv_idx += 1
-        flat = spec.flat_size()
-        add(f"{prefix}.fc.weight", (spec.embed_width, flat), flat, spec.embed_width)
-        add(f"{prefix}.fc.bias", (spec.embed_width,), flat, spec.embed_width)
-
-    if local_spec is not None:
-        add_pathway("local", local_spec)
-    if global_spec is not None:
-        add_pathway("global", global_spec)
-
-    width = 0
-    if local_spec is not None:
-        width += local_spec.embed_width
-    if global_spec is not None:
-        width += global_spec.embed_width
-    if width == 0:
-        raise ValueError("at least one pathway is required")
-    dims = [width, *fusion_hidden, OUTPUT_PIXELS]
-    for i in range(len(dims) - 1):
-        add(f"fusion.{i}.weight", (dims[i + 1], dims[i]), dims[i], dims[i + 1])
-        add(f"fusion.{i}.bias", (dims[i + 1],), dims[i], dims[i + 1])
-
-    return LgSegModel(local_spec, global_spec, fusion_hidden, params)
+    # (op list, input channels, flattened input width) of each op list
+    inputs = [(prefix, spec.in_channels, spec.flat_size())
+              for prefix, spec in model.pathways.items()]
+    inputs.append(("fusion", None, model.fusion_input_width))
+    for ops, channels, width in inputs:
+        for kind, name, spec in model.ops[ops]:
+            if kind == "conv":
+                shape = (spec.out_channels, channels, spec.kernel, spec.kernel)
+                fan_in = channels * spec.kernel * spec.kernel
+                fan_out = spec.out_channels * spec.kernel * spec.kernel
+                channels = spec.out_channels
+            elif kind == "dense":
+                shape, fan_in, fan_out = (spec, width), width, spec
+                width = spec
+            else:
+                continue
+            model.params[f"{name}.weight"] = engine.xavier_init(shape, fan_in, fan_out, rng.split())
+            model.params[f"{name}.bias"] = engine.xavier_init(shape[:1], fan_in, fan_out,
+                                                              rng.split())
+    return model
 
 
 # ---------------------------------------------------------------------------

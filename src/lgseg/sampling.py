@@ -119,6 +119,25 @@ def make_triplet(raster: Raster, labels: LabelMap, center: tuple) -> PatchTriple
     )
 
 
+def balanced_centers(labels: LabelMap, count: int, positive_fraction: float,
+                     rng: SplitMix64) -> list:
+    """`count` training centres: the first round(positive_fraction * count)
+    anchored on random house pixels (clamped into the valid target region),
+    the rest drawn uniformly from that region.  With no house pixels every
+    draw is uniform."""
+    rmin, rmax, cmin, cmax = valid_center_range(labels.height, labels.width)
+    positives = np.argwhere(labels.labels == 1)
+    n_pos = int(round(positive_fraction * count)) if len(positives) else 0
+    centers = []
+    for i in range(count):
+        if i < n_pos:
+            r, c = positives[rng.below(len(positives))]
+            centers.append((min(max(int(r), rmin), rmax), min(max(int(c), cmin), cmax)))
+        else:
+            centers.append((rng.int_range(rmin, rmax), rng.int_range(cmin, cmax)))
+    return centers
+
+
 def sample_triplets(raster: Raster, labels: LabelMap, centers=None,
                     count: int | None = None, seed: int = 0) -> list:
     """Triplets at explicit centres, or `count` centres drawn uniformly from
@@ -128,10 +147,7 @@ def sample_triplets(raster: Raster, labels: LabelMap, centers=None,
     if centers is None:
         if count is None:
             raise ValueError("give either explicit centers or a count")
-        rmin, rmax, cmin, cmax = valid_center_range(labels.height, labels.width)
-        rng = SplitMix64(seed)
-        centers = [(rng.int_range(rmin, rmax), rng.int_range(cmin, cmax))
-                   for _ in range(count)]
+        centers = balanced_centers(labels, count, 0.0, SplitMix64(seed))
     return [make_triplet(raster, labels, c) for c in centers]
 
 
@@ -191,13 +207,6 @@ def tile_index_map(shape: tuple) -> np.ndarray:
 
 def grid_shape(shape: tuple) -> tuple:
     return len(_axis_starts(shape[0])), len(_axis_starts(shape[1]))
-
-
-def tile_center_axes(shape: tuple) -> tuple:
-    """Per-axis tile-centre coordinates (row centres, column centres)."""
-    half = TARGET_WIDTH // 2
-    return ([s + half for s in _axis_starts(shape[0])],
-            [s + half for s in _axis_starts(shape[1])])
 
 
 # ---------------------------------------------------------------------------

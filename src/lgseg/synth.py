@@ -205,11 +205,3 @@ def synth_scene(spec: SceneSpec):
             LabelMap(spec.width, spec.height, labels),
             boxes)
 
-
-def downscale_nearest(raster: Raster, factor: int) -> Raster:
-    """Nearest-neighbour downscale by an integer factor (top-left sample)."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    pixels = raster.pixels[::factor, ::factor]
-    return Raster(pixels.shape[1], pixels.shape[0], raster.channels,
-                  np.ascontiguousarray(pixels))

@@ -8,9 +8,11 @@ hallucinations.  Fitting initialises each threshold at its classifier's own
 max-F point, then cycles coordinate ascent over a fixed grid until the mean
 relaxed F stops improving.
 
-At desk scale the RA score comes from a trained model's mean patch output per
-tile (a global-only variant plays the role of the standalone residential
-classifier), but the fitter is agnostic to where the scores came from.
+At desk scale the RA score of a tile is the mean of a trained model's 16x16
+output patch there, taken from the same per-tile inference loop that `lgseg
+infer` stitches (a global-only variant plays the role of the standalone
+residential classifier), but the fitter is agnostic to where the scores came
+from.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import DEFAULT_RHO, f_measure, max_f, nearest_sqdist, set_curve
-from .raster import LabelMap, Raster
-from .sampling import (grid_centers, grid_shape, image_window,
-                       residential_label, tile_center_axes, tile_index_map,
+from .evaluation import (DEFAULT_RHO, f_measure, max_f, nearest_sqdist, set_curve,
+                         threshold_grid, unit_array)
+from .raster import LabelMap
+from .sampling import (grid_centers, grid_shape, residential_label, tile_index_map,
                        ResidentialClass)
-from .network import GLOBAL_WIDTH, LOCAL_WIDTH, LgSegModel
 
 DEFAULT_GRID_STEP = 0.01
 DEFAULT_TOL = 1e-4
@@ -58,14 +59,12 @@ class TreeInput:
     prob_map: np.ndarray
 
     def __post_init__(self):
-        self.prob_map = np.asarray(self.prob_map, dtype=np.float64)
-        self.ra_scores = np.asarray(self.ra_scores, dtype=np.float64)
+        self.prob_map = unit_array(self.prob_map)
+        self.ra_scores = unit_array(self.ra_scores, "RA scores")
         want = grid_shape(self.prob_map.shape)
         if self.ra_scores.shape != want:
             raise ValueError(f"RA grid {self.ra_scores.shape} does not cover a "
                              f"{self.prob_map.shape} image (want {want})")
-        if self.ra_scores.min() < 0 or self.ra_scores.max() > 1:
-            raise ValueError("RA scores must lie in [0, 1]")
 
 
 @dataclass
@@ -83,47 +82,8 @@ def tree_segment(inp: TreeInput, th: TreeThresholds) -> np.ndarray:
     return (inp.prob_map >= pixel_thresholds).astype(np.uint8)
 
 
-def ra_dense(ra_scores: np.ndarray, shape: tuple) -> np.ndarray:
-    """Bilinear interpolation of tile-centre scores to pixel resolution with
-    constant extrapolation outside the outermost centres; clamped to [0, 1]."""
-    ra_scores = np.asarray(ra_scores, dtype=np.float64)
-    if ra_scores.size == 0:
-        raise ValueError("empty RA grid")
-    if ra_scores.shape != grid_shape(shape):
-        raise ValueError("RA grid does not match the requested extents")
-    row_centers, col_centers = tile_center_axes(shape)
-    rows = np.arange(shape[0], dtype=np.float64)
-    cols = np.arange(shape[1], dtype=np.float64)
-    # separable: interpolate along rows for each tile column, then along columns
-    by_rows = np.empty((shape[0], ra_scores.shape[1]))
-    for j in range(ra_scores.shape[1]):
-        by_rows[:, j] = np.interp(rows, row_centers, ra_scores[:, j])
-    out = np.empty(shape)
-    for i in range(shape[0]):
-        out[i] = np.interp(cols, col_centers, by_rows[i])
-    return np.clip(out, 0.0, 1.0)
-
-
-def ra_scores_from_model(model: LgSegModel, raster: Raster) -> np.ndarray:
-    """Mean patch output of the model per grid tile, as the RA score grid."""
-    shape = (raster.height, raster.width)
-    scores = []
-    for center in grid_centers(shape):
-        local = image_window(raster.pixels, center, LOCAL_WIDTH) \
-            if model.local_spec is not None else None
-        global_ = image_window(raster.pixels, center, GLOBAL_WIDTH) \
-            if model.global_spec is not None else None
-        scores.append(float(model.forward(local, global_).mean()))
-    return np.array(scores).reshape(grid_shape(shape))
-
-
 # ---------------------------------------------------------------------------
 # fitting
-
-
-def _threshold_grid(step: float) -> np.ndarray:
-    n = int(round(1.0 / step)) - 1
-    return np.round(np.arange(1, n + 1) * step, 10)
 
 
 class _FitImage:
@@ -181,7 +141,7 @@ def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
     if not validation:
         raise ValueError("validation set is empty")
     images = [_FitImage(inp, gt, rho) for inp, gt in validation]
-    grid = _threshold_grid(step)
+    grid = threshold_grid(step)
 
     # tile-level residential truth for the gate threshold
     scores, truth = [], []

@@ -5,9 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from lgseg import raster
-from lgseg.cli import dispatch
+from lgseg import raster, tree
+from lgseg.cli import _load_model, _tile_patches, dispatch
+from lgseg.config import parse_config_text
 from lgseg.counting import write_boxes_csv, DetectionBox
+from lgseg.network import Blank, build_model
+from lgseg.rng import SplitMix64
+from lgseg.sampling import grid_centers, image_window
 
 # compact model + tiny scenes keep the command tests fast
 SMALL_CFG = """
@@ -200,6 +204,50 @@ class TestTreeFit:
         assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
 
+def small_image(seed, height=36, width=40):
+    """Ragged on both axes, so the grid has shifted margin tiles."""
+    pixels = SplitMix64(seed).uniform(0, 256, (height, width, 3)).astype(np.uint8)
+    return raster.Raster(width, height, 3, pixels)
+
+
+class TestTilePatches:
+    @pytest.mark.parametrize("blank", [Blank.NONE, Blank.LOCAL])
+    def test_one_pass_per_grid_tile_any_thread_count(self, monkeypatch, blank):
+        model = build_model(*parse_config_text(SMALL_CFG).model_specs(), seed=1)
+        img = small_image(0)
+        monkeypatch.setenv("LGSEG_THREADS", "3")
+        centers, patches = _tile_patches(model, img, blank)
+        assert centers == grid_centers((36, 40))
+        for center, patch in zip(centers, patches):
+            want = model.ablate(image_window(img.pixels, center, 64),
+                                image_window(img.pixels, center, 256), blank)
+            assert np.array_equal(patch, want)
+
+    def test_tree_fit_ra_is_per_tile_patch_mean(self, tmp_path, cfg_path, trained_dir,
+                                                 monkeypatch):
+        img = small_image(1)
+        raster.write_raster(img, tmp_path / "img.ppm")
+        raster.write_prob_sidecar(np.full((36, 40), 0.5), tmp_path / "prob.lgprob")
+        raster.write_label(raster.LabelMap(40, 36, np.zeros((36, 40), np.uint8)),
+                           tmp_path / "gt.pgm")
+        seen = []
+
+        def fake_fit(validation, **kwargs):
+            seen.extend(validation)
+            return tree.FitResult(tree.TreeThresholds(0.5, 0.5, 0.5), [0.0], True)
+
+        monkeypatch.setattr(tree, "fit_thresholds", fake_fit)
+        monkeypatch.setenv("LGSEG_THREADS", "2")
+        assert run("tree-fit", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
+                   "--image", tmp_path / "img.ppm", "--prob", tmp_path / "prob.lgprob",
+                   "--gt", tmp_path / "gt.pgm", "--out", tmp_path / "tree") == 0
+        (inp, _), = seen
+        model = _load_model(parse_config_text(SMALL_CFG), trained_dir / "model.ckpt")
+        _, patches = _tile_patches(model, img)
+        assert inp.ra_scores.shape == (3, 3)
+        assert inp.ra_scores.ravel().tolist() == [float(p.mean()) for p in patches]
+
+
 class TestCount:
     def test_tallies_reproduce_reference_metrics(self, tmp_path):
         tallies = tmp_path / "tallies.json"
@@ -238,6 +286,13 @@ class TestDispatch:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[train]\nepochs = maybe\n")
         assert run("gen", "--config", bad, "--out", tmp_path / "g") == 1
+
+    def test_tree_grid_step_above_half_usage_error(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[tree]\ngrid_step = 1\n")
+        assert run("tree-fit", "--config", bad, "--model", tmp_path / "m.ckpt",
+                   "--image", tmp_path / "i.ppm", "--prob", tmp_path / "p.lgprob",
+                   "--gt", tmp_path / "g.pgm", "--out", tmp_path / "t") == 1
 
     def test_missing_image_data_error(self, tmp_path, cfg_path, trained_dir):
         assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",

@@ -4,6 +4,7 @@ import pytest
 
 from lgseg.config import (ConfigError, default_config, parse_config,
                           parse_config_text, parse_layers)
+from lgseg.evaluation import threshold_grid
 from lgseg.network import ConvSpec, PoolSpec, ReluSpec
 
 
@@ -78,6 +79,16 @@ class TestParsing:
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError, match="expected 'key = value'"):
             parse_config_text("[train]\nepochs\n")
+
+    @pytest.mark.parametrize("value", ["1", "0.75", "0", "-0.01"])
+    def test_tree_grid_step_range(self, value):
+        # a step above 0.5 leaves no threshold strictly inside (0, 1)
+        with pytest.raises(ConfigError, match=r"<config>:3: key 'grid_step': must lie in \(0, 0.5\]"):
+            parse_config_text(f"[tree]\nmin_houses = 5\ngrid_step = {value}\n")
+
+    def test_tree_and_eval_steps_share_grid(self):
+        cfg = parse_config_text("[eval]\nthreshold_step = 0.5\n[tree]\ngrid_step = 0.5\n")
+        assert cfg.eval_thresholds() == threshold_grid(cfg.get("tree", "grid_step")) == (0.5,)
 
     def test_cross_key_range_check(self):
         with pytest.raises(ConfigError, match="houses_max"):

@@ -175,6 +175,12 @@ class TestPrCurve:
         with pytest.raises(ValueError):
             pr_curve(np.full((4, 4), 1.5), np.zeros((4, 4)), 1)
 
+    def test_nan_probs_rejected(self):
+        prob = np.full((4, 4), 0.5)
+        prob[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            pr_curve(prob, np.zeros((4, 4)), 1)
+
 
 class TestMaxF:
     def test_perfect_curve_takes_lowest_threshold(self):
@@ -227,6 +233,33 @@ class TestSetCurve:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             set_curve([], [], 1)
+
+    @pytest.mark.parametrize("aggregate", ["mean_f", "pooled"])
+    @pytest.mark.parametrize("bad", [-5.0, 1.25, np.nan, np.inf])
+    def test_bad_probabilities_rejected_for_both_aggregates(self, aggregate, bad):
+        gt = np.zeros((8, 8), dtype=np.uint8)
+        gt[2:4, 2:4] = 1
+        prob = gt * 0.8
+        prob[6, 6] = bad
+        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+            set_curve([gt * 0.5, prob], [gt, gt], 1, aggregate=aggregate)
+
+
+class TestThresholdGrid:
+    def test_default_grid_is_hundredths(self):
+        assert evaluation.DEFAULT_THRESHOLDS == tuple(i / 100.0 for i in range(1, 100))
+
+    @pytest.mark.parametrize("step", [0.001, 0.003, 0.02, 0.05, 0.1, 0.3, 0.5])
+    def test_matches_rounded_multiples(self, step):
+        grid = evaluation.threshold_grid(step)
+        n = int(round(1.0 / step)) - 1
+        assert len(grid) == n >= 1
+        assert grid == tuple(np.round(np.arange(1, n + 1) * step, 10).tolist())
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, 0.51, 1.0])
+    def test_step_outside_range_rejected(self, step):
+        with pytest.raises(ValueError):
+            evaluation.threshold_grid(step)
 
 
 def test_pr_csv_format(tmp_path):

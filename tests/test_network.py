@@ -196,6 +196,174 @@ class TestFullModelGradients:
         assert err < 1e-4
 
 
+# ---------------------------------------------------------------------------
+# oracle: the per-pathway cache-list forward/backward that the op-list loops
+# replaced, kept verbatim apart from reading the parameters off `model`
+
+
+def _oracle_pathway_forward(model, prefix, spec, x, caches):
+    conv_idx = 0
+    for layer in spec.layers:
+        if isinstance(layer, ConvSpec):
+            w = model.params[f"{prefix}.{conv_idx}.weight"]
+            b = model.params[f"{prefix}.{conv_idx}.bias"]
+            caches.append(("conv", conv_idx, x))
+            x = engine.conv2d_forward(x, w, b, layer.stride, layer.padding())
+            conv_idx += 1
+        elif isinstance(layer, PoolSpec):
+            x, idx = engine.maxpool2d(x, layer.k, layer.stride)
+            caches.append(("pool", idx))
+        else:  # relu
+            caches.append(("relu", x))
+            x = engine.relu(x)
+    shape = x.shape
+    flat = x.reshape(-1)
+    caches.append(("flatten", shape, flat))
+    z = engine.dense_forward(flat, model.params[f"{prefix}.fc.weight"],
+                             model.params[f"{prefix}.fc.bias"])
+    caches.append(("fc_pre", z))
+    return engine.relu(z)
+
+
+def _oracle_pathway_backward(model, prefix, spec, caches, grad, grads):
+    steps = list(caches)
+    z = steps.pop()
+    assert z[0] == "fc_pre"
+    grad = engine.relu_backward(z[1], grad)
+    fl = steps.pop()
+    assert fl[0] == "flatten"
+    grad, gw, gb = engine.dense_backward(fl[2], model.params[f"{prefix}.fc.weight"], grad)
+    grads[f"{prefix}.fc.weight"] += gw
+    grads[f"{prefix}.fc.bias"] += gb
+    grad = grad.reshape(fl[1])
+    for layer in reversed(spec.layers):
+        step = steps.pop()
+        if isinstance(layer, ConvSpec):
+            kind, conv_idx, x = step
+            assert kind == "conv"
+            name = f"{prefix}.{conv_idx}"
+            grad, gw, gb = engine.conv2d_backward(
+                x, model.params[f"{name}.weight"], grad, layer.stride, layer.padding())
+            grads[f"{name}.weight"] += gw
+            grads[f"{name}.bias"] += gb
+        elif isinstance(layer, PoolSpec):
+            assert step[0] == "pool"
+            grad = engine.maxpool2d_backward(step[1], grad)
+        else:
+            assert step[0] == "relu"
+            grad = engine.relu_backward(step[1], grad)
+    return grad
+
+
+def oracle_forward(model, local_patch, global_patch):
+    caches = {}
+    embeds = []
+    if model.local_spec is not None:
+        caches["local"] = []
+        embeds.append(_oracle_pathway_forward(model, "local", model.local_spec,
+                                              np.asarray(local_patch, dtype=np.float64),
+                                              caches["local"]))
+    if model.global_spec is not None:
+        caches["global"] = []
+        embeds.append(_oracle_pathway_forward(model, "global", model.global_spec,
+                                              np.asarray(global_patch, dtype=np.float64),
+                                              caches["global"]))
+    z = np.concatenate(embeds)
+    n_fusion = len(model.fusion_hidden) + 1
+    caches["fusion"] = []
+    for i in range(n_fusion):
+        w = model.params[f"fusion.{i}.weight"]
+        b = model.params[f"fusion.{i}.bias"]
+        caches["fusion"].append(z)
+        z = engine.dense_forward(z, w, b)
+        if i < n_fusion - 1:
+            caches["fusion"].append(("pre_relu", z))
+            z = engine.relu(z)
+    probs = engine.sigmoid(z)
+    caches["sigmoid_out"] = probs
+    return probs.reshape(16, 16), caches
+
+
+def oracle_backward(model, caches, grad_probs):
+    grads = model.zero_grads()
+    grad = engine.sigmoid_backward(caches["sigmoid_out"], np.asarray(grad_probs).reshape(-1))
+    fusion_steps = list(caches["fusion"])
+    n_fusion = len(model.fusion_hidden) + 1
+    for i in range(n_fusion - 1, -1, -1):
+        if i < n_fusion - 1:
+            tagged = fusion_steps.pop()
+            assert tagged[0] == "pre_relu"
+            grad = engine.relu_backward(tagged[1], grad)
+        z_in = fusion_steps.pop()
+        grad, gw, gb = engine.dense_backward(z_in, model.params[f"fusion.{i}.weight"], grad)
+        grads[f"fusion.{i}.weight"] += gw
+        grads[f"fusion.{i}.bias"] += gb
+
+    grad_local = grad_global = None
+    offset = 0
+    if model.local_spec is not None:
+        width = model.local_spec.embed_width
+        grad_local = _oracle_pathway_backward(model, "local", model.local_spec, caches["local"],
+                                              grad[offset:offset + width], grads)
+        offset += width
+    if model.global_spec is not None:
+        width = model.global_spec.embed_width
+        grad_global = _oracle_pathway_backward(model, "global", model.global_spec,
+                                               caches["global"], grad[offset:offset + width],
+                                               grads)
+    return grads, grad_local, grad_global
+
+
+# stride-2 conv with explicit pad, and overlapping 3/2 pooling
+LOCAL_CUSTOM = PathwaySpec(
+    layers=(ConvSpec(4, 3, stride=2, pad=1), ReluSpec(), PoolSpec(3, 2),
+            ConvSpec(6, 5, pad=1), ReluSpec(), PoolSpec(3, 2)),
+    embed_width=16, input_width=64)
+
+ORACLE_MODELS = {
+    "dual": lambda: small_dual(seed=5),
+    "local_only": lambda: build_model(LOCAL_SMALL, None, fusion_hidden=(24,), seed=6),
+    "global_only": lambda: build_model(None, GLOBAL_SMALL, fusion_hidden=(64,), seed=7),
+    "custom": lambda: build_model(LOCAL_CUSTOM, GLOBAL_SMALL, fusion_hidden=(24, 12), seed=8),
+    "default": lambda: build_model(seed=9),
+}
+
+
+class TestOpListMatchesOracle:
+    @pytest.mark.parametrize("variant", sorted(ORACLE_MODELS))
+    def test_forward_and_gradients_bitwise(self, variant):
+        model = ORACLE_MODELS[variant]()
+        t = make_triplet(31)
+        local = t.local_patch if model.local_spec is not None else None
+        global_ = t.global_patch if model.global_spec is not None else None
+
+        probs, caches = model.forward_with_caches(local, global_)
+        want_probs, want_caches = oracle_forward(model, local, global_)
+        assert np.array_equal(probs, want_probs)
+        assert np.array_equal(model.forward(local, global_), want_probs)
+
+        _, dprobs = patch_loss(probs, t.target)
+        grads, g_local, g_global = model.backward(caches, dprobs)
+        want_grads, want_local, want_global = oracle_backward(model, want_caches, dprobs)
+        assert list(grads) == list(want_grads) == list(model.params)
+        for name in want_grads:
+            assert np.array_equal(grads[name], want_grads[name]), name
+        for got, want in ((g_local, want_local), (g_global, want_global)):
+            assert (got is None) == (want is None)
+            assert want is None or np.array_equal(got, want)
+
+    def test_backward_leaves_caches_reusable(self):
+        model = small_dual(seed=5)
+        t = make_triplet(32)
+        probs, caches = model.forward_with_caches(t.local_patch, t.global_patch)
+        _, dprobs = patch_loss(probs, t.target)
+        first = model.backward(caches, dprobs)
+        second = model.backward(caches, dprobs)
+        for name in first[0]:
+            assert np.array_equal(first[0][name], second[0][name])
+        assert np.array_equal(first[1], second[1]) and np.array_equal(first[2], second[2])
+
+
 class TestTrain:
     def test_zero_learning_rate_is_noop(self):
         model = small_dual(seed=1)

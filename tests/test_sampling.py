@@ -6,7 +6,7 @@ import pytest
 from lgseg import sampling
 from lgseg.raster import LabelMap, Raster
 from lgseg.rng import SplitMix64
-from lgseg.sampling import (ResidentialClass, grid_centers, make_triplet,
+from lgseg.sampling import (ResidentialClass, balanced_centers, grid_centers, make_triplet,
                             reflect_index, residential_label, sample_triplets,
                             stitch, tile_index_map)
 
@@ -99,6 +99,37 @@ class TestTriplets:
         assert [t.center for t in a] == [t.center for t in b]
         for x, y in zip(a, b):
             assert np.array_equal(x.local_patch, y.local_patch)
+
+    def test_uniform_draws_follow_the_documented_rule(self):
+        raster, labels = random_scene(7, h=96, w=80)
+        rng = SplitMix64(12)
+        want = [(rng.int_range(8, 88), rng.int_range(8, 72)) for _ in range(9)]
+        got = sample_triplets(raster, labels, count=9, seed=12)
+        assert [t.center for t in got] == want
+
+
+class TestBalancedCenters:
+    def test_zero_fraction_is_uniform(self):
+        _, labels = random_scene(8)
+        a = balanced_centers(labels, 7, 0.0, SplitMix64(3))
+        empty = LabelMap(512, 512, np.zeros((512, 512), dtype=np.uint8))
+        assert balanced_centers(empty, 7, 0.75, SplitMix64(3)) == a
+
+    def test_positive_share_lands_on_house_pixels(self):
+        labels = np.zeros((128, 128), dtype=np.uint8)
+        labels[40:50, 60:70] = 1
+        labels[0:3, 0:3] = 1  # corner house: its centres are clamped inward
+        centers = balanced_centers(LabelMap(128, 128, labels), 10, 0.6, SplitMix64(5))
+        assert len(centers) == 10
+        for r, c in centers[:6]:
+            assert labels[r, c] == 1 or (r, c) == (8, 8)
+        for r, c in centers:
+            assert 8 <= r <= 120 and 8 <= c <= 120
+
+    def test_deterministic_for_a_seed(self):
+        _, labels = random_scene(9)
+        assert balanced_centers(labels, 12, 0.5, SplitMix64(1)) == \
+            balanced_centers(labels, 12, 0.5, SplitMix64(1))
 
 
 class TestGrid:

@@ -6,7 +6,7 @@ import pytest
 from lgseg import raster
 from lgseg.counting import components
 from lgseg.rng import SplitMix64
-from lgseg.synth import SceneSpec, downscale_nearest, synth_scene
+from lgseg.synth import SceneSpec, synth_scene
 
 
 def test_empty_scene():
@@ -88,9 +88,3 @@ def test_infeasible_placement_raises():
     with pytest.raises(ValueError):
         synth_scene(SceneSpec(house_count=(4000, 4000), house_px=(16, 16), seed=0))
 
-
-def test_downscale_nearest():
-    img, _, _ = synth_scene(SceneSpec(seed=9))
-    half = downscale_nearest(img, 2)
-    assert (half.width, half.height) == (256, 256)
-    assert np.array_equal(half.pixels, img.pixels[::2, ::2])

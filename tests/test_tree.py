@@ -8,7 +8,7 @@ from lgseg.evaluation import f_measure, max_f, set_curve
 from lgseg.raster import LabelMap
 from lgseg.rng import SplitMix64
 from lgseg.tree import (FitResult, TreeInput, TreeThresholds, fit_thresholds,
-                        ra_dense, tree_segment)
+                        tree_segment)
 from lgseg.sampling import grid_shape
 
 from test_evaluation import brute_relaxed_pr
@@ -65,35 +65,21 @@ class TestTreeSegment:
         with pytest.raises(ValueError):
             TreeInput(np.zeros((2, 2)), np.zeros((64, 64)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+    def test_nonfinite_or_out_of_range_ra_rejected(self, bad):
+        with pytest.raises(ValueError, match="RA scores"):
+            TreeInput(np.full(grid_shape((32, 32)), bad), np.zeros((32, 32)))
+        ra = np.full(grid_shape((32, 32)), 0.5)
+        ra[1, 0] = bad
+        with pytest.raises(ValueError, match="RA scores"):
+            TreeInput(ra, np.zeros((32, 32)))
 
-class TestRaDense:
-    def test_constant_scores_give_constant_map(self):
-        ra = np.full(grid_shape((64, 64)), 0.37)
-        out = ra_dense(ra, (64, 64))
-        assert np.allclose(out, 0.37)
-
-    def test_midpoint_between_adjacent_tiles(self):
-        ra = np.zeros(grid_shape((32, 64)))
-        ra[:, 1] = 1.0  # tiles: col centres 8, 24, 40, 56 on the 64 axis
-        out = ra_dense(ra, (32, 64))
-        assert out[0, 16] == pytest.approx(0.5)
-
-    def test_tile_centers_reproduced_exactly(self):
-        rng = SplitMix64(4)
-        shape = (70, 64)  # ragged rows: shifted final tile centre
-        ra = rng.uniform(0, 1, grid_shape(shape))
-        out = ra_dense(ra, shape)
-        from lgseg.sampling import tile_center_axes
-        row_c, col_c = tile_center_axes(shape)
-        for i, r in enumerate(row_c):
-            for j, c in enumerate(col_c):
-                assert out[r, c] == pytest.approx(ra[i, j], abs=1e-12)
-
-    def test_constant_extrapolation_outside_outer_centers(self):
-        ra = np.zeros(grid_shape((32, 32)))
-        ra[0, 0] = 0.8
-        out = ra_dense(ra, (32, 32))
-        assert out[0, 0] == pytest.approx(0.8)  # corner copies the first centre
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, 2.0])
+    def test_nonfinite_or_out_of_range_prob_rejected(self, bad):
+        prob = np.zeros((32, 32))
+        prob[5, 7] = bad
+        with pytest.raises(ValueError, match="probabilities"):
+            TreeInput(np.full(grid_shape((32, 32)), 0.5), prob)
 
 
 # ---------------------------------------------------------------------------
