@@ -288,8 +288,9 @@ def _cmd_count(args, cfg: RunConfig) -> int:
         try:
             tp, fp = int(tallies["tp"]), int(tallies["fp"])
             fn, residential = int(tallies["fn"]), int(tallies["residential"])
-        except KeyError as exc:
-            raise DataError(f"{args.tallies}: missing tally {exc}") from None
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{args.tallies}: need a JSON object of integer tp, fp, fn "
+                            f"and residential tallies ({exc!r})") from None
         precision, recall = counting.count_metrics(tp, fp, fn, residential)
         report_path = out / "count_report.json"
         report_path.write_text(json.dumps({

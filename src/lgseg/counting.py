@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .raster import unit_array
+
 
 @dataclass(frozen=True)
 class DetectionBox:
@@ -201,7 +203,7 @@ def count_pipeline(prob_map: np.ndarray, threshold: float, erode_radius: int = 1
     (when manual boxes are given) produce the matching report."""
     if not (0.0 <= threshold <= 1.0):
         raise ValueError("threshold must lie in [0, 1]")
-    prob_map = np.asarray(prob_map, dtype=np.float64)
+    prob_map = unit_array(prob_map)
     mask = (prob_map >= threshold).astype(np.uint8)
     mask = erode(mask, erode_radius, erode_iterations)
     _, boxes = components(mask, connectivity)

@@ -337,5 +337,7 @@ def load_checkpoint(path) -> dict:
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         count = int(np.prod(shape)) if rank else 1
         data = np.frombuffer(take(8 * count), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: tensor {name} holds non-finite values")
         out[name] = data.reshape(shape).astype(np.float64)
     return out

@@ -1,12 +1,13 @@
-"""Relaxed precision/recall ("correctness/completeness") over binary maps.
+"""Relaxed precision/recall ("correctness/completeness") over probability maps.
 
 A predicted pixel counts as correct when it lies within rho pixels (Euclidean)
 of *some* true pixel, and a true pixel as found when within rho of some
-predicted pixel.  Distances come from an exact distance transform, with the
-comparison done on integer squared distances so the rho test is exact.  Curves
-sweep a threshold grid over a probability map; sets of images aggregate by the
-mean per-image F at each threshold (pooled-pixel aggregation is available as
-an alternative).
+predicted pixel.  `relaxed_counts` applies this rule at every threshold at
+once: the near-truth mask comes from one exact distance transform (integer
+squared distances, so the rho test is exact), and a true pixel is found at t
+exactly when the highest score in its rho-disk, one disk max-filter, reaches t.
+Curves, binary maps and both set aggregates (the mean per-image F by default,
+or counts pooled over the images) derive P/R from these counts.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+
+from .raster import unit_array
 
 DEFAULT_RHO = 3
 
@@ -78,39 +81,65 @@ def nearest_sqdist(mask: np.ndarray) -> np.ndarray:
     return (dr * dr + dc * dc).astype(np.float64)
 
 
-def relaxed_pr(pred: np.ndarray, gt: np.ndarray, rho: int = DEFAULT_RHO) -> tuple:
-    """(precision, recall) with rho-pixel relaxation.
+def relaxed_counts(scores: np.ndarray, gt: np.ndarray, rho: int, thresholds,
+                   near: np.ndarray = None) -> np.ndarray:
+    """Relaxed-match counts of the prediction `scores >= t` at each threshold t.
+
+    Rows of the (4, len(thresholds)) int64 result: predicted pixels, correct
+    predicted pixels (inside `near`, the mask nearest_sqdist(gt) <= rho**2,
+    computed here when not given), true pixels, and found true pixels (the
+    highest score within rho of them reaches t).
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    gt = np.asarray(gt).astype(bool)
+    if scores.shape != gt.shape:
+        raise ValueError(f"extent mismatch: {scores.shape} vs {gt.shape}")
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    if near is None:
+        near = nearest_sqdist(gt) <= float(rho) * float(rho)
+    dy, dx = np.ogrid[-rho:rho + 1, -rho:rho + 1]
+    reach = ndimage.maximum_filter(scores, footprint=dy * dy + dx * dx <= rho * rho,
+                                   mode="constant", cval=-np.inf)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+
+    def at_least(values):
+        return values.size - np.searchsorted(np.sort(values), thresholds, side="left")
+
+    return np.stack([at_least(scores.ravel()), at_least(scores[near]),
+                     np.full(thresholds.shape, gt.sum()), at_least(reach[gt])])
+
+
+def count_points(thresholds, counts: np.ndarray) -> list:
+    """PrPoints from the rows of relaxed_counts.
 
     Empty denominators read as 1: an empty prediction makes no false claims,
     an empty ground truth leaves nothing to miss.
     """
+    points = []
+    for t, n_pred, n_correct, n_gt, n_found in zip(thresholds, *counts.tolist()):
+        precision = n_correct / n_pred if n_pred else 1.0
+        recall = n_found / n_gt if n_gt else 1.0
+        points.append(PrPoint(t, precision, recall, f_measure(precision, recall)))
+    return points
+
+
+def mean_points(thresholds, per_image) -> list:
+    """PrPoints holding the mean per-image precision, recall and F at each threshold."""
+    points = []
+    for i, t in enumerate(thresholds):
+        ps = [image_points[i].precision for image_points in per_image]
+        rs = [image_points[i].recall for image_points in per_image]
+        fs = [image_points[i].f for image_points in per_image]
+        points.append(PrPoint(t, float(np.mean(ps)), float(np.mean(rs)), float(np.mean(fs))))
+    return points
+
+
+def relaxed_pr(pred: np.ndarray, gt: np.ndarray, rho: int = DEFAULT_RHO) -> tuple:
+    """(precision, recall) of a binary prediction with rho-pixel relaxation."""
     pred = np.asarray(pred).astype(bool)
-    gt = np.asarray(gt).astype(bool)
-    if pred.shape != gt.shape:
-        raise ValueError(f"extent mismatch: {pred.shape} vs {gt.shape}")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    limit = float(rho) * float(rho)
-    n_pred = int(pred.sum())
-    n_gt = int(gt.sum())
-    if n_pred == 0:
-        precision = 1.0
-    else:
-        precision = int((pred & (nearest_sqdist(gt) <= limit)).sum()) / n_pred
-    if n_gt == 0:
-        recall = 1.0
-    else:
-        recall = int((gt & (nearest_sqdist(pred) <= limit)).sum()) / n_gt
-    return precision, recall
-
-
-def unit_array(values, what: str = "probabilities") -> np.ndarray:
-    """values as a float64 array, rejected unless every one is finite and in
-    [0, 1] (NaN fails both comparisons, so it is rejected too)."""
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all((values >= 0.0) & (values <= 1.0)):
-        raise ValueError(f"{what} must be finite and lie in [0, 1]")
-    return values
+    (point,) = count_points((1.0,), relaxed_counts(pred, gt, rho, (1.0,)))
+    return point.precision, point.recall
 
 
 def _check_thresholds(thresholds) -> tuple:
@@ -127,11 +156,7 @@ def pr_curve(prob: np.ndarray, gt: np.ndarray, rho: int = DEFAULT_RHO,
     """Relaxed PR at each threshold of an ascending grid (prediction = prob >= t)."""
     prob = unit_array(prob)
     thresholds = _check_thresholds(thresholds)
-    points = []
-    for t in thresholds:
-        precision, recall = relaxed_pr(prob >= t, gt, rho)
-        points.append(PrPoint(t, precision, recall, f_measure(precision, recall)))
-    return PrCurve(points, rho)
+    return PrCurve(count_points(thresholds, relaxed_counts(prob, gt, rho, thresholds)), rho)
 
 
 def set_curve(probs, gts, rho: int = DEFAULT_RHO, thresholds=DEFAULT_THRESHOLDS,
@@ -149,37 +174,10 @@ def set_curve(probs, gts, rho: int = DEFAULT_RHO, thresholds=DEFAULT_THRESHOLDS,
     if aggregate not in ("mean_f", "pooled"):
         raise ValueError("aggregate must be 'mean_f' or 'pooled'")
     thresholds = _check_thresholds(thresholds)
-
-    if aggregate == "mean_f":
-        curves = [pr_curve(p, g, rho, thresholds) for p, g in zip(probs, gts)]
-        points = []
-        for i, t in enumerate(thresholds):
-            ps = [c.points[i].precision for c in curves]
-            rs = [c.points[i].recall for c in curves]
-            fs = [c.points[i].f for c in curves]
-            points.append(PrPoint(t, float(np.mean(ps)), float(np.mean(rs)), float(np.mean(fs))))
-        return PrCurve(points, rho)
-
-    limit = float(rho) * float(rho)
-    pred_hits = np.zeros(len(thresholds))
-    pred_totals = np.zeros(len(thresholds))
-    gt_hits = np.zeros(len(thresholds))
-    gt_totals = np.zeros(len(thresholds))
-    for prob, gt in zip(probs, gts):
-        gt = np.asarray(gt).astype(bool)
-        gt_sq = nearest_sqdist(gt)
-        for i, t in enumerate(thresholds):
-            pred = prob >= t
-            pred_totals[i] += pred.sum()
-            pred_hits[i] += (pred & (gt_sq <= limit)).sum()
-            gt_totals[i] += gt.sum()
-            gt_hits[i] += (gt & (nearest_sqdist(pred) <= limit)).sum()
-    points = []
-    for i, t in enumerate(thresholds):
-        precision = pred_hits[i] / pred_totals[i] if pred_totals[i] else 1.0
-        recall = gt_hits[i] / gt_totals[i] if gt_totals[i] else 1.0
-        points.append(PrPoint(t, precision, recall, f_measure(precision, recall)))
-    return PrCurve(points, rho)
+    counts = [relaxed_counts(p, g, rho, thresholds) for p, g in zip(probs, gts)]
+    if aggregate == "pooled":
+        return PrCurve(count_points(thresholds, sum(counts)), rho)
+    return PrCurve(mean_points(thresholds, [count_points(thresholds, c) for c in counts]), rho)
 
 
 def max_f(curve: PrCurve) -> tuple:

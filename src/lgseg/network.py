@@ -440,7 +440,7 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
     use_local = model.local_spec is not None
     use_global = model.global_spec is not None
 
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         t0 = time.perf_counter()
         order = list(range(len(items)))
         rng.shuffle(order)
@@ -457,6 +457,9 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
                 loss, dprobs = patch_loss(probs, t.target, config.clamp_eps)
                 batch_loss += loss
                 model.backward(caches, dprobs, out=grads)
+            if not np.isfinite(batch_loss):
+                raise ValueError(f"non-finite loss in epoch {epoch + 1}, "
+                                 f"batch {start // config.batch_size + 1}")
             if config.reduction == "mean":
                 scale = 1.0 / len(batch)
                 for name in grads:

@@ -145,11 +145,18 @@ def write_label(labels: LabelMap, path) -> None:
     write_raster(label_to_raster(labels), path)
 
 
+def unit_array(values, what: str = "probabilities") -> np.ndarray:
+    """values as a float64 array, rejected unless every one is finite and in
+    [0, 1] (NaN fails both comparisons, so it is rejected too)."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise DataError(f"{what} must be finite and lie in [0, 1]")
+    return values
+
+
 def prob_to_raster(prob: np.ndarray) -> Raster:
     """Quantise probabilities to 8 bits: round(p * 255)."""
-    prob = np.asarray(prob, dtype=np.float64)
-    if prob.min() < 0.0 or prob.max() > 1.0:
-        raise DataError("probabilities must lie in [0, 1]")
+    prob = unit_array(prob)
     q = np.rint(prob * 255.0).astype(np.uint8)
     h, w = prob.shape
     return Raster(w, h, 1, q[..., None])

@@ -6,7 +6,10 @@ t3.  A residential tile should make detections easier, so a fitted tree
 typically ends with t2 <= t3 and the high t3 suppresses isolated
 hallucinations.  Fitting initialises each threshold at its classifier's own
 max-F point, then cycles coordinate ascent over a fixed grid until the mean
-relaxed F stops improving.
+relaxed F stops improving.  Every F comes from `evaluation.relaxed_counts`:
+a whole leaf sweep is one call on a map holding the probabilities where that
+leaf decides and +inf / -inf where the other leaf predicts / does not, and
+each gate candidate is one single-threshold call.
 
 At desk scale the RA score of a tile is the mean of a trained model's 16x16
 output patch there, taken from the same per-tile inference loop that `lgseg
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import (DEFAULT_RHO, f_measure, max_f, nearest_sqdist, set_curve,
-                         threshold_grid, unit_array)
-from .raster import LabelMap
+from .evaluation import (DEFAULT_RHO, PrCurve, count_points, max_f, mean_points,
+                         nearest_sqdist, relaxed_counts, set_curve, threshold_grid)
+from .raster import LabelMap, unit_array
 from .sampling import (grid_centers, grid_shape, residential_label, tile_index_map,
                        ResidentialClass)
 
@@ -92,37 +95,27 @@ class _FitImage:
     def __init__(self, inp: TreeInput, gt: LabelMap, rho: int):
         if (gt.height, gt.width) != inp.prob_map.shape:
             raise ValueError("ground truth extents do not match the probability map")
-        self.inp = inp
+        self.prob = inp.prob_map
+        self.ra_pixels = inp.ra_scores.ravel()[tile_index_map(inp.prob_map.shape)]
         self.gt = gt.labels.astype(bool)
-        self.n_gt = int(self.gt.sum())
         self.gt_near = nearest_sqdist(self.gt) <= float(rho) * float(rho)
         self.rho = rho
-        self.tiles = tile_index_map(inp.prob_map.shape)
-        self.ra_flat = inp.ra_scores.ravel()
-
-    def relaxed_f(self, th: TreeThresholds) -> float:
-        gate = self.ra_flat[self.tiles] >= th.t1
-        pred = self.inp.prob_map >= np.where(gate, th.t2, th.t3)
-        n_pred = int(pred.sum())
-        precision = 1.0 if n_pred == 0 else int((pred & self.gt_near).sum()) / n_pred
-        if self.n_gt == 0:
-            recall = 1.0
-        else:
-            limit = float(self.rho) * float(self.rho)
-            recall = int((self.gt & (nearest_sqdist(pred) <= limit)).sum()) / self.n_gt
-        return f_measure(precision, recall)
 
 
-def _objective(images, th: TreeThresholds) -> float:
-    return float(np.mean([img.relaxed_f(th) for img in images]))
-
-
-def _binary_f(scores: np.ndarray, truth: np.ndarray, t: float) -> float:
-    pred = scores >= t
-    tp = int((pred & truth).sum())
-    precision = tp / pred.sum() if pred.sum() else 1.0
-    recall = tp / truth.sum() if truth.sum() else 1.0
-    return f_measure(precision, recall)
+def _mean_fs(images, th: TreeThresholds, coord: str, values) -> list:
+    """Mean relaxed F over the images with coordinate `coord` of th set to each
+    of the ascending values."""
+    if coord == "t1":
+        return [_mean_fs(images, TreeThresholds(t1, th.t2, th.t3), "t2", (th.t2,))[0]
+                for t1 in values]
+    fixed = th.t3 if coord == "t2" else th.t2
+    per_image = []
+    for img in images:
+        swept = (img.ra_pixels >= th.t1) == (coord == "t2")
+        scores = np.where(swept, img.prob, np.where(img.prob >= fixed, np.inf, -np.inf))
+        counts = relaxed_counts(scores, img.gt, img.rho, values, near=img.gt_near)
+        per_image.append(count_points(values, counts))
+    return [p.f for p in mean_points(values, per_image)]
 
 
 def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
@@ -145,37 +138,36 @@ def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
 
     # tile-level residential truth for the gate threshold
     scores, truth = [], []
-    for (inp, gt), img in zip(validation, images):
-        for center, score in zip(grid_centers(inp.prob_map.shape), img.ra_flat):
+    for inp, gt in validation:
+        for center, score in zip(grid_centers(inp.prob_map.shape), inp.ra_scores.ravel()):
             klass = residential_label(gt, center, min_houses)
             if klass is ResidentialClass.EXCLUDED:
                 continue
             scores.append(score)
             truth.append(klass is ResidentialClass.RESIDENTIAL)
-    scores = np.array(scores)
     truth = np.array(truth, dtype=bool)
     if truth.all() or not truth.any():
         raise ValueError("validation tiles lack both residential classes; "
                          "the gate threshold is undefined")
-    t1_fs = [_binary_f(scores, truth, t) for t in grid]
-    t1 = float(grid[int(np.argmax(t1_fs))])
+    t1_counts = relaxed_counts(np.array(scores)[None], truth[None], 0, grid)
+    t1, _ = max_f(PrCurve(count_points(grid, t1_counts), 0))
 
-    seg_curve = set_curve([img.inp.prob_map for img in images],
+    seg_curve = set_curve([img.prob for img in images],
                           [img.gt for img in images], rho, thresholds=grid)
     t23, _ = max_f(seg_curve)
 
     current = TreeThresholds(t1, t23, t23)
-    best_f = _objective(images, current)
+    (best_f,) = _mean_fs(images, current, "t2", (current.t2,))
     trace = [best_f]
     for _ in range(max_cycles):
         cycle_start = best_f
         for coord in ("t1", "t2", "t3"):
-            candidates = [TreeThresholds(**{**current.__dict__, coord: float(t)}) for t in grid]
-            fs = [best_f if getattr(c, coord) == getattr(current, coord)
-                  else _objective(images, c) for c in candidates]
+            fs = [best_f if t == getattr(current, coord) else f
+                  for t, f in zip(grid, _mean_fs(images, current, coord, grid))]
             top = max(fs)
-            if top > best_f:  # ties keep the current value; improvements take
-                current = candidates[int(np.argmax(fs))]  # the lowest argmax
+            # ties keep the current value; improvements take the lowest argmax
+            if top > best_f:
+                current = TreeThresholds(**{**current.__dict__, coord: grid[int(np.argmax(fs))]})
                 best_f = top
             trace.append(best_f)
         if best_f - cycle_start < tol:

@@ -9,6 +9,7 @@ from lgseg import raster, tree
 from lgseg.cli import _load_model, _tile_patches, dispatch
 from lgseg.config import parse_config_text
 from lgseg.counting import write_boxes_csv, DetectionBox
+from lgseg.engine import save_checkpoint
 from lgseg.network import Blank, build_model
 from lgseg.rng import SplitMix64
 from lgseg.sampling import grid_centers, image_window
@@ -132,6 +133,18 @@ class TestInfer:
         monkeypatch.setenv("LGSEG_THREADS", "zero")
         assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
                    "--image", scene_dir / "scene_000.ppm", "--out", tmp_path / "x") == 1
+
+    def test_non_finite_checkpoint_is_data_error(self, tmp_path, cfg_path, scene_dir,
+                                                 trained_dir, capsys):
+        model = _load_model(parse_config_text(SMALL_CFG), trained_dir / "model.ckpt")
+        model.params["fusion.1.bias"][0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, model.params)
+        out = tmp_path / "x"
+        assert run("infer", "--config", cfg_path, "--model", ckpt,
+                   "--image", scene_dir / "scene_000.ppm", "--out", out) == 2
+        assert "fusion.1.bias" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_wrong_architecture_checkpoint_is_data_error(self, tmp_path, scene_dir,
                                                          trained_dir):
@@ -270,6 +283,22 @@ class TestCount:
         assert report["machine_count"] == report["human_count"]
         detections = (out / "detections.csv").read_text().splitlines()
         assert len(detections) == report["machine_count"] + 1
+
+    @pytest.mark.parametrize("text", ['[1, 2, 3, 4]', '{"tp": 1, "fp": null, "fn": 0, '
+                                      '"residential": 0}', '"tp"'])
+    def test_malformed_tallies_data_error(self, tmp_path, text):
+        tallies = tmp_path / "tallies.json"
+        tallies.write_text(text)
+        assert run("count", "--tallies", tallies, "--out", tmp_path / "count") == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.5])
+    def test_bad_probabilities_data_error(self, tmp_path, bad):
+        prob = np.full((32, 32), 0.2)
+        prob[4:9, 4:9] = 0.8
+        prob[20, 20] = bad
+        prob_path = tmp_path / "bad.lgprob"
+        raster.write_prob_sidecar(prob, prob_path)
+        assert run("count", "--prob", prob_path, "--out", tmp_path / "count") == 2
 
     def test_count_without_inputs_usage_error(self, tmp_path):
         assert run("count", "--out", tmp_path / "c") == 1

@@ -212,6 +212,13 @@ class TestCountPipeline:
         with pytest.raises(ValueError):
             count_pipeline(np.zeros((4, 4)), 1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.5])
+    def test_bad_probabilities_rejected(self, bad):
+        prob = np.full((8, 8), 0.2)
+        prob[3, 4] = bad
+        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+            count_pipeline(prob, 0.5)
+
 
 class TestBoxesCsv:
     def test_round_trip(self, tmp_path):

@@ -416,6 +416,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             engine.load_checkpoint(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected_by_name(self, tmp_path, bad):
+        bias = np.zeros(2)
+        bias[1] = bad
+        p = tmp_path / "model.ckpt"
+        engine.save_checkpoint(p, {"fusion.0.weight": np.ones((2, 2)), "fusion.2.bias": bias})
+        with pytest.raises(ValueError, match="fusion.2.bias"):
+            engine.load_checkpoint(p)
+
     def test_truncated_rejected(self, tmp_path):
         p = tmp_path / "model.ckpt"
         engine.save_checkpoint(p, {"a.weight": np.ones((3, 3))})

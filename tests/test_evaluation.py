@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lgseg import evaluation
-from lgseg.evaluation import (PrCurve, PrPoint, max_f, nearest_sqdist,
-                              pr_curve, relaxed_pr, set_curve)
+from lgseg.evaluation import (PrCurve, PrPoint, f_measure, max_f, nearest_sqdist,
+                              pr_curve, relaxed_counts, relaxed_pr, set_curve)
 from lgseg.rng import SplitMix64
 
 
@@ -130,6 +130,66 @@ class TestRelaxedPr:
             relaxed_pr(np.zeros((4, 4)), np.zeros((4, 4)), -1)
 
 
+def brute_counts(pred, gt, rho):
+    """(predicted, correct, true, found) pixel counts via explicit search."""
+    pred = np.asarray(pred).astype(bool)
+    gt = np.asarray(gt).astype(bool)
+    return (int(pred.sum()), int((pred & (brute_sqdist(gt) <= rho * rho)).sum()),
+            int(gt.sum()), int((gt & (brute_sqdist(pred) <= rho * rho)).sum()))
+
+
+class TestRelaxedCounts:
+    THRESHOLDS = evaluation.threshold_grid(0.125)
+
+    def on_threshold_maps(self, seed):
+        """Three images whose probabilities all sit on a grid threshold, 0 or 1."""
+        rng = SplitMix64(seed)
+        levels = np.array((0.0,) + self.THRESHOLDS + (1.0,))
+        probs, gts = [], []
+        for density in (0.0, 0.1, 0.3):
+            pick = (rng.uniform(0, 1, (11, 13)) * len(levels)).astype(int)
+            probs.append(levels[pick])
+            gts.append(random_mask(rng, (11, 13), density))
+        return probs, gts
+
+    @pytest.mark.parametrize("rho", [0, 1, 2, 3, 4])
+    def test_every_aggregate_matches_brute_force_exactly(self, rho):
+        probs, gts = self.on_threshold_maps(30 + rho)
+        per_image = [[brute_counts(p >= t, g, rho) for t in self.THRESHOLDS]
+                     for p, g in zip(probs, gts)]
+        for prob, gt, want in zip(probs, gts, per_image):
+            got = relaxed_counts(prob, gt, rho, self.THRESHOLDS)
+            assert got.T.tolist() == [list(c) for c in want]
+            curve = pr_curve(prob, gt, rho, self.THRESHOLDS)
+            for point, t in zip(curve.points, self.THRESHOLDS):
+                assert (point.precision, point.recall) == brute_relaxed_pr(prob >= t, gt, rho)
+
+        pooled = set_curve(probs, gts, rho, self.THRESHOLDS, aggregate="pooled")
+        mean = set_curve(probs, gts, rho, self.THRESHOLDS)
+        for i, t in enumerate(self.THRESHOLDS):
+            n_pred, n_correct, n_gt, n_found = np.sum([img[i] for img in per_image], axis=0)
+            precision = n_correct / n_pred if n_pred else 1.0
+            recall = n_found / n_gt if n_gt else 1.0
+            assert (pooled.points[i].precision, pooled.points[i].recall) == (precision, recall)
+            assert pooled.points[i].f == f_measure(precision, recall)
+            fs = [f_measure(*brute_relaxed_pr(p >= t, g, rho)) for p, g in zip(probs, gts)]
+            assert mean.points[i].f == float(np.mean(fs))
+
+    def test_precomputed_near_mask_gives_the_same_counts(self):
+        probs, gts = self.on_threshold_maps(40)
+        near = nearest_sqdist(gts[2]) <= 4
+        assert np.array_equal(relaxed_counts(probs[2], gts[2], 2, self.THRESHOLDS, near=near),
+                              relaxed_counts(probs[2], gts[2], 2, self.THRESHOLDS))
+
+    def test_infinite_scores_always_or_never_predict(self):
+        gt = np.zeros((6, 6), dtype=bool)
+        gt[1, 1] = True
+        scores = np.full((6, 6), -np.inf)
+        scores[1, 3] = np.inf
+        counts = relaxed_counts(scores, gt, 2, (0.1, 0.9))
+        assert counts.tolist() == [[1, 1], [1, 1], [1, 1], [1, 1]]
+
+
 class TestPrCurve:
     def test_constant_prob_step_function(self):
         gt = np.zeros((10, 10), dtype=np.uint8)
@@ -229,6 +289,13 @@ class TestSetCurve:
         mean_curve = set_curve(probs, [gt1, gt2], 0, thresholds=[0.5])
         pooled_curve = set_curve(probs, [gt1, gt2], 0, thresholds=[0.5], aggregate="pooled")
         assert mean_curve.points[0].f != pooled_curve.points[0].f
+
+    @pytest.mark.parametrize("aggregate", ["mean_f", "pooled"])
+    def test_negative_rho_rejected_for_both_aggregates(self, aggregate):
+        gt = np.zeros((8, 8), dtype=np.uint8)
+        gt[2:4, 2:4] = 1
+        with pytest.raises(ValueError, match="rho"):
+            set_curve([gt * 0.7], [gt], -3, aggregate=aggregate)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):

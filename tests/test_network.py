@@ -406,6 +406,13 @@ class TestTrain:
         assert len(report.epoch_losses) < 200
         assert report.epoch_losses[-1] < 0.2
 
+    def test_non_finite_loss_aborts_naming_epoch_and_batch(self):
+        model = small_dual(seed=1)
+        data = [make_triplet(s) for s in range(4)]
+        model.params["fusion.1.bias"][0] = np.nan
+        with pytest.raises(ValueError, match="epoch 1, batch 1"):
+            train(model, data, TrainConfig(epochs=2, batch_size=2))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(small_dual(), [], TrainConfig())

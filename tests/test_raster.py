@@ -106,6 +106,13 @@ def test_prob_sidecar_corrupt_rejected(tmp_path):
         raster.read_prob_sidecar(p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 1.5])
+def test_prob_quantisation_rejects_bad_probabilities(bad):
+    prob = np.array([[0.0, 0.5, bad]])
+    with pytest.raises(DataError, match=r"finite and lie in \[0, 1\]"):
+        raster.prob_to_raster(prob)
+
+
 def test_prob_quantisation_round_trip():
     prob = np.array([[0.0, 0.5, 1.0]])
     r = raster.prob_to_raster(prob)

@@ -4,12 +4,14 @@ coordinate-descent fitter."""
 import numpy as np
 import pytest
 
-from lgseg.evaluation import f_measure, max_f, set_curve
+from lgseg.evaluation import (f_measure, max_f, nearest_sqdist, set_curve,
+                              threshold_grid)
 from lgseg.raster import LabelMap
 from lgseg.rng import SplitMix64
 from lgseg.tree import (FitResult, TreeInput, TreeThresholds, fit_thresholds,
                         tree_segment)
-from lgseg.sampling import grid_shape
+from lgseg.sampling import (ResidentialClass, grid_centers, grid_shape,
+                            residential_label, tile_index_map)
 
 from test_evaluation import brute_relaxed_pr
 
@@ -209,7 +211,89 @@ def exhaustive_tree_search(items, rho, thresholds, t1_candidates=None):
     return best_f, best_th
 
 
+def per_candidate_fit(validation, rho, min_houses=15, step=0.01, tol=1e-4, max_cycles=20):
+    """Coordinate ascent that scores every candidate triple on its own binary
+    map, with one distance transform per image and candidate: the reference
+    for fit_thresholds' count-based sweeps.  Returns (thresholds, trace)."""
+    grid = threshold_grid(step)
+    images = []
+    for inp, gt in validation:
+        truth = gt.labels.astype(bool)
+        images.append((inp, truth, nearest_sqdist(truth) <= rho * rho,
+                       tile_index_map(inp.prob_map.shape)))
+
+    def objective(th):
+        fs = []
+        for inp, truth, near, tiles in images:
+            gate = inp.ra_scores.ravel()[tiles] >= th.t1
+            pred = inp.prob_map >= np.where(gate, th.t2, th.t3)
+            n_pred, n_gt = int(pred.sum()), int(truth.sum())
+            precision = 1.0 if n_pred == 0 else int((pred & near).sum()) / n_pred
+            recall = 1.0 if n_gt == 0 else \
+                int((truth & (nearest_sqdist(pred) <= rho * rho)).sum()) / n_gt
+            fs.append(f_measure(precision, recall))
+        return float(np.mean(fs))
+
+    scores, tile_truth = [], []
+    for inp, gt in validation:
+        for center, score in zip(grid_centers(inp.prob_map.shape), inp.ra_scores.ravel()):
+            klass = residential_label(gt, center, min_houses)
+            if klass is not ResidentialClass.EXCLUDED:
+                scores.append(score)
+                tile_truth.append(klass is ResidentialClass.RESIDENTIAL)
+    scores, tile_truth = np.array(scores), np.array(tile_truth)
+    t1_fs = []
+    for t in grid:
+        tp = int((scores >= t)[tile_truth].sum())
+        n_pred = int((scores >= t).sum())
+        t1_fs.append(f_measure(tp / n_pred if n_pred else 1.0, tp / int(tile_truth.sum())))
+    t23, _ = max_f(set_curve([inp.prob_map for inp, _ in validation],
+                             [gt.labels for _, gt in validation], rho, thresholds=grid))
+
+    current = TreeThresholds(grid[int(np.argmax(t1_fs))], t23, t23)
+    best_f = objective(current)
+    trace = [best_f]
+    for _ in range(max_cycles):
+        cycle_start = best_f
+        for coord in ("t1", "t2", "t3"):
+            candidates = [TreeThresholds(**{**current.__dict__, coord: t}) for t in grid]
+            fs = [best_f if getattr(c, coord) == getattr(current, coord) else objective(c)
+                  for c in candidates]
+            if max(fs) > best_f:
+                current = candidates[int(np.argmax(fs))]
+                best_f = max(fs)
+            trace.append(best_f)
+        if best_f - cycle_start < tol:
+            break
+    return current, trace
+
+
+def random_validation(seed):
+    """Seeded residential, empty and sparse images with noisy hundredth-valued
+    maps, a hallucinated blob each, and RA scores that loosely follow the truth."""
+    rng = SplitMix64(seed)
+    shape = (64, 80)
+    items = []
+    for n_houses, ra_low, ra_high in ((20, 0.3, 1.0), (0, 0.0, 0.7), (6, 0.1, 0.9)):
+        gt = paint_houses(shape, n_houses, start=(3 + rng.below(4), 3 + rng.below(4)))
+        prob = np.clip(gt * rng.uniform(0.2, 0.6, shape) + rng.uniform(0, 0.5, shape), 0, 1)
+        row = rng.below(50)
+        prob[row:row + 6, 40:46] = rng.uniform(0.5, 1.0, (6, 6))
+        prob = np.round(prob, 2)  # values sit exactly on grid thresholds
+        ra = np.round(rng.uniform(ra_low, ra_high, grid_shape(shape)), 2)
+        items.append((TreeInput(ra, prob), LabelMap(shape[1], shape[0], gt)))
+    return items
+
+
 class TestFitThresholds:
+    @pytest.mark.parametrize("items", [toy_validation(), random_validation(4)],
+                             ids=["toy", "random"])
+    def test_matches_per_candidate_oracle_exactly(self, items):
+        result = fit_thresholds(items, rho=3)
+        thresholds, trace = per_candidate_fit(items, 3)
+        assert result.thresholds == thresholds
+        assert result.trace == trace
+
     def test_oracle_self_consistency(self):
         # the table-based oracle agrees with direct brute force at spot triples
         items = toy_validation()
