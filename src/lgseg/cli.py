@@ -285,12 +285,13 @@ def _cmd_count(args, cfg: RunConfig) -> int:
     if args.tallies:
         with open(args.tallies) as fh:
             tallies = json.load(fh)
-        try:
-            tp, fp = int(tallies["tp"]), int(tallies["fp"])
-            fn, residential = int(tallies["fn"]), int(tallies["residential"])
-        except (KeyError, TypeError) as exc:
+        values = [tallies.get(key) for key in ("tp", "fp", "fn", "residential")] \
+            if isinstance(tallies, dict) else [None]
+        # a JSON integer only: no float, string or bool (a Python int subclass)
+        if not all(type(v) is int for v in values):
             raise DataError(f"{args.tallies}: need a JSON object of integer tp, fp, fn "
-                            f"and residential tallies ({exc!r})") from None
+                            "and residential tallies")
+        tp, fp, fn, residential = values
         precision, recall = counting.count_metrics(tp, fp, fn, residential)
         report_path = out / "count_report.json"
         report_path.write_text(json.dumps({

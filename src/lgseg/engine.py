@@ -3,8 +3,10 @@
 Everything is a plain C-contiguous float64 ndarray; layers are free functions
 (forward/backward pairs) so they stay re-entrant, and parameters live in
 ordered ``{name: array}`` dicts owned by the caller.  Convolution uses
-im2col + GEMM; max-pool records argmax positions for exact gradient routing
-with a first-in-scan-order tie break.  A central-finite-difference checker and
+im2col + GEMM; its backward can skip the input gradient when nothing reads
+it.  Max-pool takes a running maximum over its window taps and works out the
+argmax positions that route its gradient (first in scan order on ties) only
+when backward first asks for them.  A central-finite-difference checker and
 the classical momentum SGD step (weight decay on weights only, never biases)
 complete the training core.  Checkpoints serialise named tensors bit-exactly.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,8 +87,13 @@ def conv2d_forward(x, weight, bias, stride: int = 1, pad: int = 0) -> np.ndarray
     return y.reshape(out_ch, ho, wo)
 
 
-def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0):
-    """Gradients of conv2d_forward w.r.t. input, weights, and bias."""
+def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0,
+                    input_grad: bool = True):
+    """Gradients of conv2d_forward w.r.t. input, weights, and bias.
+
+    With input_grad False the input gradient is not computed and None is
+    returned in its place.
+    """
     x = _as_f64(x)
     weight = _as_f64(weight)
     grad_out = _as_f64(grad_out)
@@ -100,6 +108,8 @@ def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0):
 
     grad_bias = g.sum(axis=1)
     grad_weight = (g @ cols.T).reshape(weight.shape)
+    if not input_grad:
+        return None, grad_weight, grad_bias
 
     grad_cols = (weight.reshape(out_ch, -1).T @ g).reshape(in_ch, kh, kw, ho, wo)
     grad_xp = np.zeros_like(xp)
@@ -114,12 +124,41 @@ def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0):
 # max pooling
 
 
-@dataclass(frozen=True)
-class PoolIndices:
-    """Argmax bookkeeping from a forward max-pool: enough to route gradients back."""
+def _pool_taps(x: np.ndarray, k: int, stride: int, ho: int, wo: int) -> list:
+    """The k*k strided views x[:, i::stride, j::stride] cut to (ho, wo), in
+    tap order p = i*k + j."""
+    return [x[:, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
+            for i in range(k) for j in range(k)]
 
-    input_shape: tuple
-    flat_argmax: np.ndarray  # (C, Ho, Wo) flat indices into H*W
+
+class PoolIndices:
+    """Argmax bookkeeping from a forward max-pool: enough to route gradients back.
+
+    Holds the pool's input and output; neither may be modified in place while
+    the indices are in use.  flat_argmax is worked out on first read and
+    cached: per window, the flat H*W index of the lowest tap whose value
+    equals the output (the first NaN, if the window holds one).
+    """
+
+    def __init__(self, x: np.ndarray, out: np.ndarray, k: int, stride: int):
+        self.input_shape = x.shape
+        self._x, self._out, self._k, self._stride = x, out, k, stride
+
+    @cached_property
+    def flat_argmax(self) -> np.ndarray:  # (C, Ho, Wo) flat indices into H*W
+        out, k, stride = self._out, self._k, self._stride
+        ho, wo = out.shape[1:]
+        nan = bool(np.isnan(out).any())
+        local = np.zeros(out.shape, dtype=np.int64)
+        # from the last tap down, so the lowest matching tap is written last
+        for p, tap in reversed(list(enumerate(_pool_taps(self._x, k, stride, ho, wo)))):
+            hit = tap == out
+            if nan:
+                hit |= np.isnan(tap)
+            local[hit] = p
+        rows = np.arange(ho)[:, None] * stride + local // k
+        cols = np.arange(wo) * stride + local % k
+        return rows * self.input_shape[2] + cols
 
 
 def maxpool2d(x, k: int, stride: int | None = None):
@@ -134,16 +173,13 @@ def maxpool2d(x, k: int, stride: int | None = None):
     c, h, w = x.shape
     if h < k or w < k:
         raise ValueError(f"pool window {k} does not fit input {h}x{w}")
-    win = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    ho, wo = win.shape[1], win.shape[2]
-    flat_win = win.reshape(c, ho, wo, k * k)
-    local = flat_win.argmax(axis=3)
-    out = np.take_along_axis(flat_win, local[..., None], axis=3)[..., 0]
-    oy, ox = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-    rows = oy * stride + local // k
-    cols = ox * stride + local % k
-    flat = (rows * w + cols).astype(np.int64)
-    return np.ascontiguousarray(out), PoolIndices((c, h, w), flat)
+    taps = _pool_taps(x, k, stride, (h - k) // stride + 1, (w - k) // stride + 1)
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        # np.maximum returns its second argument on a tie, so the earlier
+        # tap's value is kept, down to the sign of a zero; NaN propagates
+        np.maximum(tap, out, out=out)
+    return out, PoolIndices(x, out, k, stride)
 
 
 def maxpool2d_backward(indices: PoolIndices, grad_out) -> np.ndarray:

@@ -239,15 +239,23 @@ class LgSegModel:
                 tape.append(saved)
         return x
 
-    def _unrun(self, ops, tape: list, grad, grads: dict):
+    def _unrun(self, ops, tape: list, grad, grads: dict, input_grad: bool = True):
         """Backward pass through an op list, popping its entries off the end
         of the tape; parameter gradients are added into grads and the input
-        gradient is returned."""
-        for kind, name, spec in reversed(ops):
+        gradient is returned.  With input_grad False, None is returned: the
+        first op with parameters skips its input gradient where the engine
+        allows (a conv), and the ops below it only pop their tape entries."""
+        stop = -1 if input_grad else next(
+            (i for i, (_, name, _) in enumerate(ops) if name is not None), len(ops))
+        for i in reversed(range(len(ops))):
+            kind, name, spec = ops[i]
             saved = tape.pop()
+            if i < stop:
+                continue
             if kind == "conv":
                 grad, gw, gb = engine.conv2d_backward(saved, self.params[f"{name}.weight"], grad,
-                                                      spec.stride, spec.padding())
+                                                      spec.stride, spec.padding(),
+                                                      input_grad=i != stop)
             elif kind == "pool":
                 grad = engine.maxpool2d_backward(saved, grad)
             elif kind == "relu":
@@ -261,7 +269,7 @@ class LgSegModel:
             if name is not None:
                 grads[f"{name}.weight"] += gw
                 grads[f"{name}.bias"] += gb
-        return grad
+        return grad if input_grad else None
 
     def _forward(self, local_patch, global_patch, tape: list | None):
         embeds = []
@@ -288,23 +296,21 @@ class LgSegModel:
         probs = self._forward(local_patch, global_patch, tape)
         return probs, tape
 
-    def backward(self, caches: list, grad_probs, out: dict | None = None):
-        """Gradients of a scalar loss given d(loss)/d(probs).
+    def backward(self, caches: list, grad_probs, out: dict | None = None) -> dict:
+        """Parameter gradients of a scalar loss given d(loss)/d(probs).
 
-        Returns (param_grads, local_input_grad, global_input_grad).  With
-        `out` given, parameter gradients are accumulated into it in place
-        (used for mini-batch summation); input grads are None for absent
-        pathways.
+        With `out` given, they are accumulated into it in place (used for
+        mini-batch summation).  The gradient with respect to the input
+        patches is never computed: training does not read it.
         """
         grads = self.zero_grads() if out is None else out
         tape = list(caches)
         grad = self._unrun(self.ops["fusion"], tape, np.asarray(grad_probs).reshape(-1), grads)
-        input_grads = {}
         for prefix in reversed(self.pathways):  # the tape is last in, first out
             width = self.pathways[prefix].embed_width
             grad, embed_grad = grad[:-width], grad[-width:]
-            input_grads[prefix] = self._unrun(self.ops[prefix], tape, embed_grad, grads)
-        return grads, input_grads.get("local"), input_grads.get("global")
+            self._unrun(self.ops[prefix], tape, embed_grad, grads, input_grad=False)
+        return grads
 
     def zero_grads(self) -> dict:
         return {name: np.zeros_like(arr) for name, arr in self.params.items()}

@@ -213,22 +213,23 @@ def grid_shape(shape: tuple) -> tuple:
 # residential rule
 
 
-def residential_label(labels: LabelMap, center: tuple, min_houses: int = 15) -> ResidentialClass:
-    """Classify the 256x256 window (clipped at borders) around a centre by the
-    number of 8-connected building components intersecting it: none at all is
-    non-residential, at least min_houses is residential, in between excluded."""
+def residential_label(labels: LabelMap, centers, min_houses: int = 15) -> list:
+    """Classify the 256x256 window (clipped at borders) around each centre by
+    the number of 8-connected building components intersecting it: none at all
+    is non-residential, at least min_houses is residential, in between
+    excluded.  The map is labelled once for all the centres."""
     comps, n = ndimage.label(labels.labels, structure=_EIGHT)
-    if n == 0:
-        return ResidentialClass.NON_RESIDENTIAL
     half = GLOBAL_WIDTH // 2
-    r0 = max(0, center[0] - half)
-    r1 = min(labels.height, center[0] + half)
-    c0 = max(0, center[1] - half)
-    c1 = min(labels.width, center[1] + half)
-    seen = np.unique(comps[r0:r1, c0:c1])
-    count = int((seen > 0).sum())
-    if count == 0:
-        return ResidentialClass.NON_RESIDENTIAL
-    if count >= min_houses:
-        return ResidentialClass.RESIDENTIAL
-    return ResidentialClass.EXCLUDED
+    out = []
+    for r, c in centers:
+        seen = np.zeros(n + 1, dtype=bool)
+        seen[comps[max(0, r - half):min(labels.height, r + half),
+                   max(0, c - half):min(labels.width, c + half)]] = True
+        count = int(seen[1:].sum())
+        if count == 0:
+            out.append(ResidentialClass.NON_RESIDENTIAL)
+        elif count >= min_houses:
+            out.append(ResidentialClass.RESIDENTIAL)
+        else:
+            out.append(ResidentialClass.EXCLUDED)
+    return out

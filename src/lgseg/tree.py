@@ -139,8 +139,8 @@ def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
     # tile-level residential truth for the gate threshold
     scores, truth = [], []
     for inp, gt in validation:
-        for center, score in zip(grid_centers(inp.prob_map.shape), inp.ra_scores.ravel()):
-            klass = residential_label(gt, center, min_houses)
+        classes = residential_label(gt, grid_centers(inp.prob_map.shape), min_houses)
+        for klass, score in zip(classes, inp.ra_scores.ravel()):
             if klass is ResidentialClass.EXCLUDED:
                 continue
             scores.append(score)

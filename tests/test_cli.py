@@ -285,7 +285,12 @@ class TestCount:
         assert len(detections) == report["machine_count"] + 1
 
     @pytest.mark.parametrize("text", ['[1, 2, 3, 4]', '{"tp": 1, "fp": null, "fn": 0, '
-                                      '"residential": 0}', '"tp"'])
+                                      '"residential": 0}', '"tp"',
+                                      '{"tp": 1.7, "fp": 1, "fn": 0, "residential": 0}',
+                                      '{"tp": 1, "fp": true, "fn": 0, "residential": 0}',
+                                      '{"tp": 1, "fp": 1, "fn": "0", "residential": 0}',
+                                      '{"tp": 1, "fp": 1, "fn": 0, "residential": 2.0}',
+                                      '{"tp": 1, "fp": 1, "fn": 0}'])
     def test_malformed_tallies_data_error(self, tmp_path, text):
         tallies = tmp_path / "tallies.json"
         tallies.write_text(text)

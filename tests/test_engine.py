@@ -142,6 +142,17 @@ class TestConv2d:
         bound = np.abs(w).sum() * np.abs(x).sum() + 6 * 6 * np.abs(b).sum()
         assert np.abs(y).sum() <= bound
 
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 3)])
+    def test_weight_and_bias_only_backward(self, stride, pad):
+        rng = SplitMix64(13)
+        x = rng.uniform(-1, 1, (3, 9, 9))
+        w = rng.uniform(-1, 1, (4, 3, 3, 3))
+        up = rng.uniform(-1, 1, engine.conv2d_forward(x, w, np.zeros(4), stride, pad).shape)
+        _, gw, gb = engine.conv2d_backward(x, w, up, stride, pad)
+        gx, gw2, gb2 = engine.conv2d_backward(x, w, up, stride, pad, input_grad=False)
+        assert gx is None
+        assert np.array_equal(gw, gw2) and np.array_equal(gb, gb2)
+
     def test_forward_is_pure(self):
         rng = SplitMix64(11)
         x = rng.uniform(-1, 1, (2, 5, 5))
@@ -152,7 +163,48 @@ class TestConv2d:
         assert np.array_equal(y1, y2)
 
 
+def maxpool_reference(x, k, stride):
+    """Per-window loop: the first position in row-major scan order holding the
+    window's first NaN or, without one, its maximum."""
+    c, h, w = x.shape
+    ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
+    out = np.empty((c, ho, wo))
+    flat = np.empty((c, ho, wo), dtype=np.int64)
+    for ch in range(c):
+        for oy in range(ho):
+            for ox in range(wo):
+                cells = [(oy * stride + i, ox * stride + j) for i in range(k) for j in range(k)]
+                values = [x[ch, r, q] for r, q in cells]
+                nans = [v != v for v in values]
+                best = nans.index(True) if any(nans) else values.index(max(values))
+                r, q = cells[best]
+                out[ch, oy, ox] = x[ch, r, q]
+                flat[ch, oy, ox] = r * w + q
+    return out, flat
+
+
 class TestMaxPool:
+    @pytest.mark.parametrize("k,stride", [(2, 2), (2, 1), (3, 3), (3, 1), (3, 2),
+                                          (4, 4), (4, 2), (4, 3)])
+    def test_matches_window_loop_on_ties(self, k, stride):
+        # small integers give many tied maxima; zeros come in both signs
+        rng = SplitMix64(k * 10 + stride)
+        x = np.floor(rng.uniform(-2, 2, (3, 11, 10)))
+        x[x == 0] = np.where(rng.uniform(0, 1, x.shape) < 0.5, -0.0, 0.0)[x == 0]
+        assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+        y, idx = engine.maxpool2d(x, k, stride)
+        want, want_flat = maxpool_reference(x, k, stride)
+        assert np.array_equal(y, want) and np.array_equal(np.signbit(y), np.signbit(want))
+        assert np.array_equal(idx.flat_argmax, want_flat)
+        assert idx.input_shape == x.shape
+
+    def test_nan_window_takes_first_nan(self):
+        x = np.array([[[1.0, np.nan, 5.0], [np.nan, 2.0, 0.0], [3.0, 4.0, np.nan]]])
+        y, idx = engine.maxpool2d(x, 2, 1)
+        want, want_flat = maxpool_reference(x, 2, 1)
+        assert np.array_equal(y, want, equal_nan=True)
+        assert np.array_equal(idx.flat_argmax, want_flat)
+
     def test_hand_example(self):
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         y, idx = engine.maxpool2d(x, 2, 2)

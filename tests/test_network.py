@@ -182,14 +182,10 @@ class TestFullModelGradients:
 
         probs, caches = model.forward_with_caches(local, global_)
         _, dprobs = patch_loss(probs, t.target)
-        grads, g_local, g_global = model.backward(caches, dprobs)
+        grads = model.backward(caches, dprobs)
 
         tensors = dict(model.params)
-        tensors["__local"] = local
-        tensors["__global"] = global_
         analytic = dict(grads)
-        analytic["__local"] = g_local
-        analytic["__global"] = g_global
         # eps=1e-6: wide enough for stable central differences, narrow enough
         # not to straddle max-pool argmax switches deep in the net
         err = engine.grad_check(loss_fn, tensors, analytic, eps=1e-6, sample=4, seed=0)
@@ -343,14 +339,11 @@ class TestOpListMatchesOracle:
         assert np.array_equal(model.forward(local, global_), want_probs)
 
         _, dprobs = patch_loss(probs, t.target)
-        grads, g_local, g_global = model.backward(caches, dprobs)
-        want_grads, want_local, want_global = oracle_backward(model, want_caches, dprobs)
+        grads = model.backward(caches, dprobs)
+        want_grads, _, _ = oracle_backward(model, want_caches, dprobs)
         assert list(grads) == list(want_grads) == list(model.params)
         for name in want_grads:
             assert np.array_equal(grads[name], want_grads[name]), name
-        for got, want in ((g_local, want_local), (g_global, want_global)):
-            assert (got is None) == (want is None)
-            assert want is None or np.array_equal(got, want)
 
     def test_backward_leaves_caches_reusable(self):
         model = small_dual(seed=5)
@@ -359,9 +352,8 @@ class TestOpListMatchesOracle:
         _, dprobs = patch_loss(probs, t.target)
         first = model.backward(caches, dprobs)
         second = model.backward(caches, dprobs)
-        for name in first[0]:
-            assert np.array_equal(first[0][name], second[0][name])
-        assert np.array_equal(first[1], second[1]) and np.array_equal(first[2], second[2])
+        for name in first:
+            assert np.array_equal(first[name], second[name])
 
 
 class TestTrain:

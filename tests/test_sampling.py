@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from lgseg import sampling
 from lgseg.raster import LabelMap, Raster
@@ -189,19 +190,55 @@ def paint_rects(n, start=(10, 10), size=4, gap=8, shape=(512, 512)):
     return LabelMap(shape[1], shape[0], labels)
 
 
+def residential_label_per_centre(labels, center, min_houses=15):
+    """The rule as it was, labelling the whole map again for one centre."""
+    comps, n = ndimage.label(labels.labels, structure=np.ones((3, 3), dtype=int))
+    if n == 0:
+        return ResidentialClass.NON_RESIDENTIAL
+    half = 128
+    seen = np.unique(comps[max(0, center[0] - half):min(labels.height, center[0] + half),
+                           max(0, center[1] - half):min(labels.width, center[1] + half)])
+    count = int((seen > 0).sum())
+    if count == 0:
+        return ResidentialClass.NON_RESIDENTIAL
+    if count >= min_houses:
+        return ResidentialClass.RESIDENTIAL
+    return ResidentialClass.EXCLUDED
+
+
 class TestResidential:
+    @pytest.mark.parametrize("min_houses", [1, 15, 40])
+    def test_matches_per_centre_rule(self, min_houses):
+        # a row of 4x4 buildings at rows 300-303, columns 20-284, plus a few
+        # diagonally touching pairs (one component each)
+        labels = paint_rects(30, start=(300, 20), gap=9).labels
+        for r, c in ((40, 40), (60, 400), (470, 40)):
+            labels[r:r + 3, c:c + 3] = labels[r + 3:r + 5, c + 3:c + 5] = 1
+        labels = LabelMap(512, 512, labels)
+        # the last centres put a window edge on the first or last row or
+        # column of a building
+        centers = grid_centers((512, 512))[::5] + [(0, 0), (511, 3), (200, 511),
+                                                   (431, 412), (300, 412), (173, 154), (60, 273)]
+        got = residential_label(labels, centers, min_houses)
+        want = [residential_label_per_centre(labels, c, min_houses) for c in centers]
+        assert got == want
+        assert len(set(want)) == (3 if min_houses == 15 else 2)
+
+    def test_no_centres_no_classes(self):
+        assert residential_label(paint_rects(3), []) == []
+
     def test_empty_window_is_non_residential(self):
         labels = paint_rects(0)
-        assert residential_label(labels, (256, 256)) is ResidentialClass.NON_RESIDENTIAL
+        assert residential_label(labels, [(256, 256)])[0] is ResidentialClass.NON_RESIDENTIAL
 
     def test_exactly_15_components_is_residential(self):
         labels = paint_rects(15, start=(200, 200))
-        assert residential_label(labels, (256, 256), 15) is ResidentialClass.RESIDENTIAL
+        assert residential_label(labels, [(256, 256)], 15)[0] is ResidentialClass.RESIDENTIAL
 
     def test_seven_components_excluded_but_residential_at_min_5(self):
         labels = paint_rects(7, start=(220, 220))
-        assert residential_label(labels, (256, 256), 15) is ResidentialClass.EXCLUDED
-        assert residential_label(labels, (256, 256), 5) is ResidentialClass.RESIDENTIAL
+        assert residential_label(labels, [(256, 256)], 15)[0] is ResidentialClass.EXCLUDED
+        assert residential_label(labels, [(256, 256)], 5)[0] is ResidentialClass.RESIDENTIAL
 
     def test_monotone_in_added_buildings(self):
         rank = {ResidentialClass.NON_RESIDENTIAL: 0, ResidentialClass.EXCLUDED: 1,
@@ -209,11 +246,11 @@ class TestResidential:
         prev = -1
         for n in (0, 3, 9, 15, 25):
             labels = paint_rects(n, start=(200, 200))
-            cur = rank[residential_label(labels, (256, 256), 15)]
+            cur = rank[residential_label(labels, [(256, 256)], 15)[0]]
             assert cur >= prev
             prev = cur
 
     def test_components_outside_window_not_counted(self):
         labels = paint_rects(20, start=(10, 10), gap=12)
         # window far away from the rectangles
-        assert residential_label(labels, (450, 450), 15) is ResidentialClass.NON_RESIDENTIAL
+        assert residential_label(labels, [(450, 450)], 15)[0] is ResidentialClass.NON_RESIDENTIAL

@@ -237,7 +237,7 @@ def per_candidate_fit(validation, rho, min_houses=15, step=0.01, tol=1e-4, max_c
     scores, tile_truth = [], []
     for inp, gt in validation:
         for center, score in zip(grid_centers(inp.prob_map.shape), inp.ra_scores.ravel()):
-            klass = residential_label(gt, center, min_houses)
+            (klass,) = residential_label(gt, [center], min_houses)
             if klass is not ResidentialClass.EXCLUDED:
                 scores.append(score)
                 tile_truth.append(klass is ResidentialClass.RESIDENTIAL)
