@@ -2,10 +2,13 @@
 
 Every run writes its artifacts plus a JSON report embedding the verbatim
 config text, the seed, and sha256 hashes of the artifacts, so identical
-inputs are checkable for byte-identical outputs.  Exit codes: 0 success,
-1 usage/config error, 2 data error.  LGSEG_THREADS caps worker fan-out for
-per-tile inference in infer, ablate and tree-fit (absent means 1, the
-single-thread default; results are byte-identical for any worker count).
+inputs are checkable for byte-identical outputs.  Each subcommand only writes
+its artifacts into the output directory; `dispatch` creates that directory,
+writes the `<command>_run.json` report and maps errors to the exit codes:
+0 success, 1 usage/config error (bad flags included), 2 data error.
+LGSEG_THREADS caps worker fan-out for per-tile inference in infer, ablate and
+tree-fit (absent means 1, the single-thread default; results are
+byte-identical for any worker count).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .network import GLOBAL_WIDTH, LOCAL_WIDTH, Blank, LgSegModel, build_model, 
 from .raster import DataError
 from .rng import SplitMix64
 from .sampling import (balanced_centers, grid_centers, grid_shape, image_window,
-                       make_triplet, stitch)
+                       sample_triplets, stitch)
 from .synth import synth_scene
 
 
@@ -40,19 +43,20 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _write_report(out_dir: Path, command: str, cfg: RunConfig, seed,
-                  artifacts, extras=None) -> Path:
+                  artifacts, extras) -> None:
     report = {
         "command": command,
         "seed": seed,
         "config": cfg.raw_text,
         "artifacts": {p.name: _sha256(p) for p in artifacts},
     }
-    if extras:
-        report.update(extras)
-    path = out_dir / f"{command.replace('-', '_')}_run.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return path
+    report.update(extras)
+    _write_json(out_dir / f"{command.replace('-', '_')}_run.json", report)
 
 
 def _worker_count() -> int:
@@ -121,13 +125,23 @@ def _tile_patches(model: LgSegModel, img: raster.Raster, blank: Blank = Blank.NO
     return centers, _parallel_map(predict, centers)
 
 
+def _write_prob(prob: np.ndarray, out: Path, stem: str, sidecar: bool) -> list:
+    """The 8-bit PGM of a probability map and, with `sidecar`, the exact
+    float map beside it; returns the paths written."""
+    paths = [out / f"{stem}.pgm"]
+    raster.write_raster(raster.prob_to_raster(prob), paths[0])
+    if sidecar:
+        paths.append(out / f"{stem}.lgprob")
+        raster.write_prob_sidecar(prob, paths[1])
+    return paths
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its artifacts into `out` and returns
+# (report seed, artifact paths, extra report fields) for dispatch to record
 
 
-def _cmd_gen(args, cfg: RunConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_gen(args, cfg: RunConfig, out: Path):
     rng = SplitMix64(args.seed)
     artifacts = []
     for i in range(cfg.get("scene", "count")):
@@ -140,13 +154,10 @@ def _cmd_gen(args, cfg: RunConfig) -> int:
         raster.write_label(labels, label_path)
         counting.write_boxes_csv(boxes, boxes_path)
         artifacts += [scene_path, label_path, boxes_path]
-    _write_report(out, "gen", cfg, args.seed, artifacts)
-    return 0
+    return args.seed, artifacts, {}
 
 
-def _cmd_train(args, cfg: RunConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_train(args, cfg: RunConfig, out: Path):
     pairs = _scene_pairs(Path(args.data))
     per_scene = cfg.get("train", "samples_per_scene")
     positive_fraction = cfg.get("train", "positive_fraction")
@@ -158,13 +169,11 @@ def _cmd_train(args, cfg: RunConfig) -> int:
         labels = raster.read_label(label_path)
         if (img.width, img.height) != (labels.width, labels.height):
             raise DataError(f"{label_path}: extents do not match {scene_path.name}")
-        rng = sampler.split()
         if use_grid:
             centers = grid_centers((labels.height, labels.width))
         else:
-            centers = balanced_centers(labels, per_scene, positive_fraction, rng)
-        for center in centers:
-            triplets.append(make_triplet(img, labels, center))
+            centers = balanced_centers(labels, per_scene, positive_fraction, sampler.split())
+        triplets += sample_triplets(img, labels, centers)
 
     local_spec, global_spec, hidden = cfg.model_specs()
     model = build_model(local_spec, global_spec, hidden, seed=cfg.get("model", "init_seed"))
@@ -176,36 +185,22 @@ def _cmd_train(args, cfg: RunConfig) -> int:
 
     ckpt_path = out / "model.ckpt"
     save_checkpoint(ckpt_path, model.params)
-    _write_report(out, "train", cfg, cfg.get("train", "seed"), [ckpt_path],
-                  extras={"epoch_losses": report.epoch_losses,
-                          "triplets": len(triplets)})
-    return 0
+    return (cfg.get("train", "seed"), [ckpt_path],
+            {"epoch_losses": report.epoch_losses, "triplets": len(triplets)})
 
 
-def _cmd_infer(args, cfg: RunConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_infer(args, cfg: RunConfig, out: Path):
     model = _load_model(cfg, args.model)
     img = raster.read_raster(args.image)
     prob = stitch(*_tile_patches(model, img), (img.height, img.width))
     base = args.name or Path(args.image).stem
-    pgm_path = out / f"{base}_prob.pgm"
-    raster.write_raster(raster.prob_to_raster(prob), pgm_path)
-    artifacts = [pgm_path]
-    if args.sidecar:
-        sidecar_path = out / f"{base}_prob.lgprob"
-        raster.write_prob_sidecar(prob, sidecar_path)
-        artifacts.append(sidecar_path)
-    _write_report(out, "infer", cfg, cfg.get("model", "init_seed"), artifacts,
-                  extras={"image": Path(args.image).name})
-    return 0
+    artifacts = _write_prob(prob, out, f"{base}_prob", args.sidecar)
+    return cfg.get("model", "init_seed"), artifacts, {"image": Path(args.image).name}
 
 
-def _cmd_eval(args, cfg: RunConfig) -> int:
+def _cmd_eval(args, cfg: RunConfig, out: Path):
     if len(args.pred) != len(args.gt):
         raise ConfigError(f"{len(args.pred)} predictions but {len(args.gt)} ground truths")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     probs = [_read_prob(Path(p)) for p in args.pred]
     gts = [raster.read_label(p).labels for p in args.gt]
     rho = cfg.get("eval", "rho")
@@ -215,19 +210,15 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     csv_path = out / "pr_curve.csv"
     evaluation.write_pr_csv(curve, csv_path)
     maxf_path = out / "max_f.json"
-    maxf_path.write_text(json.dumps({"threshold": best_t, "f": best_f, "rho": rho,
-                                     "aggregate": cfg.get("eval", "aggregate"),
-                                     "images": len(probs)},
-                                    sort_keys=True, indent=2) + "\n")
-    _write_report(out, "eval", cfg, None, [csv_path, maxf_path])
-    return 0
+    _write_json(maxf_path, {"threshold": best_t, "f": best_f, "rho": rho,
+                            "aggregate": cfg.get("eval", "aggregate"),
+                            "images": len(probs)})
+    return None, [csv_path, maxf_path], {}
 
 
-def _cmd_tree_fit(args, cfg: RunConfig) -> int:
+def _cmd_tree_fit(args, cfg: RunConfig, out: Path):
     if not (len(args.image) == len(args.prob) == len(args.gt)):
         raise ConfigError("tree-fit needs equally many --image, --prob, and --gt")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model = _load_model(cfg, args.model)
     validation = []
     for image_path, prob_path, gt_path in zip(args.image, args.prob, args.gt):
@@ -249,17 +240,14 @@ def _cmd_tree_fit(args, cfg: RunConfig) -> int:
         max_cycles=cfg.get("tree", "max_cycles"),
     )
     tree_path = out / "tree.json"
-    tree_path.write_text(json.dumps({
+    _write_json(tree_path, {
         "t1": result.thresholds.t1, "t2": result.thresholds.t2, "t3": result.thresholds.t3,
         "f_trace": result.trace, "leaf_order_ok": result.leaf_order_ok,
-    }, sort_keys=True, indent=2) + "\n")
-    _write_report(out, "tree-fit", cfg, None, [tree_path])
-    return 0
+    })
+    return None, [tree_path], {}
 
 
-def _cmd_ablate(args, cfg: RunConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_ablate(args, cfg: RunConfig, out: Path):
     model = _load_model(cfg, args.model)
     if not model.is_dual():
         raise ConfigError("ablate requires a dual-pathway model")
@@ -270,18 +258,12 @@ def _cmd_ablate(args, cfg: RunConfig) -> int:
     for tag, blank in (("full", Blank.NONE), ("local_only", Blank.GLOBAL),
                        ("global_only", Blank.LOCAL)):
         prob = stitch(*_tile_patches(model, img, blank), (img.height, img.width))
-        pgm_path = out / f"{base}_{tag}.pgm"
-        raster.write_raster(raster.prob_to_raster(prob), pgm_path)
-        sidecar_path = out / f"{base}_{tag}.lgprob"
-        raster.write_prob_sidecar(prob, sidecar_path)
-        artifacts += [pgm_path, sidecar_path]
-    _write_report(out, "ablate", cfg, None, artifacts, extras={"image": Path(args.image).name})
-    return 0
+        artifacts += _write_prob(prob, out, f"{base}_{tag}", sidecar=True)
+    return None, artifacts, {"image": Path(args.image).name}
 
 
-def _cmd_count(args, cfg: RunConfig) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_count(args, cfg: RunConfig, out: Path):
+    report_path = out / "count_report.json"
     if args.tallies:
         with open(args.tallies) as fh:
             tallies = json.load(fh)
@@ -293,13 +275,11 @@ def _cmd_count(args, cfg: RunConfig) -> int:
                             "and residential tallies")
         tp, fp, fn, residential = values
         precision, recall = counting.count_metrics(tp, fp, fn, residential)
-        report_path = out / "count_report.json"
-        report_path.write_text(json.dumps({
+        _write_json(report_path, {
             "tp": tp, "fp": fp, "fn": fn, "residential": residential,
             "precision": round(precision, 4), "recall": round(recall, 4),
-        }, sort_keys=True, indent=2) + "\n")
-        _write_report(out, "count", cfg, None, [report_path])
-        return 0
+        })
+        return None, [report_path], {}
 
     if not args.prob:
         raise ConfigError("count needs --prob (or --tallies)")
@@ -317,7 +297,6 @@ def _cmd_count(args, cfg: RunConfig) -> int:
     )
     det_path = out / "detections.csv"
     counting.write_boxes_csv(boxes, det_path)
-    artifacts = [det_path]
     payload = {"threshold": threshold, "machine_count": len(boxes)}
     if match is not None:
         payload.update({
@@ -326,15 +305,28 @@ def _cmd_count(args, cfg: RunConfig) -> int:
             "residential_houses": match.residential_houses,
             "precision": round(match.precision, 4), "recall": round(match.recall, 4),
         })
-    report_path = out / "count_report.json"
-    report_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    artifacts.append(report_path)
-    _write_report(out, "count", cfg, None, artifacts)
-    return 0
+    _write_json(report_path, payload)
+    return None, [det_path, report_path], {}
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (argparse reports a non-integer)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got '{text}'")
+    return value
+
+
+def _unit_float(text: str) -> float:
+    """argparse type: a finite number in [0, 1] (argparse reports a non-number)."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # false for NaN
+        raise argparse.ArgumentTypeError(f"need a number in [0, 1], got '{text}'")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -353,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on generated scenes")
     common(p)
     p.add_argument("--data", required=True, help="directory of scene_*.ppm / labels_*.pgm")
-    p.add_argument("--epochs", type=int, default=None, help="override [train] epochs")
+    p.add_argument("--epochs", type=_positive_int, default=None, help="override [train] epochs")
 
     p = sub.add_parser("infer", help="stitched probability map for one image")
     common(p)
@@ -383,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="detect, box, and count houses")
     common(p)
     p.add_argument("--prob", default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_unit_float, default=None)
     p.add_argument("--boxes", default=None, help="manual boxes CSV for matching")
     p.add_argument("--tallies", default=None, help="JSON tallies file (tp/fp/fn/residential)")
 
@@ -409,14 +401,15 @@ def dispatch(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = parse_config(args.config) if args.config else default_config()
-        return _COMMANDS[args.command](args, cfg)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        seed, artifacts, extras = _COMMANDS[args.command](args, cfg, out)
+        _write_report(out, args.command, cfg, seed, artifacts, extras)
+        return 0
     except ConfigError as exc:
         print(f"lgseg {args.command}: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
-        print(f"lgseg {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # DataError is a ValueError
         print(f"lgseg {args.command}: {exc}", file=sys.stderr)
         return 2
 

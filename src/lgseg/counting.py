@@ -103,27 +103,26 @@ def components(mask: np.ndarray, connectivity: int = 8):
     return labelled, boxes
 
 
-def iou(a: DetectionBox, b: DetectionBox) -> float:
-    """Intersection over union of boxes on the inclusive pixel grid."""
+def _overlap(a: DetectionBox, b: DetectionBox) -> int:
+    """Pixels the two boxes share on the inclusive pixel grid (0 if disjoint)."""
     ri = max(a.row_min, b.row_min)
     ci = max(a.col_min, b.col_min)
     rx = min(a.row_max, b.row_max)
     cx = min(a.col_max, b.col_max)
     if ri > rx or ci > cx:
-        return 0.0
-    inter = (rx - ri + 1) * (cx - ci + 1)
+        return 0
+    return (rx - ri + 1) * (cx - ci + 1)
+
+
+def iou(a: DetectionBox, b: DetectionBox) -> float:
+    """Intersection over union of boxes on the inclusive pixel grid."""
+    inter = _overlap(a, b)
     return inter / (a.box_area() + b.box_area() - inter)
 
 
 def _containment(inner: DetectionBox, outer: DetectionBox) -> float:
     """Fraction of inner's area inside outer."""
-    ri = max(inner.row_min, outer.row_min)
-    ci = max(inner.col_min, outer.col_min)
-    rx = min(inner.row_max, outer.row_max)
-    cx = min(inner.col_max, outer.col_max)
-    if ri > rx or ci > cx:
-        return 0.0
-    return (rx - ri + 1) * (cx - ci + 1) / inner.box_area()
+    return _overlap(inner, outer) / inner.box_area()
 
 
 def count_metrics(tp: int, fp: int, fn: int, residential: int) -> tuple:

@@ -328,6 +328,18 @@ class TestDispatch:
                    "--image", tmp_path / "i.ppm", "--prob", tmp_path / "p.lgprob",
                    "--gt", tmp_path / "g.pgm", "--out", tmp_path / "t") == 1
 
+    @pytest.mark.parametrize("flags", [("train", "--epochs", 0),
+                                       ("count", "--threshold", 1.5),
+                                       ("count", "--threshold", "nan")])
+    def test_bad_flag_value_usage_error_before_any_work(self, tmp_path, cfg_path,
+                                                        scene_dir, flags):
+        prob_path = tmp_path / "p.lgprob"
+        raster.write_prob_sidecar(np.full((32, 32), 0.5), prob_path)
+        inputs = ("--data", scene_dir) if flags[0] == "train" else ("--prob", prob_path)
+        out = tmp_path / "out"
+        assert run(*flags, "--config", cfg_path, *inputs, "--out", out) == 1
+        assert not out.exists()
+
     def test_missing_image_data_error(self, tmp_path, cfg_path, trained_dir):
         assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
                    "--image", tmp_path / "absent.ppm", "--out", tmp_path / "o") == 2

@@ -5,7 +5,9 @@ import pytest
 from lgseg.config import (ConfigError, default_config, parse_config,
                           parse_config_text, parse_layers)
 from lgseg.evaluation import threshold_grid
-from lgseg.network import ConvSpec, PoolSpec, ReluSpec
+from lgseg.network import (FUSION_HIDDEN, GLOBAL_PATHWAY, LOCAL_PATHWAY, ConvSpec,
+                           PoolSpec, ReluSpec)
+from lgseg.synth import SceneSpec
 
 
 class TestDefaults:
@@ -29,6 +31,12 @@ class TestDefaults:
         assert local.flat_size() == 64 * 8 * 8
         assert global_.flat_size() == 32 * 8 * 8
         assert hidden == (512, 512)
+
+    def test_defaults_build_the_library_default_model_and_scene(self):
+        cfg = default_config()
+        assert cfg.model_specs() == (LOCAL_PATHWAY, GLOBAL_PATHWAY, FUSION_HIDDEN)
+        for seed in (0, 7, 2**64 - 1):
+            assert cfg.scene_spec(seed=seed) == SceneSpec(seed=seed)
 
 
 class TestParsing:
