@@ -3,57 +3,23 @@
 Comments start with '#'; duplicate keys and unknown keys are rejected with
 line numbers; every key has a default, so an empty file is a valid config.
 Keys may be given without a section header when the name is unique across the
-schema.  The raw text is kept for verbatim echo into run reports.
+schema.  Parsing builds the model, scene and training specs once, so a value
+the library rejects is a ConfigError before any command runs.  The raw text is
+kept for verbatim echo into run reports.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .evaluation import threshold_grid
-from .network import (FUSION_HIDDEN, ConvSpec, GLOBAL_WIDTH, LOCAL_WIDTH,
-                      PathwaySpec, PoolSpec, ReluSpec, TrainConfig)
+from .network import (FUSION_HIDDEN, GLOBAL_LAYERS, GLOBAL_PATHWAY, LOCAL_LAYERS, LOCAL_PATHWAY,
+                      PathwaySpec, TrainConfig, parse_layers)
 from .synth import SceneSpec
 
 
 class ConfigError(ValueError):
     """Malformed configuration file."""
-
-
-DEFAULT_LOCAL_LAYERS = ("conv3x16, relu, conv3x16, relu, pool2, "
-                        "conv3x32, relu, conv3x32, relu, pool2, "
-                        "conv3x64, relu, pool2")
-DEFAULT_GLOBAL_LAYERS = "conv7x16s2, relu, pool2, conv5x32, relu, pool2, conv3x32, relu, pool4"
-
-_CONV_RE = re.compile(r"^conv(\d+)x(\d+)(?:s(\d+))?(?:p(\d+))?$")
-_POOL_RE = re.compile(r"^pool(\d+)(?:s(\d+))?$")
-
-
-def parse_layers(text: str) -> tuple:
-    """Layer DSL -> specs: convKxN[sS][pP] (pad defaults to K//2), poolK[sS], relu."""
-    layers = []
-    for token in (t.strip().lower() for t in text.split(",")):
-        if not token:
-            continue
-        if token == "relu":
-            layers.append(ReluSpec())
-            continue
-        m = _CONV_RE.match(token)
-        if m:
-            k, n, s, p = m.groups()
-            layers.append(ConvSpec(int(n), int(k), int(s) if s else 1,
-                                   int(p) if p is not None else None))
-            continue
-        m = _POOL_RE.match(token)
-        if m:
-            k, s = m.groups()
-            layers.append(PoolSpec(int(k), int(s) if s else None))
-            continue
-        raise ConfigError(f"unrecognised layer token '{token}'")
-    if not layers:
-        raise ConfigError("layer list is empty")
-    return tuple(layers)
 
 
 def _positive(v):
@@ -78,11 +44,6 @@ def _choice(*options):
     return check
 
 
-def _eps_range(v):
-    if not (0.0 < v < 1e-3):
-        raise ValueError("must lie in (0, 0.001)")
-
-
 def _step_range(v):
     if not (0.0 < v <= 0.5):
         raise ValueError("must lie in (0, 0.5]")
@@ -92,11 +53,11 @@ def _step_range(v):
 _SCHEMA = {
     "model": {
         "variant": ("str", "dual", _choice("dual", "local", "global")),
-        "local_layers": ("str", DEFAULT_LOCAL_LAYERS, None),
-        "local_embed": ("int", 256, _positive),
-        "global_layers": ("str", DEFAULT_GLOBAL_LAYERS, None),
-        "global_embed": ("int", 256, _positive),
-        "fusion_hidden": ("str", "512, 512", None),
+        "local_layers": ("str", LOCAL_LAYERS, None),
+        "local_embed": ("int", LOCAL_PATHWAY.embed_width, _positive),
+        "global_layers": ("str", GLOBAL_LAYERS, None),
+        "global_embed": ("int", GLOBAL_PATHWAY.embed_width, _positive),
+        "fusion_hidden": ("str", ", ".join(map(str, FUSION_HIDDEN)), None),
         "init_seed": ("int", 0, None),
     },
     "train": {
@@ -106,7 +67,7 @@ _SCHEMA = {
         "weight_decay": ("float", 5e-4, _nonneg),
         "epochs": ("int", 30, _positive),
         "seed": ("int", 0, None),
-        "clamp_eps": ("float", 1e-7, _eps_range),
+        "clamp_eps": ("float", 1e-7, None),  # TrainConfig checks the range
         "reduction": ("str", "sum", _choice("sum", "mean")),
         "stop_loss": ("float", 0.0, _nonneg),  # 0 disables early stopping
         "samples_per_scene": ("int", 128, _positive),
@@ -177,24 +138,27 @@ class RunConfig:
     # -- derived objects -----------------------------------------------------
 
     def model_specs(self):
-        """(local PathwaySpec | None, global PathwaySpec | None, fusion widths)."""
-        variant = self.get("model", "variant")
-        local = None
-        if variant in ("dual", "local"):
-            local = PathwaySpec(parse_layers(self.get("model", "local_layers")),
-                                embed_width=self.get("model", "local_embed"),
-                                input_width=LOCAL_WIDTH)
-        global_ = None
-        if variant in ("dual", "global"):
-            global_ = PathwaySpec(parse_layers(self.get("model", "global_layers")),
-                                  embed_width=self.get("model", "global_embed"),
-                                  input_width=GLOBAL_WIDTH)
-        hidden_text = self.get("model", "fusion_hidden").strip()
-        hidden = tuple(int(v) for v in hidden_text.split(",") if v.strip()) \
-            if hidden_text else FUSION_HIDDEN
-        if any(v <= 0 for v in hidden):
-            raise ConfigError("fusion_hidden widths must be positive")
-        return local, global_, hidden
+        """(local PathwaySpec | None, global PathwaySpec | None, fusion widths);
+        a value the network rejects is a ConfigError naming the file and key."""
+        model, key = self.values["model"], None
+        try:
+            pathways = []
+            for prefix, default in (("local", LOCAL_PATHWAY), ("global", GLOBAL_PATHWAY)):
+                key = f"{prefix}_layers"
+                spec = None
+                if model["variant"] in ("dual", prefix):
+                    spec = PathwaySpec(parse_layers(model[key]), model[f"{prefix}_embed"],
+                                       default.input_width)
+                    spec.flat_size()  # raises if a layer leaves an empty map
+                pathways.append(spec)
+            key = "fusion_hidden"
+            hidden = tuple(int(v) for v in model[key].split(",") if v.strip()) \
+                if model[key].strip() else FUSION_HIDDEN
+            if any(v <= 0 for v in hidden):
+                raise ValueError("widths must be positive")
+        except ValueError as exc:
+            raise ConfigError(f"{self.origin}: [model] {key}: {exc}") from None
+        return pathways[0], pathways[1], hidden
 
     def train_config(self, epochs: int | None = None) -> TrainConfig:
         stop = self.get("train", "stop_loss")
@@ -284,7 +248,15 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         raise ConfigError(f"{origin}: houses_max < houses_min")
     if values["scene"]["house_px_max"] < values["scene"]["house_px_min"]:
         raise ConfigError(f"{origin}: house_px_max < house_px_min")
-    return RunConfig(values=values, raw_text=text, origin=origin)
+    cfg = RunConfig(values=values, raw_text=text, origin=origin)
+    # build what the commands build, so a value the library rejects fails here
+    cfg.model_specs()
+    try:
+        cfg.scene_spec(seed=0)
+        cfg.train_config()
+    except ValueError as exc:
+        raise ConfigError(f"{origin}: {exc}") from None
+    return cfg
 
 
 def parse_config(path) -> RunConfig:

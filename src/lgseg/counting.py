@@ -16,22 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .raster import unit_array
+from .raster import DataError, unit_array
 
 
 @dataclass(frozen=True)
 class DetectionBox:
-    """Tight bounding box in inclusive pixel coordinates."""
+    """Tight bounding box in inclusive (nonnegative) pixel coordinates."""
 
     row_min: int
     col_min: int
     row_max: int
     col_max: int
-    area: int = 0  # pixels of the component (or rectangle) the box encloses
 
     def __post_init__(self):
-        if self.row_min > self.row_max or self.col_min > self.col_max:
-            raise ValueError("box corners out of order")
+        if not (0 <= self.row_min <= self.row_max and 0 <= self.col_min <= self.col_max):
+            raise ValueError("box corners negative or out of order")
 
     def box_area(self) -> int:
         return (self.row_max - self.row_min + 1) * (self.col_max - self.col_min + 1)
@@ -74,32 +73,16 @@ def components(mask: np.ndarray, connectivity: int = 8):
     """Connected components of 1-pixels with deterministic scan-order labels.
 
     Returns (labelled int array, [DetectionBox...]) where label i+1 corresponds
-    to boxes[i]; labels are ordered by each component's first pixel in
+    to boxes[i]; ndimage.label numbers the components by their first pixel in
     row-major scan order.
     """
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
     mask = np.asarray(mask).astype(bool)
     structure = np.ones((3, 3), dtype=int) if connectivity == 8 else None
-    raw, n = ndimage.label(mask, structure=structure)
-    if n == 0:
-        return raw, []
-    # reorder labels by first occurrence in scan order
-    flat = raw.ravel()
-    first = np.full(n + 1, flat.size, dtype=np.int64)
-    nz = np.flatnonzero(flat)
-    np.minimum.at(first, flat[nz], nz)
-    order = np.argsort(first[1:], kind="stable")
-    remap = np.zeros(n + 1, dtype=raw.dtype)
-    remap[1 + order] = np.arange(1, n + 1)
-    labelled = remap[raw]
-
-    boxes = []
-    slices = ndimage.find_objects(labelled)
-    for i, sl in enumerate(slices, start=1):
-        rs, cs = sl
-        area = int((labelled[sl] == i).sum())
-        boxes.append(DetectionBox(rs.start, cs.start, rs.stop - 1, cs.stop - 1, area))
+    labelled, _ = ndimage.label(mask, structure=structure)
+    boxes = [DetectionBox(rs.start, cs.start, rs.stop - 1, cs.stop - 1)
+             for rs, cs in ndimage.find_objects(labelled)]
     return labelled, boxes
 
 
@@ -232,7 +215,9 @@ def read_boxes_csv(path):
         if header != ["id", "row_min", "col_min", "row_max", "col_max"]:
             raise ValueError(f"{path}: unexpected box CSV header {header}")
         for row in reader:
-            _, rmin, cmin, rmax, cmax = (int(v) for v in row)
-            boxes.append(DetectionBox(rmin, cmin, rmax, cmax,
-                                      area=(rmax - rmin + 1) * (cmax - cmin + 1)))
+            try:
+                _, rmin, cmin, rmax, cmax = (int(v) for v in row)
+                boxes.append(DetectionBox(rmin, cmin, rmax, cmax))
+            except ValueError as exc:
+                raise DataError(f"{path}:{reader.line_num}: bad box row {row}: {exc}") from None
     return boxes

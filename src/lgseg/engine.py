@@ -6,9 +6,9 @@ ordered ``{name: array}`` dicts owned by the caller.  Convolution uses
 im2col + GEMM; its backward can skip the input gradient when nothing reads
 it.  Max-pool takes a running maximum over its window taps and works out the
 argmax positions that route its gradient (first in scan order on ties) only
-when backward first asks for them.  A central-finite-difference checker and
-the classical momentum SGD step (weight decay on weights only, never biases)
-complete the training core.  Checkpoints serialise named tensors bit-exactly.
+when backward first asks for them.  The classical momentum SGD step (weight
+decay on weights only, never biases) completes the training core.
+Checkpoints serialise named tensors bit-exactly.
 """
 
 from __future__ import annotations
@@ -33,15 +33,10 @@ def _as_f64(x) -> np.ndarray:
 # initialisation
 
 
-def xavier_init(shape, fan_in: int, fan_out: int, rng: SplitMix64 | int) -> np.ndarray:
-    """Uniform Xavier draw on [-a, a] with a = sqrt(6 / (fan_in + fan_out)).
-
-    rng may be a SplitMix64 stream or a plain integer seed.
-    """
+def xavier_init(shape, fan_in: int, fan_out: int, rng: SplitMix64) -> np.ndarray:
+    """Uniform Xavier draw on [-a, a] with a = sqrt(6 / (fan_in + fan_out))."""
     if fan_in <= 0 or fan_out <= 0:
         raise ValueError(f"fan_in/fan_out must be positive, got {fan_in}/{fan_out}")
-    if isinstance(rng, int):
-        rng = SplitMix64(rng)
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, tuple(shape))
 
@@ -281,54 +276,6 @@ def sgd_momentum_step(params: dict, grads: dict, state: SgdState) -> None:
         v *= state.momentum
         v -= state.learning_rate * eff
         w += v
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def grad_check(loss_fn, tensors: dict, analytic: dict, eps: float = 1e-5,
-               sample: int | None = None, seed: int = 0) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    loss_fn() must recompute the scalar loss from the *current* contents of
-    the arrays in `tensors`, which are perturbed in place coordinate by
-    coordinate.  With `sample` set, at most that many coordinates per tensor
-    are checked (seeded draw); otherwise every coordinate is.  Error metric:
-    |a - n| / max(1, |a|, |n|).
-
-    For losses routed through max-pool or ReLU, eps must be small enough that
-    the +/-eps evaluations do not straddle an argmax switch; 1e-6 is a good
-    default for whole-network checks in double precision.
-    """
-    if not (0.0 < eps <= 1e-3):
-        raise ValueError("eps must lie in (0, 1e-3]")
-    probe = loss_fn()
-    if np.ndim(probe) != 0:
-        raise ValueError("loss_fn must return a scalar")
-    rng = SplitMix64(seed)
-    worst = 0.0
-    for name, t in tensors.items():
-        flat = t.reshape(-1)
-        g = analytic[name].reshape(-1)
-        if sample is None or flat.size <= sample:
-            coords = range(flat.size)
-        else:
-            chosen = set()
-            while len(chosen) < sample:
-                chosen.add(rng.below(flat.size))
-            coords = sorted(chosen)
-        for i in coords:
-            v = flat[i]
-            flat[i] = v + eps
-            fp = float(loss_fn())
-            flat[i] = v - eps
-            fm = float(loss_fn())
-            flat[i] = v
-            numeric = (fp - fm) / (2.0 * eps)
-            err = abs(g[i] - numeric) / max(1.0, abs(g[i]), abs(numeric))
-            worst = max(worst, err)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,13 @@ predicted pixel.  `relaxed_counts` applies this rule at every threshold at
 once: the near-truth mask comes from one exact distance transform (integer
 squared distances, so the rho test is exact), and a true pixel is found at t
 exactly when the highest score in its rho-disk, one disk max-filter, reaches t.
-Curves, binary maps and both set aggregates (the mean per-image F by default,
-or counts pooled over the images) derive P/R from these counts.
+Curves and both set aggregates (the mean per-image F by default, or counts
+pooled over the images) derive P/R from these counts.
+
+For context only, the published full-scale max F of this method family:
+buildings 0.9423 (US); buildings in Europe 0.6271 global, 0.8266 local and
+0.8420 dual; roads 0.661 local and 0.665 dual.  Desk-scale synthetic runs are
+not expected to reproduce them.
 """
 
 from __future__ import annotations
@@ -33,18 +38,6 @@ def threshold_grid(step: float) -> tuple:
 
 DEFAULT_THRESHOLDS = threshold_grid(0.01)
 
-# Published full-scale scores for this method family, kept for context only;
-# desk-scale synthetic runs are not expected to reproduce them.
-REFERENCE_MAX_F = {
-    "buildings_us": 0.9423,
-    "buildings_europe_global": 0.6271,
-    "buildings_europe_local": 0.8266,
-    "buildings_europe_dual": 0.8420,
-    "roads_local": 0.661,
-    "roads_dual": 0.665,
-}
-
-
 @dataclass(frozen=True)
 class PrPoint:
     threshold: float
@@ -57,9 +50,6 @@ class PrPoint:
 class PrCurve:
     points: list
     rho: int
-
-    def thresholds(self):
-        return [p.threshold for p in self.points]
 
 
 def f_measure(precision: float, recall: float) -> float:
@@ -133,13 +123,6 @@ def mean_points(thresholds, per_image) -> list:
         fs = [image_points[i].f for image_points in per_image]
         points.append(PrPoint(t, float(np.mean(ps)), float(np.mean(rs)), float(np.mean(fs))))
     return points
-
-
-def relaxed_pr(pred: np.ndarray, gt: np.ndarray, rho: int = DEFAULT_RHO) -> tuple:
-    """(precision, recall) of a binary prediction with rho-pixel relaxation."""
-    pred = np.asarray(pred).astype(bool)
-    (point,) = count_points((1.0,), relaxed_counts(pred, gt, rho, (1.0,)))
-    return point.precision, point.recall
 
 
 def _check_thresholds(thresholds) -> tuple:

@@ -8,6 +8,10 @@ ending in 256 sigmoid units, reshaped to the 16x16 per-pixel probability
 patch centred at the same location.  Either pathway may be omitted to get the
 local-only or global-only variant.
 
+The default stacks are written once, in the layer DSL that configs use
+(`parse_layers`): LOCAL_LAYERS and GLOBAL_LAYERS parse to LOCAL_PATHWAY and
+GLOBAL_PATHWAY.
+
 The model describes each pathway, and the fusion head, as one flat list of
 ops: (kind, parameter name or None, spec) entries such as
 ("conv", "local.0", ConvSpec), ("pool", None, PoolSpec), ("relu", None, None),
@@ -23,6 +27,7 @@ gradients summed (or averaged, by configuration) over the batch.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,16 +71,16 @@ class ReluSpec:
 
 @dataclass(frozen=True)
 class PathwaySpec:
-    """Conv/pool/relu stack followed by a flatten and a Dense->ReLU embedding."""
+    """Conv/pool/relu stack over a 3-channel input, followed by a flatten and
+    a Dense->ReLU embedding."""
 
     layers: tuple
     embed_width: int = 256
     input_width: int = LOCAL_WIDTH
-    in_channels: int = 3
 
     def shape_trace(self) -> list:
         """(C, H, W) after each layer; raises if any stage degenerates."""
-        c, h, w = self.in_channels, self.input_width, self.input_width
+        c, h, w = 3, self.input_width, self.input_width
         trace = [(c, h, w)]
         for spec in self.layers:
             if isinstance(spec, ConvSpec):
@@ -106,29 +111,45 @@ class PathwaySpec:
         return n
 
 
+_CONV_RE = re.compile(r"^conv(\d+)x(\d+)(?:s(\d+))?(?:p(\d+))?$")
+_POOL_RE = re.compile(r"^pool(\d+)(?:s(\d+))?$")
+
+
+def parse_layers(text: str) -> tuple:
+    """Layer DSL -> specs: convKxN[sS][pP] (pad defaults to K//2), poolK[sS], relu."""
+    layers = []
+    for token in (t.strip().lower() for t in text.split(",")):
+        if not token:
+            continue
+        if token == "relu":
+            layers.append(ReluSpec())
+            continue
+        m = _CONV_RE.match(token)
+        if m:
+            k, n, s, p = m.groups()
+            layers.append(ConvSpec(int(n), int(k), int(s) if s else 1,
+                                   int(p) if p is not None else None))
+            continue
+        m = _POOL_RE.match(token)
+        if m:
+            k, s = m.groups()
+            layers.append(PoolSpec(int(k), int(s) if s else None))
+            continue
+        raise ValueError(f"unrecognised layer token '{token}'")
+    if not layers:
+        raise ValueError("layer list is empty")
+    return tuple(layers)
+
+
 # Default desk-scale pathways.  The local stack is deeper and narrower with
 # small filters; the global one is shallower and wider with large filters and
 # an early stride, mirroring the intended contrast between the two views.
-LOCAL_PATHWAY = PathwaySpec(
-    layers=(
-        ConvSpec(16, 3), ReluSpec(), ConvSpec(16, 3), ReluSpec(), PoolSpec(2),
-        ConvSpec(32, 3), ReluSpec(), ConvSpec(32, 3), ReluSpec(), PoolSpec(2),
-        ConvSpec(64, 3), ReluSpec(), PoolSpec(2),
-    ),
-    embed_width=256,
-    input_width=LOCAL_WIDTH,
-)
-
-GLOBAL_PATHWAY = PathwaySpec(
-    layers=(
-        ConvSpec(16, 7, stride=2), ReluSpec(), PoolSpec(2),
-        ConvSpec(32, 5), ReluSpec(), PoolSpec(2),
-        ConvSpec(32, 3), ReluSpec(), PoolSpec(4),
-    ),
-    embed_width=256,
-    input_width=GLOBAL_WIDTH,
-)
-
+LOCAL_LAYERS = ("conv3x16, relu, conv3x16, relu, pool2, "
+                "conv3x32, relu, conv3x32, relu, pool2, "
+                "conv3x64, relu, pool2")
+GLOBAL_LAYERS = "conv7x16s2, relu, pool2, conv5x32, relu, pool2, conv3x32, relu, pool4"
+LOCAL_PATHWAY = PathwaySpec(parse_layers(LOCAL_LAYERS), input_width=LOCAL_WIDTH)
+GLOBAL_PATHWAY = PathwaySpec(parse_layers(GLOBAL_LAYERS), input_width=GLOBAL_WIDTH)
 FUSION_HIDDEN = (512, 512)
 
 
@@ -342,7 +363,7 @@ def build_model(local_spec: PathwaySpec | None = LOCAL_PATHWAY,
     model = LgSegModel(local_spec, global_spec, fusion_hidden, {})
     rng = SplitMix64(seed)
     # (op list, input channels, flattened input width) of each op list
-    inputs = [(prefix, spec.in_channels, spec.flat_size())
+    inputs = [(prefix, 3, spec.flat_size())
               for prefix, spec in model.pathways.items()]
     inputs.append(("fusion", None, model.fusion_input_width))
     for ops, channels, width in inputs:
@@ -417,14 +438,13 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-epoch mean per-pixel loss plus the checkpoint the run produced.
+    """Per-epoch mean per-pixel loss.
 
     Wall-clock timings are informational and excluded from equality so that
     two identically-seeded runs compare equal.
     """
 
     epoch_losses: list
-    checkpoint_path: str | None = None
     wall_clock: list = field(default_factory=list, compare=False)
 
 

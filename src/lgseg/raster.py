@@ -189,6 +189,8 @@ def read_prob_sidecar(path) -> np.ndarray:
     if len(blob) < 16:
         raise DataError(f"{path}: truncated header")
     h, w = struct.unpack("<II", blob[8:16])
+    if h == 0 or w == 0:
+        raise DataError(f"{path}: non-positive extents {h}x{w}")
     need = 16 + 8 * h * w
     if len(blob) != need:
         raise DataError(f"{path}: payload size mismatch")

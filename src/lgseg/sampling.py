@@ -138,16 +138,10 @@ def balanced_centers(labels: LabelMap, count: int, positive_fraction: float,
     return centers
 
 
-def sample_triplets(raster: Raster, labels: LabelMap, centers=None,
-                    count: int | None = None, seed: int = 0) -> list:
-    """Triplets at explicit centres, or `count` centres drawn uniformly from
-    the valid target region (deterministic for a fixed seed)."""
+def sample_triplets(raster: Raster, labels: LabelMap, centers) -> list:
+    """One triplet per centre, in order."""
     if raster.width != labels.width or raster.height != labels.height:
         raise ValueError("raster and label map extents differ")
-    if centers is None:
-        if count is None:
-            raise ValueError("give either explicit centers or a count")
-        centers = balanced_centers(labels, count, 0.0, SplitMix64(seed))
     return [make_triplet(raster, labels, c) for c in centers]
 
 

@@ -159,7 +159,7 @@ def _place_houses(spec: SceneSpec, rng: SplitMix64, img, labels, cluster_centers
         img[r0:r1 + 1, c1] = border
         labels[r0:r1 + 1, c0:c1 + 1] = 1
         occupied[r0:r1 + 1, c0:c1 + 1] = True
-        boxes.append(DetectionBox(r0, c0, r1, c1, area=hh * ww))
+        boxes.append(DetectionBox(r0, c0, r1, c1))
     return boxes
 
 

@@ -305,6 +305,20 @@ class TestCount:
         raster.write_prob_sidecar(prob, prob_path)
         assert run("count", "--prob", prob_path, "--out", tmp_path / "count") == 2
 
+    def test_empty_prob_map_data_error(self, tmp_path):
+        prob_path = tmp_path / "empty.lgprob"
+        raster.write_prob_sidecar(np.zeros((0, 32)), prob_path)
+        assert run("count", "--prob", prob_path, "--out", tmp_path / "count") == 2
+
+    @pytest.mark.parametrize("row", ["0,1,2,3", "0,-2,3,4,5"])
+    def test_bad_boxes_data_error(self, tmp_path, row):
+        boxes = tmp_path / "boxes.csv"
+        boxes.write_text("id,row_min,col_min,row_max,col_max\n" + row + "\n")
+        prob_path = tmp_path / "p.lgprob"
+        raster.write_prob_sidecar(np.full((32, 32), 0.5), prob_path)
+        assert run("count", "--prob", prob_path, "--boxes", boxes,
+                   "--out", tmp_path / "count") == 2
+
     def test_count_without_inputs_usage_error(self, tmp_path):
         assert run("count", "--out", tmp_path / "c") == 1
 
@@ -338,6 +352,21 @@ class TestDispatch:
         inputs = ("--data", scene_dir) if flags[0] == "train" else ("--prob", prob_path)
         out = tmp_path / "out"
         assert run(*flags, "--config", cfg_path, *inputs, "--out", out) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("gen", "[scene]\nwidth = 100\n"),
+        ("gen", "[scene]\nhouse_px_min = 2\n"),
+        ("train", "[model]\nfusion_hidden = abc\n"),
+        ("train", "[model]\nlocal_layers = pool128\n"),
+    ])
+    def test_config_value_library_rejects_usage_error_before_any_work(self, tmp_path, scene_dir,
+                                                                      command, text):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        inputs = ("--data", scene_dir) if command == "train" else ()
+        out = tmp_path / "out"
+        assert run(command, "--config", bad, *inputs, "--out", out) == 1
         assert not out.exists()
 
     def test_missing_image_data_error(self, tmp_path, cfg_path, trained_dir):

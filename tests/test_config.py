@@ -106,6 +106,19 @@ class TestParsing:
         text = "# provenance\n[eval]\nrho = 2\n"
         assert parse_config_text(text).raw_text == text
 
+    @pytest.mark.parametrize("text, message", [
+        ("[scene]\nwidth = 100\n", "scene extents must be at least 512"),
+        ("[scene]\nhouse_px_min = 2\n", "house size range is empty or below 4 px"),
+        ("[model]\nfusion_hidden = abc\n", r"\[model\] fusion_hidden: invalid literal"),
+        ("[model]\nfusion_hidden = 8, 0\n", r"\[model\] fusion_hidden: widths must be positive"),
+        ("[model]\nlocal_layers = pool128\n", r"\[model\] local_layers: pool window 128"),
+        ("[model]\nvariant = global\nglobal_layers = \n", r"\[model\] global_layers: .*empty"),
+        ("[train]\nclamp_eps = 0.01\n", r"clamp_eps must lie in \(0, 1e-3\)"),
+    ])
+    def test_values_the_library_rejects_fail_at_parse(self, text, message):
+        with pytest.raises(ConfigError, match=rf"^<config>: .*{message}"):
+            parse_config_text(text)
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
@@ -122,8 +135,11 @@ class TestLayerDsl:
         assert layers[1] == PoolSpec(4, stride=2)
 
     def test_unknown_token_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="unrecognised layer token 'swish'") as exc:
             parse_layers("conv3x16, swish")
+        assert exc.type is ValueError  # the network's parser knows no config file
+        with pytest.raises(ConfigError, match=r"^<config>: \[model\] local_layers: unrecognised"):
+            parse_config_text("[model]\nlocal_layers = conv3x16, swish\n")
 
     def test_variant_specs(self):
         cfg = parse_config_text("[model]\nvariant = local\n")

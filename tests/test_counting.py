@@ -7,11 +7,36 @@ from lgseg import counting
 from lgseg.counting import (CountReport, DetectionBox, components,
                             count_metrics, count_pipeline, erode, iou,
                             match_boxes)
+from lgseg.raster import DataError
 from lgseg.rng import SplitMix64
 
 
 def box(rmin, cmin, rmax, cmax):
-    return DetectionBox(rmin, cmin, rmax, cmax, area=(rmax - rmin + 1) * (cmax - cmin + 1))
+    return DetectionBox(rmin, cmin, rmax, cmax)
+
+
+def scan_order_labels(mask, connectivity):
+    """Components numbered by their first pixel in row-major order, by flood fill."""
+    h, w = mask.shape
+    steps = [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+             if (dr or dc) and (connectivity == 8 or not (dr and dc))]
+    out = np.zeros((h, w), dtype=int)
+    n = 0
+    for r in range(h):
+        for c in range(w):
+            if not mask[r, c] or out[r, c]:
+                continue
+            n += 1
+            out[r, c] = n
+            stack = [(r, c)]
+            while stack:
+                y, x = stack.pop()
+                for dy, dx in steps:
+                    v, u = y + dy, x + dx
+                    if 0 <= v < h and 0 <= u < w and mask[v, u] and not out[v, u]:
+                        out[v, u] = n
+                        stack.append((v, u))
+    return out
 
 
 class TestErode:
@@ -70,7 +95,9 @@ class TestComponents:
         rng = SplitMix64(3)
         mask = (rng.uniform(0, 1, (30, 30)) > 0.7).astype(np.uint8)
         labelled, boxes = components(mask)
-        assert sum(b.area for b in boxes) == int(mask.sum())
+        # every mask pixel carries exactly one of the labels 1..len(boxes)
+        assert np.array_equal(labelled > 0, mask == 1)
+        assert np.unique(labelled[labelled > 0]).tolist() == list(range(1, len(boxes) + 1))
         for i, b in enumerate(boxes, start=1):
             region = labelled == i
             rows, cols = np.nonzero(region)
@@ -84,6 +111,17 @@ class TestComponents:
         labelled, boxes = components(mask)
         assert labelled[0, 3] == 1 and labelled[4, 0] == 2
         assert boxes[0].row_min == 0 and boxes[1].row_min == 4
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_labels_match_scan_order_flood_fill(self, connectivity):
+        # components() takes its numbering from ndimage.label unchanged
+        rng = SplitMix64(40 + connectivity)
+        for _ in range(120):
+            shape = (1 + rng.below(40), 1 + rng.below(40))
+            mask = rng.uniform(0, 1, shape) < rng.uniform(0.1, 0.7, 1)[0]
+            labelled, boxes = components(mask, connectivity)
+            assert np.array_equal(labelled, scan_order_labels(mask, connectivity))
+            assert len(boxes) == labelled.max()
 
     def test_bad_connectivity_rejected(self):
         with pytest.raises(ValueError):
@@ -233,4 +271,15 @@ class TestBoxesCsv:
         p = tmp_path / "boxes.csv"
         p.write_text("a,b,c\n")
         with pytest.raises(ValueError):
+            counting.read_boxes_csv(p)
+
+    @pytest.mark.parametrize("row, why", [("0,1,2,3", "not enough values"),
+                                          ("0,-1,2,3,4", "negative"),
+                                          ("0,1,-2,3,4", "negative"),
+                                          ("0,1,2,0,4", "out of order"),
+                                          ("0,1,2,3,x", "invalid literal")])
+    def test_bad_row_data_error_names_file_and_line(self, tmp_path, row, why):
+        p = tmp_path / "boxes.csv"
+        p.write_text("id,row_min,col_min,row_max,col_max\n0,1,2,3,4\n" + row + "\n")
+        with pytest.raises(DataError, match=rf"boxes\.csv:3: .*{why}"):
             counting.read_boxes_csv(p)

@@ -4,6 +4,7 @@ and checkpoint round-trips."""
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from lgseg import engine
 from lgseg.rng import SplitMix64
 
@@ -328,7 +329,7 @@ class TestGradCheck:
 
         y = engine.dense_forward(x, w, b)
         gx, gw, gb = engine.dense_backward(x, w, y)
-        err = engine.grad_check(loss, {"w": w, "b": b, "x": x}, {"w": gw, "b": gb, "x": gx}, eps=1e-5)
+        err = grad_check(loss, {"w": w, "b": b, "x": x}, {"w": gw, "b": gb, "x": gx}, eps=1e-5)
         assert err < 1e-7
 
     @pytest.mark.parametrize("seed", range(20))
@@ -345,7 +346,7 @@ class TestGradCheck:
 
         y = engine.conv2d_forward(x, w, b)
         gx, gw, gb = engine.conv2d_backward(x, w, y - target)
-        err = engine.grad_check(loss, {"x": x, "w": w, "b": b}, {"x": gx, "w": gw, "b": gb}, eps=1e-5)
+        err = grad_check(loss, {"x": x, "w": w, "b": b}, {"x": gx, "w": gw, "b": gb}, eps=1e-5)
         assert err < 1e-5
 
     @pytest.mark.parametrize("seed", range(20))
@@ -368,7 +369,7 @@ class TestGradCheck:
         gp = engine.sigmoid_backward(s, gs)
         gh = engine.maxpool2d_backward(idx, gp)
         gx = engine.relu_backward(x, gh)
-        err = engine.grad_check(loss, {"x": x}, {"x": gx}, eps=1e-5)
+        err = grad_check(loss, {"x": x}, {"x": gx}, eps=1e-5)
         assert err < 1e-5
 
     @pytest.mark.parametrize("seed", range(20))
@@ -385,7 +386,7 @@ class TestGradCheck:
 
         y = engine.dense_forward(x, w, b)
         gx, gw, gb = engine.dense_backward(x, w, y - target)
-        err = engine.grad_check(loss, {"w": w, "b": b, "x": x}, {"w": gw, "b": gb, "x": gx}, eps=1e-5)
+        err = grad_check(loss, {"w": w, "b": b, "x": x}, {"w": gw, "b": gb, "x": gx}, eps=1e-5)
         assert err < 1e-5
 
     def test_conv_fd_tighter_eps(self):
@@ -402,7 +403,7 @@ class TestGradCheck:
 
         y = engine.conv2d_forward(x, w, b)
         gx, gw, gb = engine.conv2d_backward(x, w, y - target)
-        err = engine.grad_check(loss, {"x": x, "w": w, "b": b}, {"x": gx, "w": gw, "b": gb}, eps=1e-6)
+        err = grad_check(loss, {"x": x, "w": w, "b": b}, {"x": gx, "w": gw, "b": gb}, eps=1e-6)
         assert err < 1e-5
 
     def test_corrupted_gradient_detected(self):
@@ -414,7 +415,7 @@ class TestGradCheck:
             return float((w @ x).sum())
 
         _, gw, _ = engine.dense_backward(x, w, np.ones(3))
-        err = engine.grad_check(loss, {"w": w}, {"w": 2.0 * gw}, eps=1e-5)
+        err = grad_check(loss, {"w": w}, {"w": 2.0 * gw}, eps=1e-5)
         assert err == pytest.approx(0.5, abs=0.05)
 
     def test_sampled_coordinates(self):
@@ -426,16 +427,16 @@ class TestGradCheck:
             return float((w @ x).sum())
 
         _, gw, _ = engine.dense_backward(x, w, np.ones(10))
-        err = engine.grad_check(loss, {"w": w}, {"w": gw}, eps=1e-5, sample=7)
+        err = grad_check(loss, {"w": w}, {"w": gw}, eps=1e-5, sample=7)
         assert err < 1e-7
 
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError):
-            engine.grad_check(lambda: 0.0, {}, {}, eps=0.0)
+            grad_check(lambda: 0.0, {}, {}, eps=0.0)
 
     def test_nonscalar_loss_rejected(self):
         with pytest.raises(ValueError):
-            engine.grad_check(lambda: np.zeros(2), {}, {})
+            grad_check(lambda: np.zeros(2), {}, {})
 
 
 class TestCheckpoint:

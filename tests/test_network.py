@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from lgseg import engine, network
 from lgseg.network import (Blank, ConvSpec, PathwaySpec, PoolSpec, ReluSpec,
                            TrainConfig, build_model, patch_loss, train)
@@ -188,7 +189,7 @@ class TestFullModelGradients:
         analytic = dict(grads)
         # eps=1e-6: wide enough for stable central differences, narrow enough
         # not to straddle max-pool argmax switches deep in the net
-        err = engine.grad_check(loss_fn, tensors, analytic, eps=1e-6, sample=4, seed=0)
+        err = grad_check(loss_fn, tensors, analytic, eps=1e-6, sample=4, seed=0)
         assert err < 1e-4
 
 
@@ -404,6 +405,34 @@ class TestTrain:
         model.params["fusion.1.bias"][0] = np.nan
         with pytest.raises(ValueError, match="epoch 1, batch 1"):
             train(model, data, TrainConfig(epochs=2, batch_size=2))
+
+    def test_mean_reduction_applies_batch_sum_over_batch_size(self, monkeypatch):
+        # 8 samples in batches of 3: each epoch ends on a short batch of 2
+        model = small_dual(seed=3)
+        data = [make_triplet(40 + s, positive=s % 2 == 0) for s in range(8)]
+        cfg = TrainConfig(epochs=2, batch_size=3, seed=6, learning_rate=1e-3, reduction="mean")
+        shuffler, batches = SplitMix64(cfg.seed), []
+        for _ in range(cfg.epochs):
+            order = list(range(len(data)))
+            shuffler.shuffle(order)
+            batches += [order[i:i + 3] for i in range(0, len(order), 3)]
+        applied = []
+        sgd_step = engine.sgd_momentum_step
+
+        def checked_step(params, grads, state):
+            batch = batches[len(applied)]
+            summed = model.zero_grads()  # at the parameters the step is about to update
+            for i in batch:
+                probs, caches = model.forward_with_caches(data[i].local_patch, data[i].global_patch)
+                model.backward(caches, patch_loss(probs, data[i].target)[1], out=summed)
+            for name, g in grads.items():
+                assert np.array_equal(g, summed[name] * (1.0 / len(batch))), name
+            applied.append(len(batch))
+            sgd_step(params, grads, state)
+
+        monkeypatch.setattr(engine, "sgd_momentum_step", checked_step)
+        train(model, data, cfg)
+        assert applied == [3, 3, 2, 3, 3, 2]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

@@ -106,6 +106,14 @@ def test_prob_sidecar_corrupt_rejected(tmp_path):
         raster.read_prob_sidecar(p)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+def test_prob_sidecar_empty_extent_rejected(tmp_path, shape):
+    p = tmp_path / "empty.lgprob"
+    raster.write_prob_sidecar(np.zeros(shape), p)
+    with pytest.raises(DataError, match="non-positive extents"):
+        raster.read_prob_sidecar(p)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 1.5])
 def test_prob_quantisation_rejects_bad_probabilities(bad):
     prob = np.array([[0.0, 0.5, bad]])

@@ -67,12 +67,12 @@ class TestTriplets:
     def test_constant_white_labels_give_all_ones_targets(self):
         raster, _ = random_scene(2)
         labels = LabelMap(512, 512, np.ones((512, 512), dtype=np.uint8))
-        for t in sample_triplets(raster, labels, count=5, seed=3):
+        for t in sample_triplets(raster, labels, balanced_centers(labels, 5, 0.0, SplitMix64(3))):
             assert t.target.min() == 1
 
     def test_alignment_target_is_center_crop_of_local_footprint(self):
         raster, labels = random_scene(3)
-        for t in sample_triplets(raster, labels, count=10, seed=4):
+        for t in sample_triplets(raster, labels, balanced_centers(labels, 10, 0.0, SplitMix64(4))):
             r, c = t.center
             want = labels.labels[r - 8:r + 8, c - 8:c + 8]
             assert np.array_equal(t.target, want)
@@ -91,12 +91,12 @@ class TestTriplets:
         raster, _ = random_scene(5)
         labels = LabelMap(256, 256, np.zeros((256, 256), dtype=np.uint8))
         with pytest.raises(ValueError):
-            sample_triplets(raster, labels, count=1)
+            sample_triplets(raster, labels, balanced_centers(labels, 1, 0.0, SplitMix64(0)))
 
     def test_seeded_sampling_deterministic(self):
         raster, labels = random_scene(6)
-        a = sample_triplets(raster, labels, count=4, seed=9)
-        b = sample_triplets(raster, labels, count=4, seed=9)
+        a = sample_triplets(raster, labels, balanced_centers(labels, 4, 0.0, SplitMix64(9)))
+        b = sample_triplets(raster, labels, balanced_centers(labels, 4, 0.0, SplitMix64(9)))
         assert [t.center for t in a] == [t.center for t in b]
         for x, y in zip(a, b):
             assert np.array_equal(x.local_patch, y.local_patch)
@@ -105,7 +105,7 @@ class TestTriplets:
         raster, labels = random_scene(7, h=96, w=80)
         rng = SplitMix64(12)
         want = [(rng.int_range(8, 88), rng.int_range(8, 72)) for _ in range(9)]
-        got = sample_triplets(raster, labels, count=9, seed=12)
+        got = sample_triplets(raster, labels, balanced_centers(labels, 9, 0.0, SplitMix64(12)))
         assert [t.center for t in got] == want
 
 
