@@ -31,7 +31,7 @@ from .network import GLOBAL_WIDTH, LOCAL_WIDTH, Blank, LgSegModel, build_model, 
 from .raster import DataError
 from .rng import SplitMix64
 from .sampling import (balanced_centers, grid_centers, grid_shape, image_window,
-                       sample_triplets, stitch)
+                       reflect_pad, sample_triplets, stitch)
 from .synth import synth_scene
 
 
@@ -112,13 +112,15 @@ def _scene_pairs(data_dir: Path):
 
 def _tile_patches(model: LgSegModel, img: raster.Raster, blank: Blank = Blank.NONE):
     """Grid centres of the image and the model's 16x16 patch at each, one
-    forward pass per tile (spread over LGSEG_THREADS workers)."""
+    forward pass per tile (spread over LGSEG_THREADS workers, which all read
+    the one padded scene)."""
     centers = grid_centers((img.height, img.width))
+    scene = reflect_pad(img.pixels)
 
     def predict(center):
-        local = image_window(img.pixels, center, LOCAL_WIDTH) \
+        local = image_window(scene, center, LOCAL_WIDTH) \
             if model.local_spec is not None else None
-        global_ = image_window(img.pixels, center, GLOBAL_WIDTH) \
+        global_ = image_window(scene, center, GLOBAL_WIDTH) \
             if model.global_spec is not None else None
         return model.ablate(local, global_, blank)
 
@@ -265,6 +267,8 @@ def _cmd_ablate(args, cfg: RunConfig, out: Path):
 def _cmd_count(args, cfg: RunConfig, out: Path):
     report_path = out / "count_report.json"
     if args.tallies:
+        if args.prob or args.boxes or args.threshold is not None:
+            raise ConfigError("count --tallies takes no --prob, --boxes or --threshold")
         with open(args.tallies) as fh:
             tallies = json.load(fh)
         values = [tallies.get(key) for key in ("tp", "fp", "fn", "residential")] \
@@ -286,6 +290,9 @@ def _cmd_count(args, cfg: RunConfig, out: Path):
     prob = _read_prob(Path(args.prob))
     threshold = args.threshold if args.threshold is not None else cfg.get("count", "threshold")
     manual = counting.read_boxes_csv(args.boxes) if args.boxes else None
+    if manual and any(b.row_max >= prob.shape[0] or b.col_max >= prob.shape[1] for b in manual):
+        raise DataError(f"{args.boxes}: a box lies outside the "
+                        f"{prob.shape[0]}x{prob.shape[1]} probability map")
     boxes, match = counting.count_pipeline(
         prob, threshold,
         erode_radius=cfg.get("count", "erode_radius"),

@@ -152,7 +152,7 @@ class RunConfig:
                     spec.flat_size()  # raises if a layer leaves an empty map
                 pathways.append(spec)
             key = "fusion_hidden"
-            hidden = tuple(int(v) for v in model[key].split(",") if v.strip()) \
+            hidden = tuple(int(v) for v in model[key].split(",")) \
                 if model[key].strip() else FUSION_HIDDEN
             if any(v <= 0 for v in hidden):
                 raise ValueError("widths must be positive")

@@ -172,8 +172,8 @@ def write_prob_sidecar(prob: np.ndarray, path) -> None:
     """Exact float64 map: 16-byte header (magic, u32 height, u32 width), then
     row-major little-endian payload."""
     prob = np.asarray(prob, dtype=np.float64)
-    if prob.ndim != 2:
-        raise DataError("probability map must be 2-D")
+    if prob.ndim != 2 or 0 in prob.shape:
+        raise DataError(f"probability map must be 2-D with positive extents, got {prob.shape}")
     h, w = prob.shape
     with open(path, "wb") as fh:
         fh.write(PROB_MAGIC)

@@ -2,16 +2,16 @@
 
 A training sample pairs three windows sharing one centre at one spatial
 resolution: a 64x64 local image window, a 256x256 global image window, and the
-16x16 binary target cut from the label map.  Image windows that overrun the
-raster are reflection-padded (mirror about the edge pixel, no edge repeat);
-target windows are never padded, so valid centres keep at least 8 px of
-margin.  At inference the image is tiled by disjoint 16x16 target windows on a
-grid, with a final shifted tile covering any ragged right/bottom margin.
+16x16 binary target cut from the label map.  Each image is reflection-padded
+once (mirror about the edge pixel, no edge repeat) by half a global window on
+every side, and every image window is a slice of that padded scene; target
+windows are never padded, so valid centres keep at least 8 px of margin.  At
+inference the image is tiled by disjoint 16x16 target windows on a grid, with
+a final shifted tile covering any ragged right/bottom margin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -22,33 +22,32 @@ from .raster import LabelMap, Raster
 from .rng import SplitMix64
 
 _EIGHT = np.ones((3, 3), dtype=int)
+_MARGIN = GLOBAL_WIDTH // 2
 
 
 class PatchTriplet:
     """Co-centred (local image, global image, target label) windows.
 
     local_patch and global_patch are float64 (3, w, w) tensors scaled to
-    [0, 1]; the target is a (16, 16) uint8 patch of raw labels.  Windows are
-    held as raw bytes internally and materialised on access, so thousands of
-    triplets fit in memory.
+    [0, 1]; the target is a (16, 16) uint8 patch of raw labels.  The image
+    windows are sliced on access from the reflect-padded scene that all
+    triplets of an image share, so thousands of triplets fit in memory.
     """
 
-    __slots__ = ("center", "target", "_local_u8", "_global_u8")
+    __slots__ = ("center", "scene", "target")
 
-    def __init__(self, center: tuple, local_u8: np.ndarray, global_u8: np.ndarray,
-                 target: np.ndarray):
+    def __init__(self, center: tuple, scene: np.ndarray, target: np.ndarray):
         self.center = center
-        self._local_u8 = local_u8
-        self._global_u8 = global_u8
+        self.scene = scene
         self.target = target
 
     @property
     def local_patch(self) -> np.ndarray:
-        return self._local_u8.astype(np.float64) / 255.0
+        return image_window(self.scene, self.center, LOCAL_WIDTH)
 
     @property
     def global_patch(self) -> np.ndarray:
-        return self._global_u8.astype(np.float64) / 255.0
+        return image_window(self.scene, self.center, GLOBAL_WIDTH)
 
 
 class ResidentialClass(Enum):
@@ -57,29 +56,12 @@ class ResidentialClass(Enum):
     EXCLUDED = "excluded"
 
 
-def reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
-    """Fold arbitrary integer indices into [0, n) by mirroring about the edge
-    pixels (period 2n-2, no edge repeat); identity on in-range indices."""
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * n - 2
-    folded = np.mod(idx, period)
-    return np.where(folded >= n, period - folded, folded)
-
-
-def window_bounds(center: int, width: int) -> tuple:
-    """Half-open [start, stop) span of a width-wide window centred at center."""
-    start = center - width // 2
-    return start, start + width
-
-
-def extract_window(image: np.ndarray, center: tuple, width: int) -> np.ndarray:
-    """Reflection-padded width x width window of an (H, W) or (H, W, C) array."""
-    r0, r1 = window_bounds(center[0], width)
-    c0, c1 = window_bounds(center[1], width)
-    rows = reflect_index(np.arange(r0, r1), image.shape[0])
-    cols = reflect_index(np.arange(c0, c1), image.shape[1])
-    return image[np.ix_(rows, cols)]
+def reflect_pad(pixels: np.ndarray) -> np.ndarray:
+    """An (H, W, C) uint8 image as the C-contiguous (C, H + 256, W + 256)
+    scene every window is cut from: mirrored about the edge pixels (no edge
+    repeat, folding again where the margin exceeds the image)."""
+    margins = ((0, 0), (_MARGIN, _MARGIN), (_MARGIN, _MARGIN))
+    return np.ascontiguousarray(np.pad(pixels.transpose(2, 0, 1), margins, mode="reflect"))
 
 
 def valid_center_range(height: int, width: int) -> tuple:
@@ -92,31 +74,24 @@ def valid_center_range(height: int, width: int) -> tuple:
     return rmin, rmax, cmin, cmax
 
 
-def raw_window(pixels: np.ndarray, center: tuple, width: int) -> np.ndarray:
-    """Reflection-padded window as a (C, width, width) uint8 array."""
-    win = extract_window(pixels, center, width)
-    return np.ascontiguousarray(win.transpose(2, 0, 1))
+def image_window(scene: np.ndarray, center: tuple, width: int) -> np.ndarray:
+    """The window of a reflect_pad scene centred at the image pixel center, as
+    a fresh C-contiguous (C, width, width) float64 array in [0, 1]."""
+    r0 = center[0] - width // 2 + _MARGIN
+    c0 = center[1] - width // 2 + _MARGIN
+    return scene[:, r0:r0 + width, c0:c0 + width] / 255.0
 
 
-def image_window(pixels: np.ndarray, center: tuple, width: int) -> np.ndarray:
-    """Reflection-padded window as a (C, width, width) float64 array in [0, 1]."""
-    return raw_window(pixels, center, width).astype(np.float64) / 255.0
-
-
-def make_triplet(raster: Raster, labels: LabelMap, center: tuple) -> PatchTriplet:
-    """One aligned sample; the centre must leave the target window in bounds."""
+def make_triplet(scene: np.ndarray, labels: LabelMap, center: tuple) -> PatchTriplet:
+    """One aligned sample from the reflect_pad scene of labels' image; the
+    centre must leave the target window in bounds."""
     rmin, rmax, cmin, cmax = valid_center_range(labels.height, labels.width)
     r, c = center
     if not (rmin <= r <= rmax and cmin <= c <= cmax):
         raise ValueError(f"centre {center} puts the target window outside the label map")
     half = TARGET_WIDTH // 2
     target = labels.labels[r - half:r + half, c - half:c + half].copy()
-    return PatchTriplet(
-        center=(r, c),
-        local_u8=raw_window(raster.pixels, center, LOCAL_WIDTH),
-        global_u8=raw_window(raster.pixels, center, GLOBAL_WIDTH),
-        target=target,
-    )
+    return PatchTriplet(center=(r, c), scene=scene, target=target)
 
 
 def balanced_centers(labels: LabelMap, count: int, positive_fraction: float,
@@ -139,10 +114,11 @@ def balanced_centers(labels: LabelMap, count: int, positive_fraction: float,
 
 
 def sample_triplets(raster: Raster, labels: LabelMap, centers) -> list:
-    """One triplet per centre, in order."""
+    """One triplet per centre, in order, all cut from one padded scene."""
     if raster.width != labels.width or raster.height != labels.height:
         raise ValueError("raster and label map extents differ")
-    return [make_triplet(raster, labels, c) for c in centers]
+    scene = reflect_pad(raster.pixels)
+    return [make_triplet(scene, labels, c) for c in centers]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command tests on compact configurations."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from lgseg.counting import write_boxes_csv, DetectionBox
 from lgseg.engine import save_checkpoint
 from lgseg.network import Blank, build_model
 from lgseg.rng import SplitMix64
-from lgseg.sampling import grid_centers, image_window
+from lgseg.sampling import grid_centers
+from window_oracle import gather_window
 
 # compact model + tiny scenes keep the command tests fast
 SMALL_CFG = """
@@ -100,6 +102,25 @@ class TestTrain:
         assert (again / "model.ckpt").read_bytes() == (trained_dir / "model.ckpt").read_bytes()
         assert (again / "train_run.json").read_bytes() == \
             (trained_dir / "train_run.json").read_bytes()
+
+    def test_grid_sampler_on_a_small_ragged_scene(self, tmp_path):
+        # 40x56: shifted margin tiles on both axes, and 256 px global windows
+        # that fold back more than once
+        data = tmp_path / "data"
+        data.mkdir()
+        rng = SplitMix64(5)
+        raster.write_raster(raster.Raster(56, 40, 3, rng.uniform(0, 256, (40, 56, 3))
+                                          .astype(np.uint8)), data / "scene_000.ppm")
+        raster.write_label(raster.LabelMap(56, 40, (rng.uniform(0, 1, (40, 56)) > 0.7)
+                                           .astype(np.uint8)), data / "labels_000.pgm")
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(SMALL_CFG.replace("[train]\n", "[train]\nsampler = grid\n"))
+        for out in ("a", "b"):
+            assert run("train", "--config", cfg, "--data", data, "--out", tmp_path / out) == 0
+        report = json.loads((tmp_path / "a" / "train_run.json").read_text())
+        assert report["triplets"] == len(grid_centers((40, 56))) == 12
+        assert (tmp_path / "a" / "model.ckpt").read_bytes() == \
+            (tmp_path / "b" / "model.ckpt").read_bytes()
 
     def test_missing_data_dir_is_data_error(self, tmp_path, cfg_path):
         assert run("train", "--config", cfg_path, "--data", tmp_path / "none",
@@ -232,8 +253,8 @@ class TestTilePatches:
         centers, patches = _tile_patches(model, img, blank)
         assert centers == grid_centers((36, 40))
         for center, patch in zip(centers, patches):
-            want = model.ablate(image_window(img.pixels, center, 64),
-                                image_window(img.pixels, center, 256), blank)
+            want = model.ablate(gather_window(img.pixels, center, 64),
+                                gather_window(img.pixels, center, 256), blank)
             assert np.array_equal(patch, want)
 
     def test_tree_fit_ra_is_per_tile_patch_mean(self, tmp_path, cfg_path, trained_dir,
@@ -307,7 +328,7 @@ class TestCount:
 
     def test_empty_prob_map_data_error(self, tmp_path):
         prob_path = tmp_path / "empty.lgprob"
-        raster.write_prob_sidecar(np.zeros((0, 32)), prob_path)
+        prob_path.write_bytes(b"LGPROB1\x00" + struct.pack("<II", 0, 32))
         assert run("count", "--prob", prob_path, "--out", tmp_path / "count") == 2
 
     @pytest.mark.parametrize("row", ["0,1,2,3", "0,-2,3,4,5"])
@@ -318,6 +339,29 @@ class TestCount:
         raster.write_prob_sidecar(np.full((32, 32), 0.5), prob_path)
         assert run("count", "--prob", prob_path, "--boxes", boxes,
                    "--out", tmp_path / "count") == 2
+
+    def test_box_outside_map_data_error(self, tmp_path, capsys):
+        boxes = tmp_path / "boxes.csv"
+        write_boxes_csv([DetectionBox(2, 2, 6, 6), DetectionBox(100, 100, 120, 120)], boxes)
+        prob_path = tmp_path / "p.lgprob"
+        raster.write_prob_sidecar(np.full((32, 32), 0.5), prob_path)
+        out = tmp_path / "count"
+        assert run("count", "--prob", prob_path, "--boxes", boxes, "--out", out) == 2
+        assert str(boxes) in capsys.readouterr().err
+        assert not (out / "count_report.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--prob", "--boxes", "--threshold"])
+    def test_tallies_with_map_inputs_usage_error(self, tmp_path, flag):
+        tallies = tmp_path / "tallies.json"
+        tallies.write_text(json.dumps({"tp": 1, "fp": 0, "fn": 0, "residential": 0}))
+        prob_path = tmp_path / "p.lgprob"
+        raster.write_prob_sidecar(np.full((32, 32), 0.5), prob_path)
+        boxes = tmp_path / "boxes.csv"
+        write_boxes_csv([DetectionBox(2, 2, 6, 6)], boxes)
+        value = {"--prob": prob_path, "--boxes": boxes, "--threshold": 0.5}[flag]
+        out = tmp_path / "count"
+        assert run("count", "--tallies", tallies, flag, value, "--out", out) == 1
+        assert not (out / "count_report.json").exists()
 
     def test_count_without_inputs_usage_error(self, tmp_path):
         assert run("count", "--out", tmp_path / "c") == 1
@@ -358,6 +402,7 @@ class TestDispatch:
         ("gen", "[scene]\nwidth = 100\n"),
         ("gen", "[scene]\nhouse_px_min = 2\n"),
         ("train", "[model]\nfusion_hidden = abc\n"),
+        ("train", "[model]\nfusion_hidden = 8,,4\n"),
         ("train", "[model]\nlocal_layers = pool128\n"),
     ])
     def test_config_value_library_rejects_usage_error_before_any_work(self, tmp_path, scene_dir,

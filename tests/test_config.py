@@ -111,6 +111,9 @@ class TestParsing:
         ("[scene]\nhouse_px_min = 2\n", "house size range is empty or below 4 px"),
         ("[model]\nfusion_hidden = abc\n", r"\[model\] fusion_hidden: invalid literal"),
         ("[model]\nfusion_hidden = 8, 0\n", r"\[model\] fusion_hidden: widths must be positive"),
+        # an empty item is not dropped: "," would build a head with no hidden layer
+        ("[model]\nfusion_hidden = ,\n", r"\[model\] fusion_hidden: invalid literal"),
+        ("[model]\nfusion_hidden = 8,,4\n", r"\[model\] fusion_hidden: invalid literal"),
         ("[model]\nlocal_layers = pool128\n", r"\[model\] local_layers: pool window 128"),
         ("[model]\nvariant = global\nglobal_layers = \n", r"\[model\] global_layers: .*empty"),
         ("[train]\nclamp_eps = 0.01\n", r"clamp_eps must lie in \(0, 1e-3\)"),
@@ -152,3 +155,6 @@ class TestLayerDsl:
     def test_custom_fusion_hidden(self):
         cfg = parse_config_text("[model]\nfusion_hidden = 64, 32\n")
         assert cfg.model_specs()[2] == (64, 32)
+
+    def test_blank_fusion_hidden_is_the_default(self):
+        assert parse_config_text("[model]\nfusion_hidden =  \n").model_specs()[2] == (512, 512)

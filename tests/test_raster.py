@@ -1,5 +1,7 @@
 """PGM/PPM and probability-sidecar round-trip tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -109,9 +111,17 @@ def test_prob_sidecar_corrupt_rejected(tmp_path):
 @pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
 def test_prob_sidecar_empty_extent_rejected(tmp_path, shape):
     p = tmp_path / "empty.lgprob"
-    raster.write_prob_sidecar(np.zeros(shape), p)
+    p.write_bytes(b"LGPROB1\x00" + struct.pack("<II", *shape))
     with pytest.raises(DataError, match="non-positive extents"):
         raster.read_prob_sidecar(p)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_prob_sidecar_write_rejects_empty_extent(tmp_path, shape):
+    p = tmp_path / "empty.lgprob"
+    with pytest.raises(DataError, match="positive extents"):
+        raster.write_prob_sidecar(np.zeros(shape), p)
+    assert not p.exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 1.5])
