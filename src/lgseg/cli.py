@@ -222,17 +222,22 @@ def _cmd_tree_fit(args, cfg: RunConfig, out: Path):
     if not (len(args.image) == len(args.prob) == len(args.gt)):
         raise ConfigError("tree-fit needs equally many --image, --prob, and --gt")
     model = _load_model(cfg, args.model)
-    validation = []
+    # every input is read and checked before the first (slow) forward pass
+    inputs = []
     for image_path, prob_path, gt_path in zip(args.image, args.prob, args.gt):
         img = raster.read_raster(image_path)
-        prob = _read_prob(Path(prob_path))
-        if prob.shape != (img.height, img.width):
-            raise DataError(f"{prob_path}: extents do not match {Path(image_path).name}")
+        prob, gt = _read_prob(Path(prob_path)), raster.read_label(gt_path)
+        for path, shape in ((prob_path, prob.shape), (gt_path, (gt.height, gt.width))):
+            if shape != (img.height, img.width):
+                raise DataError(f"{path}: extents do not match {Path(image_path).name}")
+        inputs.append((img, prob, gt))
+    validation = []
+    for img, prob, gt in inputs:
         # the RA score of a tile is its own patch mean: in a stitched map the
         # shifted margin tiles overwrite part of their neighbours
         _, patches = _tile_patches(model, img)
         ra = np.array([patch.mean() for patch in patches]).reshape(grid_shape(prob.shape))
-        validation.append((tree.TreeInput(ra, prob), raster.read_label(gt_path)))
+        validation.append((tree.TreeInput(ra, prob), gt))
     result = tree.fit_thresholds(
         validation,
         rho=cfg.get("eval", "rho"),

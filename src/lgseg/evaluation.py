@@ -115,14 +115,13 @@ def count_points(thresholds, counts: np.ndarray) -> list:
 
 
 def mean_points(thresholds, per_image) -> list:
-    """PrPoints holding the mean per-image precision, recall and F at each threshold."""
-    points = []
-    for i, t in enumerate(thresholds):
-        ps = [image_points[i].precision for image_points in per_image]
-        rs = [image_points[i].recall for image_points in per_image]
-        fs = [image_points[i].f for image_points in per_image]
-        points.append(PrPoint(t, float(np.mean(ps)), float(np.mean(rs)), float(np.mean(fs))))
-    return points
+    """PrPoints holding the mean per-image precision, recall and F at each
+    threshold.  Each mean reduces a C-contiguous image axis: the additions of
+    np.mean over that threshold's per-image list, in its order, bit for bit."""
+    values = np.array([[(p.precision, p.recall, p.f) for p in image_points]
+                       for image_points in per_image])
+    means = np.ascontiguousarray(values.transpose(1, 2, 0)).mean(axis=-1)
+    return [PrPoint(t, *row) for t, row in zip(thresholds, means.tolist())]
 
 
 def _check_thresholds(thresholds) -> tuple:

@@ -6,10 +6,9 @@ t3.  A residential tile should make detections easier, so a fitted tree
 typically ends with t2 <= t3 and the high t3 suppresses isolated
 hallucinations.  Fitting initialises each threshold at its classifier's own
 max-F point, then cycles coordinate ascent over a fixed grid until the mean
-relaxed F stops improving.  Every F comes from `evaluation.relaxed_counts`:
-a whole leaf sweep is one call on a map holding the probabilities where that
-leaf decides and +inf / -inf where the other leaf predicts / does not, and
-each gate candidate is one single-threshold call.
+relaxed F stops improving.  Every F comes from `evaluation.relaxed_counts`,
+one call per image and sweep, on the score map `_leaf_scores` builds for the
+swept coordinate; `tree_segment` is the same rule at the current thresholds.
 
 At desk scale the RA score of a tile is the mean of a trained model's 16x16
 output patch there, taken from the same per-tile inference loop that `lgseg
@@ -35,10 +34,6 @@ DEFAULT_TOL = 1e-4
 DEFAULT_MAX_CYCLES = 20
 
 
-def _clamp01(v: float) -> float:
-    return min(1.0, max(0.0, float(v)))
-
-
 @dataclass(frozen=True)
 class TreeThresholds:
     """Gate threshold t1 on the RA score; leaf thresholds t2 (residential)
@@ -49,9 +44,8 @@ class TreeThresholds:
     t3: float
 
     def __post_init__(self):
-        object.__setattr__(self, "t1", _clamp01(self.t1))
-        object.__setattr__(self, "t2", _clamp01(self.t2))
-        object.__setattr__(self, "t3", _clamp01(self.t3))
+        for name in ("t1", "t2", "t3"):
+            object.__setattr__(self, name, min(1.0, max(0.0, float(getattr(self, name)))))
 
 
 @dataclass
@@ -77,12 +71,27 @@ class FitResult:
     leaf_order_ok: bool  # soft expectation t2 <= t3
 
 
+def _leaf_scores(prob, ra_pixels, th: TreeThresholds, coord: str) -> tuple:
+    """(scores, sign) such that, with `coord` of th set to v, the tree predicts
+    scores >= sign * v.  Where v decides, the score is prob (t2, t3) or, for t1,
+    ra or -nextafter(ra, inf) when t2 > t3 (>= -v exactly when ra < v); elsewhere
+    +inf / -inf as prob reaches the other leaf (t1: the higher leaf) or not."""
+    if coord == "t1":
+        lo, hi = sorted((th.t2, th.t3))
+        sign = 1.0 if th.t2 <= th.t3 else -1.0
+        decides, fixed = (prob >= lo) & (prob < hi), hi
+        swept = ra_pixels if sign > 0 else -np.nextafter(ra_pixels, np.inf)
+    else:
+        sign, fixed, swept = 1.0, (th.t3 if coord == "t2" else th.t2), prob
+        decides = (ra_pixels >= th.t1) == (coord == "t2")
+    return np.where(decides, swept, np.where(prob >= fixed, np.inf, -np.inf)), sign
+
+
 def tree_segment(inp: TreeInput, th: TreeThresholds) -> np.ndarray:
     """Binarise the probability map with the per-pixel threshold the tree picks."""
-    tiles = tile_index_map(inp.prob_map.shape)
-    gate = inp.ra_scores.ravel()[tiles] >= th.t1
-    pixel_thresholds = np.where(gate, th.t2, th.t3)
-    return (inp.prob_map >= pixel_thresholds).astype(np.uint8)
+    ra_pixels = inp.ra_scores.ravel()[tile_index_map(inp.prob_map.shape)]
+    scores, sign = _leaf_scores(inp.prob_map, ra_pixels, th, "t1")
+    return (scores >= sign * th.t1).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +112,12 @@ class _FitImage:
 
 
 def _mean_fs(images, th: TreeThresholds, coord: str, values) -> list:
-    """Mean relaxed F over the images with coordinate `coord` of th set to each
-    of the ascending values."""
-    if coord == "t1":
-        return [_mean_fs(images, TreeThresholds(t1, th.t2, th.t3), "t2", (th.t2,))[0]
-                for t1 in values]
-    fixed = th.t3 if coord == "t2" else th.t2
+    """Mean relaxed F over the images with coordinate `coord` of th at each value."""
     per_image = []
     for img in images:
-        swept = (img.ra_pixels >= th.t1) == (coord == "t2")
-        scores = np.where(swept, img.prob, np.where(img.prob >= fixed, np.inf, -np.inf))
-        counts = relaxed_counts(scores, img.gt, img.rho, values, near=img.gt_near)
+        scores, sign = _leaf_scores(img.prob, img.ra_pixels, th, coord)
+        counts = relaxed_counts(scores, img.gt, img.rho, np.multiply(sign, values),
+                                near=img.gt_near)
         per_image.append(count_points(values, counts))
     return [p.f for p in mean_points(values, per_image)]
 

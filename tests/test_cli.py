@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from lgseg import raster, tree
+from lgseg import cli, raster, tree
 from lgseg.cli import _load_model, _tile_patches, dispatch
 from lgseg.config import parse_config_text
 from lgseg.counting import write_boxes_csv, DetectionBox
@@ -237,6 +237,29 @@ class TestTreeFit:
         trace = fitted["f_trace"]
         assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
+    def test_gt_extent_mismatch_data_error_before_any_forward(self, tmp_path, cfg_path,
+                                                             trained_dir, monkeypatch, capsys):
+        # the second image's ground truth is too small: no image, not even the
+        # first, may pay for per-tile inference before that is reported
+        img = small_image(2)
+        raster.write_raster(img, tmp_path / "img.ppm")
+        raster.write_prob_sidecar(np.full((36, 40), 0.5), tmp_path / "prob.lgprob")
+        raster.write_label(raster.LabelMap(40, 36, np.zeros((36, 40), np.uint8)),
+                           tmp_path / "gt.pgm")
+        raster.write_label(raster.LabelMap(40, 32, np.zeros((32, 40), np.uint8)),
+                           tmp_path / "short.pgm")
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("per-tile inference ran before the inputs were checked")
+
+        monkeypatch.setattr(cli, "_tile_patches", no_forward)
+        assert run("tree-fit", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
+                   "--image", tmp_path / "img.ppm", "--prob", tmp_path / "prob.lgprob",
+                   "--gt", tmp_path / "gt.pgm",
+                   "--image", tmp_path / "img.ppm", "--prob", tmp_path / "prob.lgprob",
+                   "--gt", tmp_path / "short.pgm", "--out", tmp_path / "tree") == 2
+        assert str(tmp_path / "short.pgm") in capsys.readouterr().err
+
 
 def small_image(seed, height=36, width=40):
     """Ragged on both axes, so the grid has shifted margin tiles."""
@@ -408,7 +431,9 @@ class TestDispatch:
     def test_config_value_library_rejects_usage_error_before_any_work(self, tmp_path, scene_dir,
                                                                       command, text):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(text)
+        # a tiny train, so that a key that slips through fails in seconds
+        bad.write_text(text + ("[train]\nsamples_per_scene = 1\nepochs = 1\n"
+                               if command == "train" else ""))
         inputs = ("--data", scene_dir) if command == "train" else ()
         out = tmp_path / "out"
         assert run(command, "--config", bad, *inputs, "--out", out) == 1

@@ -281,6 +281,23 @@ class TestSetCurve:
             want_f = np.mean([c.points[i].f for c in per_image])
             assert curve.points[i].f == pytest.approx(want_f, abs=1e-12)
 
+    @pytest.mark.parametrize("n_images", range(1, 25))
+    def test_mean_points_match_per_threshold_list_mean_bit_for_bit(self, n_images):
+        rng = SplitMix64(100 + n_images)
+        thresholds = evaluation.DEFAULT_THRESHOLDS
+        per_image = []
+        for _ in range(n_images):
+            values = rng.uniform(0, 1, (len(thresholds), 3))
+            values[:5], values[-5:] = 1.0, 0.0  # what empty predictions and truths give
+            per_image.append([PrPoint(t, *v) for t, v in zip(thresholds, values.tolist())])
+        got = evaluation.mean_points(thresholds, per_image)
+        assert [p.threshold for p in got] == list(thresholds)
+        for key in ("precision", "recall", "f"):
+            want = [float(np.mean([getattr(points[i], key) for points in per_image]))
+                    for i in range(len(thresholds))]
+            assert np.array_equal(np.array([getattr(p, key) for p in got]).view(np.uint64),
+                                  np.array(want).view(np.uint64))
+
     def test_mean_f_differs_from_pooled_on_unbalanced_sets(self):
         gt1 = np.zeros((12, 12), dtype=np.uint8)
         gt1[2:10, 2:10] = 1

@@ -89,6 +89,15 @@ class TestWindowOracle:
             assert np.array_equal(t.global_patch.view(np.uint64),
                                   gather_window(raster.pixels, t.center, 256).view(np.uint64))
 
+    @pytest.mark.parametrize("center", [(-200, 8), (300, 8), (-1, 0), (40, 0), (0, -1), (0, 56)])
+    def test_centre_outside_the_image_rejected(self, center):
+        # a negative slice start would wrap and cut the wrong pixels; one past
+        # the end would give an empty window
+        scene = reflect_pad(random_scene(13, 40, 56)[0].pixels)
+        with pytest.raises(ValueError, match="outside the 40x56 image"):
+            image_window(scene, center, 64)
+        assert image_window(scene, (39, 55), 256).shape == (3, 256, 256)
+
 
 class TestTriplets:
     def test_center_of_large_scene_needs_no_padding(self):

@@ -4,8 +4,9 @@ coordinate-descent fitter."""
 import numpy as np
 import pytest
 
-from lgseg.evaluation import (f_measure, max_f, nearest_sqdist, set_curve,
-                              threshold_grid)
+from lgseg import tree
+from lgseg.evaluation import (count_points, f_measure, max_f, nearest_sqdist,
+                              relaxed_counts, set_curve, threshold_grid)
 from lgseg.raster import LabelMap
 from lgseg.rng import SplitMix64
 from lgseg.tree import (FitResult, TreeInput, TreeThresholds, fit_thresholds,
@@ -367,3 +368,45 @@ class TestFitThresholds:
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
             fit_thresholds([], rho=3)
+
+
+def per_candidate_gate_sweep(images, th, values):
+    """Mean relaxed F at each gate candidate from one relaxed_counts call per
+    candidate and image, on the binary map of the plain rule prob >=
+    (t2 if ra >= t1 else t3): the oracle for the one-call-per-image sweep."""
+    fs = []
+    for t1 in values:
+        per_image = []
+        for img in images:
+            pred = img.prob >= np.where(img.ra_pixels >= t1, th.t2, th.t3)
+            counts = relaxed_counts(pred, img.gt, img.rho, (1.0,), near=img.gt_near)
+            per_image.append(count_points((t1,), counts)[0].f)
+        fs.append(float(np.mean(per_image)))
+    return fs
+
+
+LEAF_ORDERS = [(0.3, 0.7), (0.45, 0.45), (0.8, 0.2), (0.07, 0.93), (0.93, 0.07)]
+
+
+class TestLeafScores:
+    @pytest.mark.parametrize("t2, t3", LEAF_ORDERS)
+    @pytest.mark.parametrize("n_images", [1, 2, 3])
+    def test_gate_sweep_matches_per_candidate_sweep_exactly(self, n_images, t2, t3):
+        images = []
+        for inp, gt in random_validation(7)[:n_images]:
+            ra = inp.ra_scores.copy()
+            ra[0, :2] = 0.0, 1.0  # the ends of the RA range, beside hundredths
+            images.append(tree._FitImage(TreeInput(ra, inp.prob_map), gt, 3))
+        th = TreeThresholds(0.5, t2, t3)
+        values = (0.0, *threshold_grid(0.01), 1.0)
+        assert tree._mean_fs(images, th, "t1", values) == \
+            per_candidate_gate_sweep(images, th, values)
+
+    @pytest.mark.parametrize("t2, t3", LEAF_ORDERS)
+    @pytest.mark.parametrize("t1", [0.0, 0.37, 1.0])
+    def test_tree_segment_is_the_plain_rule(self, t1, t2, t3):
+        inp, _ = random_validation(8)[0]
+        ra_pixels = inp.ra_scores.ravel()[tile_index_map(inp.prob_map.shape)]
+        want = inp.prob_map >= np.where(ra_pixels >= t1, t2, t3)
+        got = tree_segment(inp, TreeThresholds(t1, t2, t3))
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
