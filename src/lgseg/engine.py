@@ -4,11 +4,13 @@ Everything is a plain C-contiguous float64 ndarray; layers are free functions
 (forward/backward pairs) so they stay re-entrant, and parameters live in
 ordered ``{name: array}`` dicts owned by the caller.  Convolution uses
 im2col + GEMM; its backward can skip the input gradient when nothing reads
-it.  Max-pool takes a running maximum over its window taps and works out the
-argmax positions that route its gradient (first in scan order on ties) only
-when backward first asks for them.  The classical momentum SGD step (weight
-decay on weights only, never biases) completes the training core.
-Checkpoints serialise named tensors bit-exactly.
+it.  Max-pool takes a running maximum over its window taps.  Its backward
+sends each window's gradient to the first tap in scan order that holds the
+output (the first NaN, if any): tap by tap into strided views of the input
+gradient when windows do not overlap, and by a scatter over flat argmax
+positions when they do.  The classical momentum SGD step (weight decay on
+weights only, never biases) completes the training core.  Checkpoints
+serialise named tensors bit-exactly.
 """
 
 from __future__ import annotations
@@ -127,29 +129,44 @@ def _pool_taps(x: np.ndarray, k: int, stride: int, ho: int, wo: int) -> list:
 
 
 class PoolIndices:
-    """Argmax bookkeeping from a forward max-pool: enough to route gradients back.
+    """What a forward max-pool keeps to route gradients back: its input,
+    output, window size and stride.  Neither array may be modified in place
+    while the indices are in use.
 
-    Holds the pool's input and output; neither may be modified in place while
-    the indices are in use.  flat_argmax is worked out on first read and
-    cached: per window, the flat H*W index of the lowest tap whose value
-    equals the output (the first NaN, if the window holds one).
+    routes() states the tie rule once, as one mask of windows per tap.
+    flat_argmax serves overlapping pools (stride < k) only.  It is worked out
+    on first read and cached: per window, the flat H*W index of the tap that
+    routes() picks.
     """
 
     def __init__(self, x: np.ndarray, out: np.ndarray, k: int, stride: int):
         self.input_shape = x.shape
-        self._x, self._out, self._k, self._stride = x, out, k, stride
+        self.x, self.out, self.k, self.stride = x, out, k, stride
 
-    @cached_property
-    def flat_argmax(self) -> np.ndarray:  # (C, Ho, Wo) flat indices into H*W
-        out, k, stride = self._out, self._k, self._stride
-        ho, wo = out.shape[1:]
+    def routes(self):
+        """Per tap in scan order, the mask of windows whose gradient goes to
+        that tap: the lowest tap whose value equals the output, or the first
+        NaN where the window holds one."""
+        out = self.out
         nan = bool(np.isnan(out).any())
-        local = np.zeros(out.shape, dtype=np.int64)
-        # from the last tap down, so the lowest matching tap is written last
-        for p, tap in reversed(list(enumerate(_pool_taps(self._x, k, stride, ho, wo)))):
+        free = None  # windows that no earlier tap has claimed
+        for tap in _pool_taps(self.x, self.k, self.stride, out.shape[1], out.shape[2]):
             hit = tap == out
             if nan:
                 hit |= np.isnan(tap)
+            if free is None:
+                free = ~hit
+            else:
+                hit &= free
+                free ^= hit  # hit lies inside free, so this clears it there
+            yield hit
+
+    @cached_property
+    def flat_argmax(self) -> np.ndarray:  # (C, Ho, Wo) flat indices into H*W
+        k, stride = self.k, self.stride
+        ho, wo = self.out.shape[1:]
+        local = np.zeros(self.out.shape, dtype=np.int64)
+        for p, hit in enumerate(self.routes()):
             local[hit] = p
         rows = np.arange(ho)[:, None] * stride + local // k
         cols = np.arange(wo) * stride + local % k
@@ -178,14 +195,29 @@ def maxpool2d(x, k: int, stride: int | None = None):
 
 
 def maxpool2d_backward(indices: PoolIndices, grad_out) -> np.ndarray:
+    """Each window's upstream gradient goes to the first tap in scan order
+    that holds the window's output (its first NaN, if it holds one)."""
     grad_out = _as_f64(grad_out)
-    c, h, w = indices.input_shape
-    if grad_out.shape != indices.flat_argmax.shape:
+    x, out, k, stride = indices.x, indices.out, indices.k, indices.stride
+    if grad_out.shape != out.shape:
         raise ValueError("upstream gradient shape does not match pool output")
-    grad_x = np.zeros((c, h * w))
-    ch = np.repeat(np.arange(c), grad_out[0].size)
-    np.add.at(grad_x, (ch, indices.flat_argmax.reshape(c, -1).ravel()), grad_out.reshape(c, -1).ravel())
-    return grad_x.reshape(c, h, w)
+    if stride < k:
+        # a pixel may lie in several windows; the scatter fixes its sum's order
+        c, h, w = x.shape
+        grad_x = np.zeros((c, h * w))
+        ch = np.repeat(np.arange(c), grad_out[0].size)
+        np.add.at(grad_x, (ch, indices.flat_argmax.reshape(c, -1).ravel()), grad_out.reshape(c, -1).ravel())
+        return grad_x.reshape(c, h, w)
+    # each pixel lies in at most one window, so one write per tap routes it.
+    # Multiplying g's bit patterns by a tap's 0/1 routing mask gives g or
+    # +0.0 exactly, NaN payloads and signs included; + 0.0 first turns -0.0
+    # into +0.0, as adding it to a zero gradient would
+    gbits = (grad_out + 0.0).view(np.uint64)
+    grad_x = np.zeros(x.shape)
+    gviews = _pool_taps(grad_x.view(np.uint64), k, stride, out.shape[1], out.shape[2])
+    for gview, hit in zip(gviews, indices.routes()):
+        np.multiply(gbits, hit, out=gview)
+    return grad_x
 
 
 # ---------------------------------------------------------------------------

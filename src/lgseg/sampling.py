@@ -76,7 +76,10 @@ def valid_center_range(height: int, width: int) -> tuple:
 
 def image_window(scene: np.ndarray, center: tuple, width: int) -> np.ndarray:
     """The window of a reflect_pad scene centred at the image pixel center, as
-    a fresh C-contiguous (C, width, width) float64 array in [0, 1]."""
+    a fresh C-contiguous (C, width, width) float64 array in [0, 1].  The
+    width may not exceed twice the pad margin."""
+    if not 1 <= width <= 2 * _MARGIN:
+        raise ValueError(f"window width {width} is not in [1, {2 * _MARGIN}]")
     height, width_px = scene.shape[1] - 2 * _MARGIN, scene.shape[2] - 2 * _MARGIN
     if not (0 <= center[0] < height and 0 <= center[1] < width_px):
         raise ValueError(f"centre {center} lies outside the {height}x{width_px} image")

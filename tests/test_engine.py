@@ -184,6 +184,28 @@ def maxpool_reference(x, k, stride):
     return out, flat
 
 
+def maxpool_backward_reference(indices, grad_out):
+    """Scatter oracle with maxpool2d_backward's signature: np.add.at of the
+    upstream gradient at maxpool_reference's flat argmax, so it does not lean
+    on the engine's own routing."""
+    c, h, w = indices.x.shape
+    _, flat = maxpool_reference(indices.x, indices.k, indices.stride)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if grad_out.shape != flat.shape:
+        raise ValueError("upstream gradient shape does not match pool output")
+    grad_x = np.zeros((c, h * w))
+    ch = np.repeat(np.arange(c), flat[0].size)
+    np.add.at(grad_x, (ch, flat.reshape(c, -1).ravel()), grad_out.reshape(c, -1).ravel())
+    return grad_x.reshape(c, h, w)
+
+
+def signed_ties(rng, shape):
+    """Small integers, so many values tie, with zeros of both signs."""
+    v = np.floor(rng.uniform(-2, 2, shape))
+    v[v == 0] = np.where(rng.uniform(0, 1, shape) < 0.5, -0.0, 0.0)[v == 0]
+    return v
+
+
 class TestMaxPool:
     @pytest.mark.parametrize("k,stride", [(2, 2), (2, 1), (3, 3), (3, 1), (3, 2),
                                           (4, 4), (4, 2), (4, 3)])
@@ -241,6 +263,45 @@ class TestMaxPool:
             engine.maxpool2d(np.zeros((1, 4, 4)), 0)
         with pytest.raises(ValueError):
             engine.maxpool2d(np.zeros((1, 4, 4)), 2, 0)
+
+
+class TestMaxPoolBackward:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
+    def test_matches_scatter_oracle_bitwise(self, k, stride):
+        # 11x10 leaves partial windows for most (k, stride); NaN goes in x
+        # and in the upstream gradient, with both signs
+        rng = SplitMix64(100 * k + stride)
+        for trial in range(6):
+            x = signed_ties(rng, (3, 11, 10))
+            if trial >= 2:
+                x[rng.uniform(0, 1, x.shape) < 0.06] = np.nan
+            if trial >= 4:
+                x[rng.uniform(0, 1, x.shape) < 0.04] = -np.nan
+            y, idx = engine.maxpool2d(x, k, stride)
+            g = signed_ties(rng, y.shape)
+            if trial % 2:
+                g[rng.uniform(0, 1, g.shape) < 0.1] = np.nan
+                g[rng.uniform(0, 1, g.shape) < 0.1] = -np.nan
+            got = engine.maxpool2d_backward(idx, g)
+            want = maxpool_backward_reference(idx, g)
+            assert got.shape == want.shape == x.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), trial
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (2, 2), (2, 3), (3, 3), (4, 5)])
+    def test_windows_that_do_not_overlap_build_no_flat_argmax(self, k, stride):
+        rng = SplitMix64(k + 10 * stride)
+        y, idx = engine.maxpool2d(signed_ties(rng, (2, 11, 10)), k, stride)
+        engine.maxpool2d_backward(idx, signed_ties(rng, y.shape))
+        assert "flat_argmax" not in vars(idx)
+
+    @pytest.mark.parametrize("k,stride", [(2, 2), (3, 2)])
+    def test_upstream_shape_mismatch_rejected(self, k, stride):
+        y, idx = engine.maxpool2d(SplitMix64(3).uniform(-1, 1, (2, 9, 9)), k, stride)
+        for shape in [(2, 4), (1,) + y.shape[1:], (2, y.shape[1] + 1, y.shape[2]),
+                      (2, y.shape[1], y.shape[2] - 1), (2,) + y.shape]:
+            with pytest.raises(ValueError, match="does not match pool output"):
+                engine.maxpool2d_backward(idx, np.zeros(shape))
 
 
 class TestDense:

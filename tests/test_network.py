@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gradcheck import grad_check
+from test_engine import maxpool_backward_reference
 from lgseg import engine, network
 from lgseg.network import (Blank, ConvSpec, PathwaySpec, PoolSpec, ReluSpec,
                            TrainConfig, build_model, patch_loss, train)
@@ -345,6 +346,22 @@ class TestOpListMatchesOracle:
         assert list(grads) == list(want_grads) == list(model.params)
         for name in want_grads:
             assert np.array_equal(grads[name], want_grads[name]), name
+
+    @pytest.mark.parametrize("variant", sorted(ORACLE_MODELS))
+    def test_gradients_match_the_pool_scatter_oracle_bitwise(self, variant, monkeypatch):
+        # "custom" has overlapping 3/2 pools, the other variants only k/k ones
+        model = ORACLE_MODELS[variant]()
+        t = make_triplet(33)
+        local = t.local_patch if model.local_spec is not None else None
+        global_ = t.global_patch if model.global_spec is not None else None
+        probs, caches = model.forward_with_caches(local, global_)
+        _, dprobs = patch_loss(probs, t.target)
+        grads = model.backward(caches, dprobs)
+        monkeypatch.setattr(engine, "maxpool2d_backward", maxpool_backward_reference)
+        want = model.backward(caches, dprobs)
+        assert list(grads) == list(want)
+        for name in want:
+            assert grads[name].tobytes() == want[name].tobytes(), name
 
     def test_backward_leaves_caches_reusable(self):
         model = small_dual(seed=5)

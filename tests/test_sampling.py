@@ -98,6 +98,18 @@ class TestWindowOracle:
             image_window(scene, center, 64)
         assert image_window(scene, (39, 55), 256).shape == (3, 256, 256)
 
+    @pytest.mark.parametrize("center,width", [((0, 0), 300), ((0, 0), 258), ((0, 0), 257),
+                                              ((39, 55), 300), ((0, 0), 0), ((20, 20), -64)])
+    def test_width_beyond_the_margin_rejected(self, center, width):
+        # a window wider than the padded margins allow would cut past the
+        # padded scene: a negative start wraps, an end past it is cut short
+        scene = reflect_pad(random_scene(13, 40, 56)[0].pixels)
+        with pytest.raises(ValueError, match=f"window width {width} is not in \\[1, 256\\]"):
+            image_window(scene, center, width)
+        for corner in ((0, 0), (39, 55)):
+            for fits in (1, 255, 256):
+                assert image_window(scene, corner, fits).shape == (3, fits, fits)
+
 
 class TestTriplets:
     def test_center_of_large_scene_needs_no_padding(self):
