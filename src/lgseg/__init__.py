@@ -9,6 +9,6 @@ box matching), config and cli (the pipeline executable).
 
 __version__ = "0.1.0"
 
-from .network import Blank, LgSegModel, PathwaySpec, TrainConfig, build_model, patch_loss, train  # noqa: F401
+from .network import LgSegModel, PathwaySpec, TrainConfig, build_model, patch_loss, train  # noqa: F401
 from .sampling import PatchTriplet, sample_triplets  # noqa: F401
 from .synth import SceneSpec, synth_scene  # noqa: F401

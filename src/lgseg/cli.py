@@ -6,6 +6,9 @@ inputs are checkable for byte-identical outputs.  Each subcommand only writes
 its artifacts into the output directory; `dispatch` creates that directory,
 writes the `<command>_run.json` report and maps errors to the exit codes:
 0 success, 1 usage/config error (bad flags included), 2 data error.
+`ablate` writes three maps of a dual-pathway model: `full`, `local_only`
+(the global pathway is fed the per-channel mean of its window, a constant
+image) and `global_only` (the local pathway is fed its mean instead).
 LGSEG_THREADS caps worker fan-out for per-tile inference in infer, ablate and
 tree-fit (absent means 1, the single-thread default; results are
 byte-identical for any worker count).
@@ -27,7 +30,7 @@ import numpy as np
 from . import counting, evaluation, raster, tree
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .engine import load_checkpoint, save_checkpoint
-from .network import GLOBAL_WIDTH, LOCAL_WIDTH, Blank, LgSegModel, build_model, train
+from .network import LgSegModel, build_model, train
 from .raster import DataError
 from .rng import SplitMix64
 from .sampling import (balanced_centers, grid_centers, grid_shape, image_window,
@@ -110,19 +113,22 @@ def _scene_pairs(data_dir: Path):
     return pairs
 
 
-def _tile_patches(model: LgSegModel, img: raster.Raster, blank: Blank = Blank.NONE):
+def _tile_patches(model: LgSegModel, img: raster.Raster, blank: tuple = ()):
     """Grid centres of the image and the model's 16x16 patch at each, one
     forward pass per tile (spread over LGSEG_THREADS workers, which all read
-    the one padded scene)."""
+    the one padded scene).  Each pathway whose prefix is in `blank` is fed a
+    constant image, the per-channel mean of its own window."""
     centers = grid_centers((img.height, img.width))
     scene = reflect_pad(img.pixels)
 
     def predict(center):
-        local = image_window(scene, center, LOCAL_WIDTH) \
-            if model.local_spec is not None else None
-        global_ = image_window(scene, center, GLOBAL_WIDTH) \
-            if model.global_spec is not None else None
-        return model.ablate(local, global_, blank)
+        patches = {}
+        for prefix, spec in model.pathways.items():
+            x = image_window(scene, center, spec.input_width)
+            if prefix in blank:
+                x = np.broadcast_to(x.mean(axis=(1, 2))[:, None, None], x.shape).copy()
+            patches[f"{prefix}_patch"] = x
+        return model.forward(**patches)
 
     return centers, _parallel_map(predict, centers)
 
@@ -256,14 +262,12 @@ def _cmd_tree_fit(args, cfg: RunConfig, out: Path):
 
 def _cmd_ablate(args, cfg: RunConfig, out: Path):
     model = _load_model(cfg, args.model)
-    if not model.is_dual():
+    if len(model.pathways) != 2:
         raise ConfigError("ablate requires a dual-pathway model")
     img = raster.read_raster(args.image)
     base = args.name or Path(args.image).stem
     artifacts = []
-    # local_only: the local pathway sees real data (global blanked), and so on
-    for tag, blank in (("full", Blank.NONE), ("local_only", Blank.GLOBAL),
-                       ("global_only", Blank.LOCAL)):
+    for tag, blank in (("full", ()), ("local_only", ("global",)), ("global_only", ("local",))):
         prob = stitch(*_tile_patches(model, img, blank), (img.height, img.width))
         artifacts += _write_prob(prob, out, f"{base}_{tag}", sidecar=True)
     return None, artifacts, {"image": Path(args.image).name}

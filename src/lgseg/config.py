@@ -1,15 +1,17 @@
 """Plain-text run configuration: `key = value` lines under `[section]` headers.
 
-Comments start with '#'; duplicate keys and unknown keys are rejected with
-line numbers; every key has a default, so an empty file is a valid config.
-Keys may be given without a section header when the name is unique across the
-schema.  Parsing builds the model, scene and training specs once, so a value
-the library rejects is a ConfigError before any command runs.  The raw text is
-kept for verbatim echo into run reports.
+Comments start with '#'; duplicate keys, unknown keys and float values that
+are not finite (nan, inf) are rejected with line numbers; every key has a
+default, so an empty file is a valid config.  Keys may be given without a
+section header when the name is unique across the schema.  Parsing builds the
+model, scene and training specs once, so a value the library rejects is a
+ConfigError before any command runs.  The raw text is kept for verbatim echo
+into run reports.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .evaluation import threshold_grid
@@ -113,7 +115,10 @@ def _convert(raw: str, kind: str):
     if kind == "int":
         return int(raw)
     if kind == "float":
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError("not finite")
+        return value
     if kind == "bool":
         lowered = raw.lower()
         if lowered in ("true", "yes", "1", "on"):
@@ -234,7 +239,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         try:
             value = _convert(raw_value, kind)
         except ValueError:
-            raise ConfigError(f"{origin}:{lineno}: key '{key}' expects a {kind}, "
+            finite = "finite " if kind == "float" else ""
+            raise ConfigError(f"{origin}:{lineno}: key '{key}' expects a {finite}{kind}, "
                               f"got '{raw_value}'") from None
         if validator is not None:
             try:

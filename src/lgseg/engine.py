@@ -348,6 +348,8 @@ def load_checkpoint(path) -> dict:
     while off < len(blob):
         (name_len,) = struct.unpack("<I", take(4))
         name = take(name_len).decode("utf-8")
+        if name in out:
+            raise ValueError(f"{path}: tensor {name} appears more than once")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
         count = int(np.prod(shape)) if rank else 1

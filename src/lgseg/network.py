@@ -30,7 +30,6 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -153,15 +152,6 @@ GLOBAL_PATHWAY = PathwaySpec(parse_layers(GLOBAL_LAYERS), input_width=GLOBAL_WID
 FUSION_HIDDEN = (512, 512)
 
 
-class Blank(Enum):
-    """Which pathway receives a constant mean-valued image in an ablated pass."""
-
-    NONE = "none"
-    LOCAL = "local"
-    GLOBAL = "global"
-    BOTH = "both"
-
-
 # ---------------------------------------------------------------------------
 # model
 
@@ -215,9 +205,6 @@ class LgSegModel:
     @property
     def fusion_input_width(self) -> int:
         return sum(spec.embed_width for spec in self.pathways.values())
-
-    def is_dual(self) -> bool:
-        return len(self.pathways) == 2
 
     def load_params(self, tensors: dict) -> None:
         """Replace parameters from a checkpoint; names and shapes must match."""
@@ -335,23 +322,6 @@ class LgSegModel:
 
     def zero_grads(self) -> dict:
         return {name: np.zeros_like(arr) for name, arr in self.params.items()}
-
-    # -- ablation ------------------------------------------------------------
-
-    def ablate(self, local_patch, global_patch, blank: Blank) -> np.ndarray:
-        """Forward pass with one or both pathways fed a constant image equal to
-        the per-channel mean of its own input window."""
-        if blank is Blank.NONE:
-            return self.forward(local_patch, global_patch)
-        if not self.is_dual():
-            raise ValueError("pathway blanking requires a dual-pathway model")
-        local = self._check_input(local_patch, LOCAL_WIDTH, "local")
-        global_ = self._check_input(global_patch, GLOBAL_WIDTH, "global")
-        if blank in (Blank.LOCAL, Blank.BOTH):
-            local = np.broadcast_to(local.mean(axis=(1, 2))[:, None, None], local.shape).copy()
-        if blank in (Blank.GLOBAL, Blank.BOTH):
-            global_ = np.broadcast_to(global_.mean(axis=(1, 2))[:, None, None], global_.shape).copy()
-        return self.forward(local, global_)
 
 
 def build_model(local_spec: PathwaySpec | None = LOCAL_PATHWAY,

@@ -138,16 +138,20 @@ def _axis_starts(extent: int) -> list:
     return starts
 
 
-def grid_centers(shape: tuple) -> list:
-    """Ordered centres whose 16x16 target windows tile the image disjointly;
-    a ragged margin gets one extra shifted tile per axis ending at the border."""
+def _grid_starts(shape: tuple) -> tuple:
+    """Row and column tile starts of an image at least one tile wide."""
     height, width = shape
     if height < TARGET_WIDTH or width < TARGET_WIDTH:
         raise ValueError(f"image {height}x{width} smaller than one {TARGET_WIDTH}px tile")
+    return _axis_starts(height), _axis_starts(width)
+
+
+def grid_centers(shape: tuple) -> list:
+    """Ordered centres whose 16x16 target windows tile the image disjointly;
+    a ragged margin gets one extra shifted tile per axis ending at the border."""
+    rows, cols = _grid_starts(shape)
     half = TARGET_WIDTH // 2
-    return [(r + half, c + half)
-            for r in _axis_starts(height)
-            for c in _axis_starts(width)]
+    return [(r + half, c + half) for r in rows for c in cols]
 
 
 def stitch(centers, patches, shape: tuple) -> np.ndarray:
@@ -171,14 +175,12 @@ def stitch(centers, patches, shape: tuple) -> np.ndarray:
 
 def tile_index_map(shape: tuple) -> np.ndarray:
     """Index of the covering tile per pixel, consistent with stitch overwrite
-    order (shifted margin tiles own their overlap)."""
-    height, width = shape
-    centers = grid_centers(shape)
-    out = np.zeros((height, width), dtype=np.int64)
-    half = TARGET_WIDTH // 2
-    for i, (r, c) in enumerate(centers):
-        out[r - half:r + half, c - half:c + half] = i
-    return out
+    order: per axis the last tile starting at or before a pixel owns it, so
+    shifted margin tiles own their overlap."""
+    rows, cols = _grid_starts(shape)
+    owner_row, owner_col = (np.searchsorted(starts, np.arange(n), side="right") - 1
+                            for starts, n in zip((rows, cols), shape))
+    return owner_row[:, None] * len(cols) + owner_col
 
 
 def grid_shape(shape: tuple) -> tuple:

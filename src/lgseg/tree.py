@@ -63,6 +63,11 @@ class TreeInput:
             raise ValueError(f"RA grid {self.ra_scores.shape} does not cover a "
                              f"{self.prob_map.shape} image (want {want})")
 
+    @property
+    def ra_pixels(self) -> np.ndarray:
+        """The RA score of the tile that owns each pixel in a stitched map."""
+        return self.ra_scores.ravel()[tile_index_map(self.prob_map.shape)]
+
 
 @dataclass
 class FitResult:
@@ -89,8 +94,7 @@ def _leaf_scores(prob, ra_pixels, th: TreeThresholds, coord: str) -> tuple:
 
 def tree_segment(inp: TreeInput, th: TreeThresholds) -> np.ndarray:
     """Binarise the probability map with the per-pixel threshold the tree picks."""
-    ra_pixels = inp.ra_scores.ravel()[tile_index_map(inp.prob_map.shape)]
-    scores, sign = _leaf_scores(inp.prob_map, ra_pixels, th, "t1")
+    scores, sign = _leaf_scores(inp.prob_map, inp.ra_pixels, th, "t1")
     return (scores >= sign * th.t1).astype(np.uint8)
 
 
@@ -105,7 +109,7 @@ class _FitImage:
         if (gt.height, gt.width) != inp.prob_map.shape:
             raise ValueError("ground truth extents do not match the probability map")
         self.prob = inp.prob_map
-        self.ra_pixels = inp.ra_scores.ravel()[tile_index_map(inp.prob_map.shape)]
+        self.ra_pixels = inp.ra_pixels
         self.gt = gt.labels.astype(bool)
         self.gt_near = nearest_sqdist(self.gt) <= float(rho) * float(rho)
         self.rho = rho

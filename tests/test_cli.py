@@ -10,8 +10,8 @@ from lgseg import cli, raster, tree
 from lgseg.cli import _load_model, _tile_patches, dispatch
 from lgseg.config import parse_config_text
 from lgseg.counting import write_boxes_csv, DetectionBox
-from lgseg.engine import save_checkpoint
-from lgseg.network import Blank, build_model
+from lgseg.engine import CHECKPOINT_MAGIC, save_checkpoint
+from lgseg.network import build_model
 from lgseg.rng import SplitMix64
 from lgseg.sampling import grid_centers
 from window_oracle import gather_window
@@ -122,6 +122,21 @@ class TestTrain:
         assert (tmp_path / "a" / "model.ckpt").read_bytes() == \
             (tmp_path / "b" / "model.ckpt").read_bytes()
 
+    @pytest.mark.parametrize("command, setting", [
+        ("train", "[train]\nlearning_rate = nan\n"),
+        ("train", "[train]\nstop_loss = nan\n"),
+        ("gen", "[scene]\ncluster_radius = nan\n"),
+    ])
+    def test_non_finite_config_float_is_usage_error_before_any_work(
+            self, tmp_path, scene_dir, command, setting, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(SMALL_CFG + setting)
+        out = tmp_path / "out"
+        extra = ("--data", scene_dir, "--epochs", 1) if command == "train" else ()
+        assert run(command, "--config", cfg, *extra, "--out", out) == 1
+        assert "expects a finite float, got 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_dir_is_data_error(self, tmp_path, cfg_path):
         assert run("train", "--config", cfg_path, "--data", tmp_path / "none",
                    "--out", tmp_path / "out") == 2
@@ -167,6 +182,22 @@ class TestInfer:
         assert "fusion.1.bias" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_repeated_tensor_checkpoint_is_data_error(self, tmp_path, cfg_path, scene_dir,
+                                                      trained_dir, capsys):
+        # a second local.0.weight, all 7.0, appended after a valid checkpoint
+        model = _load_model(parse_config_text(SMALL_CFG), trained_dir / "model.ckpt")
+        extra = tmp_path / "extra.ckpt"
+        save_checkpoint(extra, {"local.0.weight": np.full_like(model.params["local.0.weight"], 7.0)})
+        ckpt = tmp_path / "twice.ckpt"
+        ckpt.write_bytes((trained_dir / "model.ckpt").read_bytes()
+                         + extra.read_bytes()[len(CHECKPOINT_MAGIC):])
+        out = tmp_path / "x"
+        assert run("infer", "--config", cfg_path, "--model", ckpt,
+                   "--image", scene_dir / "scene_000.ppm", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "local.0.weight" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_wrong_architecture_checkpoint_is_data_error(self, tmp_path, scene_dir,
                                                          trained_dir):
         # default config (full desk model) cannot load the small checkpoint
@@ -209,6 +240,24 @@ class TestAblate:
                    "--image", scene_dir / "scene_000.ppm", "--out", infer_out,
                    "--sidecar") == 0
         assert np.array_equal(full, raster.read_prob_sidecar(infer_out / "scene_000_prob.lgprob"))
+
+    @pytest.mark.parametrize("variant", ["local", "global"])
+    def test_single_pathway_model_is_usage_error_before_any_forward(
+            self, tmp_path, scene_dir, monkeypatch, variant, capsys):
+        cfg = parse_config_text(SMALL_CFG.replace("variant = dual", f"variant = {variant}"))
+        (tmp_path / "variant.cfg").write_text(cfg.raw_text)
+        save_checkpoint(tmp_path / "model.ckpt", build_model(*cfg.model_specs(), seed=1).params)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("per-tile inference ran for a single-pathway model")
+
+        monkeypatch.setattr(cli, "_tile_patches", no_forward)
+        out = tmp_path / "ablate"
+        assert run("ablate", "--config", tmp_path / "variant.cfg",
+                   "--model", tmp_path / "model.ckpt",
+                   "--image", scene_dir / "scene_000.ppm", "--out", out) == 1
+        assert "ablate requires a dual-pathway model" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestTreeFit:
@@ -267,18 +316,79 @@ def small_image(seed, height=36, width=40):
     return raster.Raster(width, height, 3, pixels)
 
 
+def ablate_oracle(model, local_patch, global_patch, blank):
+    """The forward pass with each pathway named in `blank` fed a constant
+    image, the per-channel mean of its own input window (the body of the
+    former LgSegModel.ablate)."""
+    if not blank:
+        return model.forward(local_patch, global_patch)
+    if len(model.pathways) != 2:
+        raise ValueError("pathway blanking requires a dual-pathway model")
+    local = model._check_input(local_patch, 64, "local")
+    global_ = model._check_input(global_patch, 256, "global")
+    if "local" in blank:
+        local = np.broadcast_to(local.mean(axis=(1, 2))[:, None, None], local.shape).copy()
+    if "global" in blank:
+        global_ = np.broadcast_to(global_.mean(axis=(1, 2))[:, None, None], global_.shape).copy()
+    return model.forward(local, global_)
+
+
+def scramble_channels(x, seed):
+    """x with the pixels of each channel permuted: channel means kept, content gone."""
+    rng = SplitMix64(seed)
+    out = x.copy()
+    for c in range(out.shape[0]):
+        flat = out[c].reshape(-1)
+        order = list(range(flat.size))
+        rng.shuffle(order)
+        out[c] = flat[order].reshape(out.shape[1:])
+    return out
+
+
 class TestTilePatches:
-    @pytest.mark.parametrize("blank", [Blank.NONE, Blank.LOCAL])
-    def test_one_pass_per_grid_tile_any_thread_count(self, monkeypatch, blank):
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize("blank", [(), ("local",), ("global",)],
+                             ids=["none", "local", "global"])
+    def test_one_pass_per_grid_tile_any_thread_count(self, monkeypatch, blank, threads):
         model = build_model(*parse_config_text(SMALL_CFG).model_specs(), seed=1)
         img = small_image(0)
-        monkeypatch.setenv("LGSEG_THREADS", "3")
+        monkeypatch.setenv("LGSEG_THREADS", threads)
+        calls = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
         centers, patches = _tile_patches(model, img, blank)
         assert centers == grid_centers((36, 40))
+        assert len(calls) == len(centers)
         for center, patch in zip(centers, patches):
-            want = model.ablate(gather_window(img.pixels, center, 64),
-                                gather_window(img.pixels, center, 256), blank)
-            assert np.array_equal(patch, want)
+            want = ablate_oracle(model, gather_window(img.pixels, center, 64),
+                                 gather_window(img.pixels, center, 256), blank)
+            assert patch.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("prefix", ["local", "global"])
+    def test_blanked_window_depends_only_on_channel_means(self, monkeypatch, prefix):
+        # scrambling the pixels of one pathway's windows leaves its blanked
+        # output unchanged, and changes the output when nothing is blanked
+        model = build_model(*parse_config_text(SMALL_CFG).model_specs(), seed=3)
+        img = small_image(4)
+        _, plain = _tile_patches(model, img, ())
+        _, blanked = _tile_patches(model, img, (prefix,))
+        width = model.pathways[prefix].input_width
+        cut = cli.image_window
+        monkeypatch.setattr(cli, "image_window", lambda scene, center, w: (
+            scramble_channels(cut(scene, center, w), seed=center[0] * 1000 + center[1])
+            if w == width else cut(scene, center, w)))
+        _, scrambled_plain = _tile_patches(model, img, ())
+        _, scrambled_blanked = _tile_patches(model, img, (prefix,))
+        for a, b in zip(blanked, scrambled_blanked):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+        assert not all(np.array_equal(a, b) for a, b in zip(plain, scrambled_plain))
+
+    def test_blank_local_and_blank_global_differ(self):
+        model = build_model(*parse_config_text(SMALL_CFG).model_specs(), seed=3)
+        img = small_image(5)
+        _, local_blanked = _tile_patches(model, img, ("local",))
+        _, global_blanked = _tile_patches(model, img, ("global",))
+        assert not all(np.array_equal(a, b) for a, b in zip(local_blanked, global_blanked))
 
     def test_tree_fit_ra_is_per_tile_patch_mean(self, tmp_path, cfg_path, trained_dir,
                                                  monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lgseg.config import (ConfigError, default_config, parse_config,
+from lgseg.config import (_SCHEMA, ConfigError, default_config, parse_config,
                           parse_config_text, parse_layers)
 from lgseg.evaluation import threshold_grid
 from lgseg.network import (FUSION_HIDDEN, GLOBAL_PATHWAY, LOCAL_PATHWAY, ConvSpec,
@@ -83,6 +83,17 @@ class TestParsing:
     def test_type_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="expects a int"):
             parse_config_text("[train]\nepochs = soon\n")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("section, key", [(section, key)
+                                              for section, keys in _SCHEMA.items()
+                                              for key, spec in keys.items()
+                                              if spec[0] == "float"])
+    def test_non_finite_float_rejected_with_line_number(self, section, key, raw):
+        # rejected as it is read, before any validator or library check
+        with pytest.raises(ConfigError,
+                           match=rf"^<config>:3: key '{key}' expects a finite float, got '{raw}'$"):
+            parse_config_text(f"# non-finite\n[{section}]\n{key} = {raw}\n")
 
     def test_bad_line_rejected(self):
         with pytest.raises(ConfigError, match="expected 'key = value'"):

@@ -1,6 +1,8 @@
 """Layer engine tests: hand oracles, finite differences, optimiser recursion,
 and checkpoint round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -537,6 +539,17 @@ class TestCheckpoint:
         p = tmp_path / "model.ckpt"
         engine.save_checkpoint(p, {"fusion.0.weight": np.ones((2, 2)), "fusion.2.bias": bias})
         with pytest.raises(ValueError, match="fusion.2.bias"):
+            engine.load_checkpoint(p)
+
+    def test_repeated_tensor_name_rejected_by_path_and_name(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        engine.save_checkpoint(p, {"local.0.weight": np.ones((2, 3)), "local.0.bias": np.ones(2)})
+        extra = tmp_path / "extra.ckpt"
+        engine.save_checkpoint(extra, {"local.0.weight": np.full((2, 3), 7.0)})
+        # a second copy of the first tensor, appended after the whole file
+        p.write_bytes(p.read_bytes() + extra.read_bytes()[len(engine.CHECKPOINT_MAGIC):])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: tensor local.0.weight "
+                                             "appears more than once$"):
             engine.load_checkpoint(p)
 
     def test_truncated_rejected(self, tmp_path):

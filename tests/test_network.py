@@ -1,4 +1,4 @@
-"""Model assembly, loss, training loop, and ablation tests."""
+"""Model assembly, loss and training loop tests."""
 
 from dataclasses import dataclass
 
@@ -8,7 +8,7 @@ import pytest
 from gradcheck import grad_check
 from test_engine import maxpool_backward_reference
 from lgseg import engine, network
-from lgseg.network import (Blank, ConvSpec, PathwaySpec, PoolSpec, ReluSpec,
+from lgseg.network import (ConvSpec, PathwaySpec, PoolSpec, ReluSpec,
                            TrainConfig, build_model, patch_loss, train)
 from lgseg.rng import SplitMix64
 
@@ -459,47 +459,3 @@ class TestTrain:
         a = network.TrainReport([1.0, 0.5], wall_clock=[0.1, 0.1])
         b = network.TrainReport([1.0, 0.5], wall_clock=[9.9, 9.9])
         assert a == b
-
-
-class TestAblate:
-    def test_none_matches_forward_bitwise(self):
-        model = small_dual(seed=3)
-        t = make_triplet(21)
-        assert np.array_equal(model.ablate(t.local_patch, t.global_patch, Blank.NONE),
-                              model.forward(t.local_patch, t.global_patch))
-
-    def test_both_depends_only_on_channel_means(self):
-        model = small_dual(seed=3)
-        t = make_triplet(22)
-        rng = SplitMix64(1)
-        # scramble pixels within each channel: means unchanged, content gone
-        local2 = t.local_patch.copy()
-        global2 = t.global_patch.copy()
-        for c in range(3):
-            flat = local2[c].reshape(-1)
-            order = list(range(flat.size))
-            rng.shuffle(order)
-            local2[c] = flat[order].reshape(64, 64)
-            flat = global2[c].reshape(-1)
-            order = list(range(flat.size))
-            rng.shuffle(order)
-            global2[c] = flat[order].reshape(256, 256)
-        a = model.ablate(t.local_patch, t.global_patch, Blank.BOTH)
-        b = model.ablate(local2, global2, Blank.BOTH)
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_blank_local_vs_blank_global_differ(self):
-        model = small_dual(seed=3)
-        t = make_triplet(23)
-        a = model.ablate(t.local_patch, t.global_patch, Blank.LOCAL)
-        b = model.ablate(t.local_patch, t.global_patch, Blank.GLOBAL)
-        assert not np.array_equal(a, b)
-
-    def test_blanking_variant_model_rejected(self):
-        model = build_model(LOCAL_SMALL, None, fusion_hidden=(24,), seed=1)
-        t = make_triplet(24)
-        with pytest.raises(ValueError):
-            model.ablate(t.local_patch, t.global_patch, Blank.LOCAL)
-        # NONE mode still works for variants through forward
-        out = model.ablate(t.local_patch, None, Blank.NONE)
-        assert out.shape == (16, 16)

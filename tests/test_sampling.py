@@ -241,6 +241,21 @@ class TestGrid:
         with pytest.raises(ValueError):
             stitch([(8, 8)], [], (16, 16))
 
+    @pytest.mark.parametrize("shape", [(16, 16), (17, 16), (16, 31), (32, 48), (36, 40),
+                                       (40, 56), (63, 17), (184, 160), (200, 512), (512, 512)])
+    def test_tile_index_map_matches_the_per_tile_loop(self, shape):
+        # the loop writes every tile's window in grid order, as stitch does
+        want = np.zeros(shape, dtype=np.int64)
+        for i, (r, c) in enumerate(grid_centers(shape)):
+            want[r - 8:r + 8, c - 8:c + 8] = i
+        got = tile_index_map(shape)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(15, 40), (40, 15), (0, 0)])
+    def test_tile_index_map_rejects_images_below_one_tile(self, shape):
+        with pytest.raises(ValueError, match="smaller than one 16px tile"):
+            tile_index_map(shape)
+
     def test_tile_index_map_matches_stitch(self):
         shape = (40, 40)
         centers = grid_centers(shape)
