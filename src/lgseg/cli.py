@@ -11,7 +11,9 @@ writes the `<command>_run.json` report and maps errors to the exit codes:
 image) and `global_only` (the local pathway is fed its mean instead).
 LGSEG_THREADS caps worker fan-out for per-tile inference in infer, ablate and
 tree-fit (absent means 1, the single-thread default; results are
-byte-identical for any worker count).
+byte-identical for any worker count).  A fixed seed gives byte-identical
+artifacts for one NumPy/OpenBLAS build and BLAS kernel (OPENBLAS_CORETYPE):
+another kernel may round GEMM sums differently and change the floats.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .engine import load_checkpoint, save_checkpoint
 from .network import LgSegModel, build_model, train
 from .raster import DataError
 from .rng import SplitMix64
-from .sampling import (balanced_centers, grid_centers, grid_shape, image_window,
+from .sampling import (balanced_centers, grid_centers, grid_shape, pathway_windows,
                        reflect_pad, sample_triplets, stitch)
 from .synth import synth_scene
 
@@ -83,9 +85,13 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
+def _new_model(cfg: RunConfig) -> LgSegModel:
+    pathways, hidden = cfg.model_specs()
+    return build_model(pathways, hidden, seed=cfg.get("model", "init_seed"))
+
+
 def _load_model(cfg: RunConfig, checkpoint_path) -> LgSegModel:
-    local_spec, global_spec, hidden = cfg.model_specs()
-    model = build_model(local_spec, global_spec, hidden, seed=cfg.get("model", "init_seed"))
+    model = _new_model(cfg)
     tensors = load_checkpoint(checkpoint_path)
     try:
         model.load_params(tensors)
@@ -122,13 +128,11 @@ def _tile_patches(model: LgSegModel, img: raster.Raster, blank: tuple = ()):
     scene = reflect_pad(img.pixels)
 
     def predict(center):
-        patches = {}
-        for prefix, spec in model.pathways.items():
-            x = image_window(scene, center, spec.input_width)
-            if prefix in blank:
-                x = np.broadcast_to(x.mean(axis=(1, 2))[:, None, None], x.shape).copy()
-            patches[f"{prefix}_patch"] = x
-        return model.forward(**patches)
+        windows = pathway_windows(scene, center, model.pathways)
+        for prefix in blank:
+            x = windows[prefix]
+            windows[prefix] = np.broadcast_to(x.mean(axis=(1, 2))[:, None, None], x.shape).copy()
+        return model.forward(windows)
 
     return centers, _parallel_map(predict, centers)
 
@@ -183,8 +187,7 @@ def _cmd_train(args, cfg: RunConfig, out: Path):
             centers = balanced_centers(labels, per_scene, positive_fraction, sampler.split())
         triplets += sample_triplets(img, labels, centers)
 
-    local_spec, global_spec, hidden = cfg.model_specs()
-    model = build_model(local_spec, global_spec, hidden, seed=cfg.get("model", "init_seed"))
+    model = _new_model(cfg)
     t0 = time.perf_counter()
     report = train(model, triplets, cfg.train_config(epochs=args.epochs))
     print(f"trained {len(report.epoch_losses)} epochs on {len(triplets)} triplets "

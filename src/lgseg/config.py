@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .evaluation import threshold_grid
-from .network import (FUSION_HIDDEN, GLOBAL_LAYERS, GLOBAL_PATHWAY, LOCAL_LAYERS, LOCAL_PATHWAY,
-                      PathwaySpec, TrainConfig, parse_layers)
+from .network import (FUSION_HIDDEN, GLOBAL_LAYERS, GLOBAL_PATHWAY, INPUT_WIDTHS, LOCAL_LAYERS,
+                      LOCAL_PATHWAY, PathwaySpec, TrainConfig, parse_layers)
 from .synth import SceneSpec
 
 
@@ -143,19 +143,17 @@ class RunConfig:
     # -- derived objects -----------------------------------------------------
 
     def model_specs(self):
-        """(local PathwaySpec | None, global PathwaySpec | None, fusion widths);
-        a value the network rejects is a ConfigError naming the file and key."""
+        """({prefix: PathwaySpec} of the variant's pathways, fusion widths); a
+        value the network rejects is a ConfigError naming the file and key."""
         model, key = self.values["model"], None
         try:
-            pathways = []
-            for prefix, default in (("local", LOCAL_PATHWAY), ("global", GLOBAL_PATHWAY)):
+            pathways = {}
+            for prefix, width in INPUT_WIDTHS.items():
                 key = f"{prefix}_layers"
-                spec = None
                 if model["variant"] in ("dual", prefix):
-                    spec = PathwaySpec(parse_layers(model[key]), model[f"{prefix}_embed"],
-                                       default.input_width)
+                    spec = PathwaySpec(parse_layers(model[key]), model[f"{prefix}_embed"], width)
                     spec.flat_size()  # raises if a layer leaves an empty map
-                pathways.append(spec)
+                    pathways[prefix] = spec
             key = "fusion_hidden"
             hidden = tuple(int(v) for v in model[key].split(",")) \
                 if model[key].strip() else FUSION_HIDDEN
@@ -163,7 +161,7 @@ class RunConfig:
                 raise ValueError("widths must be positive")
         except ValueError as exc:
             raise ConfigError(f"{self.origin}: [model] {key}: {exc}") from None
-        return pathways[0], pathways[1], hidden
+        return pathways, hidden
 
     def train_config(self, epochs: int | None = None) -> TrainConfig:
         stop = self.get("train", "stop_loss")

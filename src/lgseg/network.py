@@ -8,6 +8,12 @@ ending in 256 sigmoid units, reshaped to the 16x16 per-pixel probability
 patch centred at the same location.  Either pathway may be omitted to get the
 local-only or global-only variant.
 
+A model's pathways are a {prefix: PathwaySpec} dict whose keys are "local",
+"global" or both in that order (the embedding concatenation and checkpoint
+tensor order); the one thing that differs between them at the input is the
+window width, INPUT_WIDTHS[prefix].  forward and forward_with_caches take the
+matching {prefix: window} dict of (3, width, width) arrays, one per pathway.
+
 The default stacks are written once, in the layer DSL that configs use
 (`parse_layers`): LOCAL_LAYERS and GLOBAL_LAYERS parse to LOCAL_PATHWAY and
 GLOBAL_PATHWAY.
@@ -40,6 +46,8 @@ TARGET_WIDTH = 16
 LOCAL_WIDTH = 64
 GLOBAL_WIDTH = 256
 OUTPUT_PIXELS = TARGET_WIDTH * TARGET_WIDTH
+# the window width of each pathway; this order is the embedding concatenation order
+INPUT_WIDTHS = {"local": LOCAL_WIDTH, "global": GLOBAL_WIDTH}
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +157,7 @@ LOCAL_LAYERS = ("conv3x16, relu, conv3x16, relu, pool2, "
 GLOBAL_LAYERS = "conv7x16s2, relu, pool2, conv5x32, relu, pool2, conv3x32, relu, pool4"
 LOCAL_PATHWAY = PathwaySpec(parse_layers(LOCAL_LAYERS), input_width=LOCAL_WIDTH)
 GLOBAL_PATHWAY = PathwaySpec(parse_layers(GLOBAL_LAYERS), input_width=GLOBAL_WIDTH)
+DUAL_PATHWAYS = {"local": LOCAL_PATHWAY, "global": GLOBAL_PATHWAY}
 FUSION_HIDDEN = (512, 512)
 
 
@@ -182,21 +191,17 @@ def _fusion_ops(hidden: tuple) -> list:
 class LgSegModel:
     """Parameters plus topology; built via build_model()."""
 
-    def __init__(self, local_spec: PathwaySpec | None, global_spec: PathwaySpec | None,
-                 fusion_hidden: tuple, params: dict):
-        if local_spec is None and global_spec is None:
-            raise ValueError("at least one pathway is required")
-        if local_spec is not None and local_spec.input_width != LOCAL_WIDTH:
-            raise ValueError(f"local pathway input width must be {LOCAL_WIDTH}")
-        if global_spec is not None and global_spec.input_width != GLOBAL_WIDTH:
-            raise ValueError(f"global pathway input width must be {GLOBAL_WIDTH}")
-        self.local_spec = local_spec
-        self.global_spec = global_spec
+    def __init__(self, pathways: dict, fusion_hidden: tuple, params: dict):
+        prefixes = list(pathways)
+        if not prefixes or prefixes != [p for p in INPUT_WIDTHS if p in pathways]:
+            raise ValueError(f"pathways must be one or both of {list(INPUT_WIDTHS)} in that "
+                             f"order, got {prefixes}")
+        for prefix, spec in pathways.items():
+            if spec.input_width != INPUT_WIDTHS[prefix]:
+                raise ValueError(f"{prefix} pathway input width must be {INPUT_WIDTHS[prefix]}")
+        self.pathways = dict(pathways)  # in embedding-concatenation order
         self.fusion_hidden = tuple(fusion_hidden)
         self.params = params
-        # present pathways in embedding-concatenation order, and the op lists
-        self.pathways = {prefix: spec for prefix, spec in
-                         (("local", local_spec), ("global", global_spec)) if spec is not None}
         self.ops = {prefix: _pathway_ops(prefix, spec) for prefix, spec in self.pathways.items()}
         self.ops["fusion"] = _fusion_ops(self.fusion_hidden)
 
@@ -279,29 +284,25 @@ class LgSegModel:
                 grads[f"{name}.bias"] += gb
         return grad if input_grad else None
 
-    def _forward(self, local_patch, global_patch, tape: list | None):
-        embeds = []
-        for prefix, patch in (("local", local_patch), ("global", global_patch)):
-            spec = self.pathways.get(prefix)
-            if spec is None:
-                if patch is not None:
-                    raise ValueError(f"model has no {prefix} pathway but {prefix}_patch was given")
-                continue
-            if patch is None:
-                raise ValueError(f"model has a {prefix} pathway: {prefix}_patch is required")
-            x = self._check_input(patch, spec.input_width, prefix)
-            embeds.append(self._run(self.ops[prefix], x, tape))
+    def _forward(self, windows: dict, tape: list | None):
+        if windows.keys() != self.pathways.keys():
+            raise ValueError(f"windows {list(windows)} do not match the model's pathways "
+                             f"{list(self.pathways)}")
+        embeds = [self._run(self.ops[prefix],
+                            self._check_input(windows[prefix], spec.input_width, prefix), tape)
+                  for prefix, spec in self.pathways.items()]
         probs = self._run(self.ops["fusion"], np.concatenate(embeds), tape)
         return probs.reshape(TARGET_WIDTH, TARGET_WIDTH)
 
-    def forward(self, local_patch=None, global_patch=None) -> np.ndarray:
-        """16x16 patch of probabilities in (0, 1) for inputs scaled to [0, 1]."""
-        return self._forward(local_patch, global_patch, None)
+    def forward(self, windows: dict) -> np.ndarray:
+        """16x16 patch of probabilities in (0, 1) for {prefix: window} inputs
+        scaled to [0, 1], one window per pathway."""
+        return self._forward(windows, None)
 
-    def forward_with_caches(self, local_patch=None, global_patch=None):
+    def forward_with_caches(self, windows: dict):
         """Probabilities plus the tape that backward() consumes."""
         tape: list = []
-        probs = self._forward(local_patch, global_patch, tape)
+        probs = self._forward(windows, tape)
         return probs, tape
 
     def backward(self, caches: list, grad_probs, out: dict | None = None) -> dict:
@@ -309,7 +310,7 @@ class LgSegModel:
 
         With `out` given, they are accumulated into it in place (used for
         mini-batch summation).  The gradient with respect to the input
-        patches is never computed: training does not read it.
+        windows is never computed: training does not read it.
         """
         grads = self.zero_grads() if out is None else out
         tape = list(caches)
@@ -324,13 +325,11 @@ class LgSegModel:
         return {name: np.zeros_like(arr) for name, arr in self.params.items()}
 
 
-def build_model(local_spec: PathwaySpec | None = LOCAL_PATHWAY,
-                global_spec: PathwaySpec | None = GLOBAL_PATHWAY,
-                fusion_hidden: tuple = FUSION_HIDDEN,
+def build_model(pathways: dict = DUAL_PATHWAYS, fusion_hidden: tuple = FUSION_HIDDEN,
                 seed: int = 0) -> LgSegModel:
     """Xavier-initialise all parameters from the seed (one RNG split per tensor,
     in op-list order, so the same seed always gives the same checkpoint)."""
-    model = LgSegModel(local_spec, global_spec, fusion_hidden, {})
+    model = LgSegModel(pathways, fusion_hidden, {})
     rng = SplitMix64(seed)
     # (op list, input channels, flattened input width) of each op list
     inputs = [(prefix, 3, spec.flat_size())
@@ -421,9 +420,10 @@ class TrainReport:
 def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
     """SGD over shuffled mini-batches of patch triplets.
 
-    Every triplet needs .local_patch / .global_patch / .target attributes
-    (absent-pathway inputs are ignored).  Gradients within a batch are summed
-    (or averaged per config.reduction) and applied in one optimiser step.
+    Every triplet needs a .target and a .windows(pathways) method that returns
+    the {prefix: window} input for the given pathways, here model.pathways.
+    Gradients within a batch are summed (or averaged per config.reduction)
+    and applied in one optimiser step.
     """
     items = list(triplets)
     if not items:
@@ -432,9 +432,6 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
     rng = SplitMix64(config.seed)
     losses: list = []
     walls: list = []
-
-    use_local = model.local_spec is not None
-    use_global = model.global_spec is not None
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -447,9 +444,7 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
             batch_loss = 0.0
             for i in batch:
                 t = items[i]
-                probs, caches = model.forward_with_caches(
-                    t.local_patch if use_local else None,
-                    t.global_patch if use_global else None)
+                probs, caches = model.forward_with_caches(t.windows(model.pathways))
                 loss, dprobs = patch_loss(probs, t.target, config.clamp_eps)
                 batch_loss += loss
                 model.backward(caches, dprobs, out=grads)

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 from scipy import ndimage
 
-from .network import GLOBAL_WIDTH, LOCAL_WIDTH, TARGET_WIDTH
+from .network import GLOBAL_WIDTH, TARGET_WIDTH
 from .raster import LabelMap, Raster
 from .rng import SplitMix64
 
@@ -26,12 +26,13 @@ _MARGIN = GLOBAL_WIDTH // 2
 
 
 class PatchTriplet:
-    """Co-centred (local image, global image, target label) windows.
+    """Co-centred image windows and target label.
 
-    local_patch and global_patch are float64 (3, w, w) tensors scaled to
-    [0, 1]; the target is a (16, 16) uint8 patch of raw labels.  The image
-    windows are sliced on access from the reflect-padded scene that all
-    triplets of an image share, so thousands of triplets fit in memory.
+    windows(pathways) gives the {prefix: window} input of those pathways, each
+    a float64 (3, w, w) tensor scaled to [0, 1]; the target is a (16, 16) uint8
+    patch of raw labels.  The image windows are sliced on access from the
+    reflect-padded scene that all triplets of an image share, so thousands of
+    triplets fit in memory.
     """
 
     __slots__ = ("center", "scene", "target")
@@ -41,13 +42,8 @@ class PatchTriplet:
         self.scene = scene
         self.target = target
 
-    @property
-    def local_patch(self) -> np.ndarray:
-        return image_window(self.scene, self.center, LOCAL_WIDTH)
-
-    @property
-    def global_patch(self) -> np.ndarray:
-        return image_window(self.scene, self.center, GLOBAL_WIDTH)
+    def windows(self, pathways: dict) -> dict:
+        return pathway_windows(self.scene, self.center, pathways)
 
 
 class ResidentialClass(Enum):
@@ -86,6 +82,12 @@ def image_window(scene: np.ndarray, center: tuple, width: int) -> np.ndarray:
     r0 = center[0] - width // 2 + _MARGIN
     c0 = center[1] - width // 2 + _MARGIN
     return scene[:, r0:r0 + width, c0:c0 + width] / 255.0
+
+
+def pathway_windows(scene: np.ndarray, center: tuple, pathways: dict) -> dict:
+    """{prefix: the image_window of that pathway's input width} at one centre."""
+    return {prefix: image_window(scene, center, spec.input_width)
+            for prefix, spec in pathways.items()}
 
 
 def make_triplet(scene: np.ndarray, labels: LabelMap, center: tuple) -> PatchTriplet:

@@ -8,7 +8,7 @@ hallucinations.  Fitting initialises each threshold at its classifier's own
 max-F point, then cycles coordinate ascent over a fixed grid until the mean
 relaxed F stops improving.  Every F comes from `evaluation.relaxed_counts`,
 one call per image and sweep, on the score map `_leaf_scores` builds for the
-swept coordinate; `tree_segment` is the same rule at the current thresholds.
+swept coordinate.
 
 At desk scale the RA score of a tile is the mean of a trained model's 16x16
 output patch there, taken from the same per-tile inference loop that `lgseg
@@ -90,12 +90,6 @@ def _leaf_scores(prob, ra_pixels, th: TreeThresholds, coord: str) -> tuple:
         sign, fixed, swept = 1.0, (th.t3 if coord == "t2" else th.t2), prob
         decides = (ra_pixels >= th.t1) == (coord == "t2")
     return np.where(decides, swept, np.where(prob >= fixed, np.inf, -np.inf)), sign
-
-
-def tree_segment(inp: TreeInput, th: TreeThresholds) -> np.ndarray:
-    """Binarise the probability map with the per-pixel threshold the tree picks."""
-    scores, sign = _leaf_scores(inp.prob_map, inp.ra_pixels, th, "t1")
-    return (scores >= sign * th.t1).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

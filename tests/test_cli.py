@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from lgseg import cli, raster, tree
+from lgseg import cli, raster, sampling, tree
 from lgseg.cli import _load_model, _tile_patches, dispatch
 from lgseg.config import parse_config_text
 from lgseg.counting import write_boxes_csv, DetectionBox
@@ -316,21 +316,21 @@ def small_image(seed, height=36, width=40):
     return raster.Raster(width, height, 3, pixels)
 
 
-def ablate_oracle(model, local_patch, global_patch, blank):
+def ablate_oracle(model, windows, blank):
     """The forward pass with each pathway named in `blank` fed a constant
     image, the per-channel mean of its own input window (the body of the
     former LgSegModel.ablate)."""
     if not blank:
-        return model.forward(local_patch, global_patch)
+        return model.forward(windows)
     if len(model.pathways) != 2:
         raise ValueError("pathway blanking requires a dual-pathway model")
-    local = model._check_input(local_patch, 64, "local")
-    global_ = model._check_input(global_patch, 256, "global")
+    local = model._check_input(windows["local"], 64, "local")
+    global_ = model._check_input(windows["global"], 256, "global")
     if "local" in blank:
         local = np.broadcast_to(local.mean(axis=(1, 2))[:, None, None], local.shape).copy()
     if "global" in blank:
         global_ = np.broadcast_to(global_.mean(axis=(1, 2))[:, None, None], global_.shape).copy()
-    return model.forward(local, global_)
+    return model.forward({"local": local, "global": global_})
 
 
 def scramble_channels(x, seed):
@@ -360,8 +360,9 @@ class TestTilePatches:
         assert centers == grid_centers((36, 40))
         assert len(calls) == len(centers)
         for center, patch in zip(centers, patches):
-            want = ablate_oracle(model, gather_window(img.pixels, center, 64),
-                                 gather_window(img.pixels, center, 256), blank)
+            want = ablate_oracle(model, {"local": gather_window(img.pixels, center, 64),
+                                         "global": gather_window(img.pixels, center, 256)},
+                                 blank)
             assert patch.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("prefix", ["local", "global"])
@@ -373,8 +374,8 @@ class TestTilePatches:
         _, plain = _tile_patches(model, img, ())
         _, blanked = _tile_patches(model, img, (prefix,))
         width = model.pathways[prefix].input_width
-        cut = cli.image_window
-        monkeypatch.setattr(cli, "image_window", lambda scene, center, w: (
+        cut = sampling.image_window
+        monkeypatch.setattr(sampling, "image_window", lambda scene, center, w: (
             scramble_channels(cut(scene, center, w), seed=center[0] * 1000 + center[1])
             if w == width else cut(scene, center, w)))
         _, scrambled_plain = _tile_patches(model, img, ())

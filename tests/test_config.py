@@ -27,14 +27,16 @@ class TestDefaults:
         assert cfg.raw_text == ""
 
     def test_default_model_specs_compose(self):
-        local, global_, hidden = default_config().model_specs()
-        assert local.flat_size() == 64 * 8 * 8
-        assert global_.flat_size() == 32 * 8 * 8
+        pathways, hidden = default_config().model_specs()
+        assert list(pathways) == ["local", "global"]
+        assert pathways["local"].flat_size() == 64 * 8 * 8
+        assert pathways["global"].flat_size() == 32 * 8 * 8
         assert hidden == (512, 512)
 
     def test_defaults_build_the_library_default_model_and_scene(self):
         cfg = default_config()
-        assert cfg.model_specs() == (LOCAL_PATHWAY, GLOBAL_PATHWAY, FUSION_HIDDEN)
+        assert cfg.model_specs() == ({"local": LOCAL_PATHWAY, "global": GLOBAL_PATHWAY},
+                                     FUSION_HIDDEN)
         for seed in (0, 7, 2**64 - 1):
             assert cfg.scene_spec(seed=seed) == SceneSpec(seed=seed)
 
@@ -157,15 +159,13 @@ class TestLayerDsl:
 
     def test_variant_specs(self):
         cfg = parse_config_text("[model]\nvariant = local\n")
-        local, global_, _ = cfg.model_specs()
-        assert local is not None and global_ is None
+        assert cfg.model_specs()[0] == {"local": LOCAL_PATHWAY}
         cfg = parse_config_text("[model]\nvariant = global\n")
-        local, global_, _ = cfg.model_specs()
-        assert local is None and global_ is not None
+        assert cfg.model_specs()[0] == {"global": GLOBAL_PATHWAY}
 
     def test_custom_fusion_hidden(self):
         cfg = parse_config_text("[model]\nfusion_hidden = 64, 32\n")
-        assert cfg.model_specs()[2] == (64, 32)
+        assert cfg.model_specs()[1] == (64, 32)
 
     def test_blank_fusion_hidden_is_the_default(self):
-        assert parse_config_text("[model]\nfusion_hidden =  \n").model_specs()[2] == (512, 512)
+        assert parse_config_text("[model]\nfusion_hidden =  \n").model_specs()[1] == (512, 512)

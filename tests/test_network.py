@@ -23,9 +23,15 @@ GLOBAL_SMALL = PathwaySpec(
 
 @dataclass
 class Triplet:
-    local_patch: np.ndarray
-    global_patch: np.ndarray
+    """Free-standing windows with the windows(pathways) of sampling.PatchTriplet."""
+
+    local: np.ndarray
+    global_: np.ndarray
     target: np.ndarray
+
+    def windows(self, pathways):
+        both = {"local": self.local, "global": self.global_}
+        return {prefix: both[prefix] for prefix in pathways}
 
 
 def make_triplet(seed, positive=True):
@@ -40,7 +46,12 @@ def make_triplet(seed, positive=True):
 
 
 def small_dual(seed=0):
-    return build_model(LOCAL_SMALL, GLOBAL_SMALL, fusion_hidden=(24,), seed=seed)
+    return build_model({"local": LOCAL_SMALL, "global": GLOBAL_SMALL}, fusion_hidden=(24,),
+                       seed=seed)
+
+
+def local_only(seed):
+    return build_model({"local": LOCAL_SMALL}, fusion_hidden=(24,), seed=seed)
 
 
 class TestBuildModel:
@@ -50,20 +61,49 @@ class TestBuildModel:
         assert model.params["fusion.0.weight"].shape == (512, 512)
         assert model.params["fusion.2.weight"].shape == (256, 512)
 
-    def test_local_only_accepts_only_local(self):
-        model = build_model(LOCAL_SMALL, None, fusion_hidden=(24,), seed=2)
+    @pytest.mark.parametrize("case", ["missing", "extra", "wrong_shape"])
+    @pytest.mark.parametrize("variant", ["local_only", "global_only", "dual"])
+    def test_forward_rejects_windows_that_do_not_match_the_pathways(self, variant, case):
+        pathways = {"local_only": {"local": LOCAL_SMALL}, "global_only": {"global": GLOBAL_SMALL},
+                    "dual": {"local": LOCAL_SMALL, "global": GLOBAL_SMALL}}[variant]
+        model = build_model(pathways, fusion_hidden=(24,), seed=2)
         t = make_triplet(0)
-        out = model.forward(local_patch=t.local_patch)
-        assert out.shape == (16, 16)
-        with pytest.raises(ValueError):
-            model.forward(local_patch=t.local_patch, global_patch=t.global_patch)
-        with pytest.raises(ValueError):
-            model.forward(global_patch=t.global_patch)
+        windows = t.windows(model.pathways)
+        assert model.forward(windows).shape == (16, 16)
+        assert model.forward_with_caches(windows)[0].shape == (16, 16)
+        prefixes = list(model.pathways)
+        if case == "missing":
+            bad, match = {k: v for k, v in windows.items() if k != prefixes[-1]}, "do not match"
+        elif case == "extra":  # the absent pathway's window, or an unknown prefix
+            extra = {"local_only": "global", "global_only": "local", "dual": "context"}[variant]
+            bad = {**windows, extra: {"global": t.global_}.get(extra, t.local)}
+            match = "do not match"
+        else:
+            bad = {**windows, prefixes[0]: np.zeros((3, 32, 32))}
+            match = rf"{prefixes[0]} input must have shape \(3, \d+, \d+\), got \(3, 32, 32\)"
+        for call in (model.forward, model.forward_with_caches):
+            with pytest.raises(ValueError, match=match) as exc:
+                call(bad)
+            if case != "wrong_shape":  # both key lists are named
+                assert str(list(bad)) in str(exc.value)
+                assert str(prefixes) in str(exc.value)
+
+    @pytest.mark.parametrize("pathways", [
+        {"global": GLOBAL_SMALL, "local": LOCAL_SMALL},
+        {"context": LOCAL_SMALL},
+        {"local": LOCAL_SMALL, "context": GLOBAL_SMALL},
+        {"local": LOCAL_SMALL, "global": GLOBAL_SMALL, "context": GLOBAL_SMALL},
+    ], ids=["wrong_order", "unknown", "local_and_unknown", "dual_and_unknown"])
+    def test_pathway_keys_must_be_local_global_in_order(self, pathways):
+        with pytest.raises(ValueError, match="one or both of \\['local', 'global'\\] in that order"):
+            build_model(pathways, fusion_hidden=(24,))
+        with pytest.raises(ValueError, match="in that order"):
+            network.LgSegModel(pathways, (24,), {})
 
     def test_global_only_variant(self):
-        model = build_model(None, GLOBAL_SMALL, fusion_hidden=(24,), seed=3)
+        model = build_model({"global": GLOBAL_SMALL}, fusion_hidden=(24,), seed=3)
         t = make_triplet(1)
-        assert model.forward(global_patch=t.global_patch).shape == (16, 16)
+        assert model.forward({"global": t.global_}).shape == (16, 16)
 
     def test_same_seed_identical_checkpoints(self, tmp_path):
         a, b = small_dual(seed=9), small_dual(seed=9)
@@ -74,18 +114,20 @@ class TestBuildModel:
 
     def test_no_pathways_rejected(self):
         with pytest.raises(ValueError):
-            build_model(None, None)
+            build_model({})
 
     def test_wrong_input_width_rejected(self):
         bad = PathwaySpec(layers=(ConvSpec(4, 3), ReluSpec(), PoolSpec(2)),
                           embed_width=8, input_width=32)
         with pytest.raises(ValueError):
-            build_model(bad, None)
+            build_model({"local": bad})
+        with pytest.raises(ValueError):
+            build_model({"global": bad})
 
     def test_degenerate_spec_rejected(self):
         bad = PathwaySpec(layers=(PoolSpec(128),), embed_width=8, input_width=64)
         with pytest.raises(ValueError):
-            build_model(None, None) if False else bad.shape_trace() and None
+            bad.shape_trace()
         with pytest.raises(ValueError):
             PathwaySpec(layers=(PoolSpec(2), PoolSpec(2), PoolSpec(2), PoolSpec(2),
                                 PoolSpec(2), PoolSpec(2), PoolSpec(2)),
@@ -96,7 +138,7 @@ class TestForward:
     def test_output_shape_and_open_range(self):
         model = small_dual()
         t = make_triplet(2)
-        out = model.forward(t.local_patch, t.global_patch)
+        out = model.forward(t.windows(model.pathways))
         assert out.shape == (16, 16)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
@@ -106,27 +148,27 @@ class TestForward:
         model.params[f"fusion.{last}.weight"][:] = 0.0
         model.params[f"fusion.{last}.bias"][:] = 0.0
         t = make_triplet(3)
-        out = model.forward(t.local_patch, t.global_patch)
+        out = model.forward(t.windows(model.pathways))
         assert np.all(out == 0.5)
 
     def test_global_input_perturbation_changes_output(self):
         model = small_dual()
         t = make_triplet(4)
-        base = model.forward(t.local_patch, t.global_patch)
-        shifted = model.forward(t.local_patch, np.clip(t.global_patch + 0.2, 0, 1))
+        base = model.forward({"local": t.local, "global": t.global_})
+        shifted = model.forward({"local": t.local, "global": np.clip(t.global_ + 0.2, 0, 1)})
         assert not np.array_equal(base, shifted)
 
     def test_forward_deterministic(self):
         model = small_dual()
         t = make_triplet(5)
-        a = model.forward(t.local_patch, t.global_patch)
-        b = model.forward(t.local_patch, t.global_patch)
+        a = model.forward(t.windows(model.pathways))
+        b = model.forward(t.windows(model.pathways))
         assert np.array_equal(a, b)
 
     def test_bad_extents_rejected(self):
         model = small_dual()
         with pytest.raises(ValueError):
-            model.forward(np.zeros((3, 32, 32)), np.zeros((3, 256, 256)))
+            model.forward({"local": np.zeros((3, 32, 32)), "global": np.zeros((3, 256, 256))})
 
 
 class TestPatchLoss:
@@ -175,14 +217,13 @@ class TestFullModelGradients:
     def test_finite_difference_agreement(self):
         model = small_dual(seed=7)
         t = make_triplet(11)
-        local = t.local_patch.copy()
-        global_ = t.global_patch.copy()
+        windows = {"local": t.local.copy(), "global": t.global_.copy()}
 
         def loss_fn():
-            probs = model.forward(local, global_)
+            probs = model.forward(windows)
             return patch_loss(probs, t.target)[0]
 
-        probs, caches = model.forward_with_caches(local, global_)
+        probs, caches = model.forward_with_caches(windows)
         _, dprobs = patch_loss(probs, t.target)
         grads = model.backward(caches, dprobs)
 
@@ -253,18 +294,21 @@ def _oracle_pathway_backward(model, prefix, spec, caches, grad, grads):
     return grad
 
 
-def oracle_forward(model, local_patch, global_patch):
+def oracle_forward(model, windows):
+    # local before global, spelled out: the concatenation order is checked
+    # independently of the model's pathway loop
+    local_spec, global_spec = model.pathways.get("local"), model.pathways.get("global")
     caches = {}
     embeds = []
-    if model.local_spec is not None:
+    if local_spec is not None:
         caches["local"] = []
-        embeds.append(_oracle_pathway_forward(model, "local", model.local_spec,
-                                              np.asarray(local_patch, dtype=np.float64),
+        embeds.append(_oracle_pathway_forward(model, "local", local_spec,
+                                              np.asarray(windows["local"], dtype=np.float64),
                                               caches["local"]))
-    if model.global_spec is not None:
+    if global_spec is not None:
         caches["global"] = []
-        embeds.append(_oracle_pathway_forward(model, "global", model.global_spec,
-                                              np.asarray(global_patch, dtype=np.float64),
+        embeds.append(_oracle_pathway_forward(model, "global", global_spec,
+                                              np.asarray(windows["global"], dtype=np.float64),
                                               caches["global"]))
     z = np.concatenate(embeds)
     n_fusion = len(model.fusion_hidden) + 1
@@ -297,16 +341,17 @@ def oracle_backward(model, caches, grad_probs):
         grads[f"fusion.{i}.weight"] += gw
         grads[f"fusion.{i}.bias"] += gb
 
+    local_spec, global_spec = model.pathways.get("local"), model.pathways.get("global")
     grad_local = grad_global = None
     offset = 0
-    if model.local_spec is not None:
-        width = model.local_spec.embed_width
-        grad_local = _oracle_pathway_backward(model, "local", model.local_spec, caches["local"],
+    if local_spec is not None:
+        width = local_spec.embed_width
+        grad_local = _oracle_pathway_backward(model, "local", local_spec, caches["local"],
                                               grad[offset:offset + width], grads)
         offset += width
-    if model.global_spec is not None:
-        width = model.global_spec.embed_width
-        grad_global = _oracle_pathway_backward(model, "global", model.global_spec,
+    if global_spec is not None:
+        width = global_spec.embed_width
+        grad_global = _oracle_pathway_backward(model, "global", global_spec,
                                                caches["global"], grad[offset:offset + width],
                                                grads)
     return grads, grad_local, grad_global
@@ -320,9 +365,10 @@ LOCAL_CUSTOM = PathwaySpec(
 
 ORACLE_MODELS = {
     "dual": lambda: small_dual(seed=5),
-    "local_only": lambda: build_model(LOCAL_SMALL, None, fusion_hidden=(24,), seed=6),
-    "global_only": lambda: build_model(None, GLOBAL_SMALL, fusion_hidden=(64,), seed=7),
-    "custom": lambda: build_model(LOCAL_CUSTOM, GLOBAL_SMALL, fusion_hidden=(24, 12), seed=8),
+    "local_only": lambda: local_only(seed=6),
+    "global_only": lambda: build_model({"global": GLOBAL_SMALL}, fusion_hidden=(64,), seed=7),
+    "custom": lambda: build_model({"local": LOCAL_CUSTOM, "global": GLOBAL_SMALL},
+                                  fusion_hidden=(24, 12), seed=8),
     "default": lambda: build_model(seed=9),
 }
 
@@ -332,13 +378,12 @@ class TestOpListMatchesOracle:
     def test_forward_and_gradients_bitwise(self, variant):
         model = ORACLE_MODELS[variant]()
         t = make_triplet(31)
-        local = t.local_patch if model.local_spec is not None else None
-        global_ = t.global_patch if model.global_spec is not None else None
+        windows = t.windows(model.pathways)
 
-        probs, caches = model.forward_with_caches(local, global_)
-        want_probs, want_caches = oracle_forward(model, local, global_)
+        probs, caches = model.forward_with_caches(windows)
+        want_probs, want_caches = oracle_forward(model, windows)
         assert np.array_equal(probs, want_probs)
-        assert np.array_equal(model.forward(local, global_), want_probs)
+        assert np.array_equal(model.forward(windows), want_probs)
 
         _, dprobs = patch_loss(probs, t.target)
         grads = model.backward(caches, dprobs)
@@ -352,9 +397,7 @@ class TestOpListMatchesOracle:
         # "custom" has overlapping 3/2 pools, the other variants only k/k ones
         model = ORACLE_MODELS[variant]()
         t = make_triplet(33)
-        local = t.local_patch if model.local_spec is not None else None
-        global_ = t.global_patch if model.global_spec is not None else None
-        probs, caches = model.forward_with_caches(local, global_)
+        probs, caches = model.forward_with_caches(t.windows(model.pathways))
         _, dprobs = patch_loss(probs, t.target)
         grads = model.backward(caches, dprobs)
         monkeypatch.setattr(engine, "maxpool2d_backward", maxpool_backward_reference)
@@ -366,7 +409,7 @@ class TestOpListMatchesOracle:
     def test_backward_leaves_caches_reusable(self):
         model = small_dual(seed=5)
         t = make_triplet(32)
-        probs, caches = model.forward_with_caches(t.local_patch, t.global_patch)
+        probs, caches = model.forward_with_caches(t.windows(model.pathways))
         _, dprobs = patch_loss(probs, t.target)
         first = model.backward(caches, dprobs)
         second = model.backward(caches, dprobs)
@@ -379,10 +422,26 @@ class TestTrain:
         model = small_dual(seed=1)
         before = {k: v.copy() for k, v in model.params.items()}
         data = [make_triplet(s) for s in range(4)]
-        report = train(model, data, TrainConfig(learning_rate=0.0, epochs=3, batch_size=2))
+        cfg = TrainConfig(learning_rate=0.0, epochs=3, batch_size=2)
+        losses = [patch_loss(model.forward(t.windows(model.pathways)), t.target,
+                             cfg.clamp_eps)[0] for t in data]
+        report = train(model, data, cfg)
         for name in before:
             assert np.array_equal(before[name], model.params[name])
-        assert len(set(report.epoch_losses)) == 1
+        # every epoch adds the same per-sample losses, but in its own shuffle
+        # order and batch grouping, so the float sums may differ by epoch
+        shuffler, want = SplitMix64(cfg.seed), []
+        for _ in range(cfg.epochs):
+            order = list(range(len(data)))
+            shuffler.shuffle(order)
+            total = 0.0
+            for start in range(0, len(order), cfg.batch_size):
+                batch_loss = 0.0
+                for i in order[start:start + cfg.batch_size]:
+                    batch_loss += losses[i]
+                total += batch_loss
+            want.append(total / (len(data) * network.OUTPUT_PIXELS))
+        assert report.epoch_losses == want
 
     def test_identical_runs_identical_reports_and_params(self):
         data = [make_triplet(s) for s in range(6)]
@@ -396,7 +455,7 @@ class TestTrain:
 
     def test_memorizes_tiny_set(self):
         # bright inputs -> all-ones target, dark inputs -> all-zeros
-        model = build_model(LOCAL_SMALL, None, fusion_hidden=(24,), seed=4)
+        model = local_only(seed=4)
         rng = SplitMix64(0)
         data = []
         for s in range(4):
@@ -409,8 +468,8 @@ class TestTrain:
         assert report.epoch_losses[-1] < 0.05 * report.epoch_losses[0]
 
     def test_stop_loss_short_circuits(self):
-        model = build_model(LOCAL_SMALL, None, fusion_hidden=(24,), seed=4)
-        data = [Triplet(make_triplet(0).local_patch, None, np.zeros((16, 16), np.uint8))]
+        model = local_only(seed=4)
+        data = [Triplet(make_triplet(0).local, None, np.zeros((16, 16), np.uint8))]
         cfg = TrainConfig(epochs=200, batch_size=1, learning_rate=5e-3, stop_loss=0.2, seed=0)
         report = train(model, data, cfg)
         assert len(report.epoch_losses) < 200
@@ -440,7 +499,7 @@ class TestTrain:
             batch = batches[len(applied)]
             summed = model.zero_grads()  # at the parameters the step is about to update
             for i in batch:
-                probs, caches = model.forward_with_caches(data[i].local_patch, data[i].global_patch)
+                probs, caches = model.forward_with_caches(data[i].windows(model.pathways))
                 model.backward(caches, patch_loss(probs, data[i].target)[1], out=summed)
             for name, g in grads.items():
                 assert np.array_equal(g, summed[name] * (1.0 / len(batch))), name

@@ -5,6 +5,7 @@ import pytest
 from scipy import ndimage
 
 from lgseg import sampling
+from lgseg.network import DUAL_PATHWAYS, GLOBAL_PATHWAY, LOCAL_PATHWAY
 from lgseg.raster import LabelMap, Raster
 from lgseg.rng import SplitMix64
 from lgseg.sampling import (ResidentialClass, balanced_centers, grid_centers, image_window,
@@ -84,10 +85,30 @@ class TestWindowOracle:
                 want = gather_window(raster.pixels, center, width)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         for t in sample_triplets(raster, labels, centers[::7]):
-            assert np.array_equal(t.local_patch.view(np.uint64),
+            windows = t.windows(DUAL_PATHWAYS)
+            assert list(windows) == ["local", "global"]
+            assert np.array_equal(windows["local"].view(np.uint64),
                                   gather_window(raster.pixels, t.center, 64).view(np.uint64))
-            assert np.array_equal(t.global_patch.view(np.uint64),
+            assert np.array_equal(windows["global"].view(np.uint64),
                                   gather_window(raster.pixels, t.center, 256).view(np.uint64))
+
+    @pytest.mark.parametrize("pathways", [DUAL_PATHWAYS, {"local": LOCAL_PATHWAY},
+                                          {"global": GLOBAL_PATHWAY}],
+                             ids=["dual", "local", "global"])
+    def test_pathway_windows_match_the_gather_at_edge_and_interior_centres(self, pathways):
+        raster, _ = random_scene(14, 300, 280)
+        scene = reflect_pad(raster.pixels)
+        # corners and edges, where both windows reflect, and interior centres
+        # where the local window (and at (150, 140) the global one) needs none
+        centers = [(0, 0), (0, 279), (299, 0), (299, 279), (8, 140), (150, 8),
+                   (150, 140), (40, 40), (260, 100)]
+        for center in centers:
+            windows = sampling.pathway_windows(scene, center, pathways)
+            assert list(windows) == list(pathways)
+            for prefix, spec in pathways.items():
+                want = gather_window(raster.pixels, center, spec.input_width)
+                assert windows[prefix].shape == (3, spec.input_width, spec.input_width)
+                assert np.array_equal(windows[prefix].view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("center", [(-200, 8), (300, 8), (-1, 0), (40, 0), (0, -1), (0, 56)])
     def test_centre_outside_the_image_rejected(self, center):
@@ -115,12 +136,13 @@ class TestTriplets:
     def test_center_of_large_scene_needs_no_padding(self):
         raster, labels = random_scene(0)
         t = make_triplet(reflect_pad(raster.pixels), labels, (256, 256))
-        assert t.local_patch.shape == (3, 64, 64)
-        assert t.global_patch.shape == (3, 256, 256)
+        windows = t.windows(DUAL_PATHWAYS)
+        assert windows["local"].shape == (3, 64, 64)
+        assert windows["global"].shape == (3, 256, 256)
         assert t.target.shape == (16, 16)
         # no padding: windows equal direct crops
         direct = raster.pixels[256 - 128:256 + 128, 256 - 128:256 + 128]
-        assert np.array_equal(t.global_patch, direct.transpose(2, 0, 1) / 255.0)
+        assert np.array_equal(windows["global"], direct.transpose(2, 0, 1) / 255.0)
 
     def test_left_edge_reflection_arithmetic(self):
         # centre 8 px from the left edge: global reflects 120 cols, local 24
@@ -133,7 +155,8 @@ class TestTriplets:
         want = raster.pixels[np.ix_(np.arange(256 - 128, 256 + 128) * 0 + np.arange(128, 384), cols)]
         lcols = reflect_index(np.arange(8 - 32, 8 + 32), 512)
         assert (lcols != np.arange(8 - 32, 8 + 32)).sum() == 24
-        assert np.array_equal(t.global_patch[:, 0, :], want.transpose(2, 0, 1)[:, 0, :] / 255.0)
+        global_window = t.windows({"global": GLOBAL_PATHWAY})["global"]
+        assert np.array_equal(global_window[:, 0, :], want.transpose(2, 0, 1)[:, 0, :] / 255.0)
 
     def test_constant_white_labels_give_all_ones_targets(self):
         raster, _ = random_scene(2)
@@ -170,7 +193,8 @@ class TestTriplets:
         b = sample_triplets(raster, labels, balanced_centers(labels, 4, 0.0, SplitMix64(9)))
         assert [t.center for t in a] == [t.center for t in b]
         for x, y in zip(a, b):
-            assert np.array_equal(x.local_patch, y.local_patch)
+            assert np.array_equal(x.windows(DUAL_PATHWAYS)["local"],
+                                  y.windows(DUAL_PATHWAYS)["local"])
 
     def test_uniform_draws_follow_the_documented_rule(self):
         raster, labels = random_scene(7, h=96, w=80)

@@ -9,12 +9,18 @@ from lgseg.evaluation import (count_points, f_measure, max_f, nearest_sqdist,
                               relaxed_counts, set_curve, threshold_grid)
 from lgseg.raster import LabelMap
 from lgseg.rng import SplitMix64
-from lgseg.tree import (FitResult, TreeInput, TreeThresholds, fit_thresholds,
-                        tree_segment)
+from lgseg.tree import FitResult, TreeInput, TreeThresholds, fit_thresholds
 from lgseg.sampling import (ResidentialClass, grid_centers, grid_shape,
                             residential_label, tile_index_map)
 
 from test_evaluation import brute_relaxed_pr
+
+
+def tree_segment(inp, th):
+    """Plain-rule oracle: binarise the probability map at t2 where the RA score
+    of the tile owning the pixel in a stitched map clears t1, else at t3."""
+    ra_pixels = inp.ra_scores.ravel()[tile_index_map(inp.prob_map.shape)]
+    return (inp.prob_map >= np.where(ra_pixels >= th.t1, th.t2, th.t3)).astype(np.uint8)
 
 
 def toy_input(prob, ra_value=None, ra=None):
@@ -402,11 +408,11 @@ class TestLeafScores:
         assert tree._mean_fs(images, th, "t1", values) == \
             per_candidate_gate_sweep(images, th, values)
 
+    @pytest.mark.parametrize("coord", ["t1", "t2", "t3"])
     @pytest.mark.parametrize("t2, t3", LEAF_ORDERS)
     @pytest.mark.parametrize("t1", [0.0, 0.37, 1.0])
-    def test_tree_segment_is_the_plain_rule(self, t1, t2, t3):
+    def test_leaf_scores_at_the_current_thresholds_are_the_plain_rule(self, t1, t2, t3, coord):
         inp, _ = random_validation(8)[0]
-        ra_pixels = inp.ra_scores.ravel()[tile_index_map(inp.prob_map.shape)]
-        want = inp.prob_map >= np.where(ra_pixels >= t1, t2, t3)
-        got = tree_segment(inp, TreeThresholds(t1, t2, t3))
-        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        th = TreeThresholds(t1, t2, t3)
+        scores, sign = tree._leaf_scores(inp.prob_map, inp.ra_pixels, th, coord)
+        assert np.array_equal(scores >= sign * getattr(th, coord), tree_segment(inp, th))
