@@ -85,13 +85,9 @@ def _parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
-def _new_model(cfg: RunConfig) -> LgSegModel:
-    pathways, hidden = cfg.model_specs()
-    return build_model(pathways, hidden, seed=cfg.get("model", "init_seed"))
-
-
 def _load_model(cfg: RunConfig, checkpoint_path) -> LgSegModel:
-    model = _new_model(cfg)
+    # no initial draw: load_params replaces every tensor
+    model = LgSegModel(*cfg.model_specs(), {})
     tensors = load_checkpoint(checkpoint_path)
     try:
         model.load_params(tensors)
@@ -187,7 +183,7 @@ def _cmd_train(args, cfg: RunConfig, out: Path):
             centers = balanced_centers(labels, per_scene, positive_fraction, sampler.split())
         triplets += sample_triplets(img, labels, centers)
 
-    model = _new_model(cfg)
+    model = build_model(*cfg.model_specs(), seed=cfg.get("model", "init_seed"))
     t0 = time.perf_counter()
     report = train(model, triplets, cfg.train_config(epochs=args.epochs))
     print(f"trained {len(report.epoch_losses)} epochs on {len(triplets)} triplets "

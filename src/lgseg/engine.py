@@ -3,8 +3,9 @@
 Everything is a plain C-contiguous float64 ndarray; layers are free functions
 (forward/backward pairs) so they stay re-entrant, and parameters live in
 ordered ``{name: array}`` dicts owned by the caller.  Convolution uses
-im2col + GEMM; its backward can skip the input gradient when nothing reads
-it.  Max-pool takes a running maximum over its window taps.  Its backward
+im2col + GEMM, the forward in cache-sized bands of output rows bit-equal to
+one GEMM; its backward can skip the input gradient when nothing reads it.
+Max-pool takes a running maximum over its window taps.  Its backward
 sends each window's gradient to the first tap in scan order that holds the
 output (the first NaN, if any): tap by tap into strided views of the input
 gradient when windows do not overlap, and by a scatter over flat argmax
@@ -61,26 +62,41 @@ def _conv_geometry(x, weight, stride, pad):
     return ho, wo
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    # xp: padded (C, Hp, Wp) -> (C*kh*kw, Ho*Wo)
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    # the im2col view: [c, i, j, y, x] = padded[c, y*stride + i, x*stride + j]
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    c, ho, wo = win.shape[0], win.shape[1], win.shape[2]
-    return win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, ho * wo)
+    return win.transpose(0, 3, 4, 1, 2)
+
+
+def _band_rows(out_ch: int, k: int, ho: int, wo: int) -> int:
+    return next((r for r in range(1, ho) if ho % r == 0 and r * wo % 8 == 0
+                 and out_ch * k * r * wo >= 2 ** 20), ho)
 
 
 def conv2d_forward(x, weight, bias, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlation of a (C,H,W) input with an (O,C,kh,kw) kernel bank.
 
     Zero padding; out[o,y,x] = b[o] + sum_{c,i,j} w[o,c,i,j] * in[c, y*s+i-pad, x*s+j-pad].
+    The GEMM runs on bands of r output rows whose columns stay in cache: r is
+    the smallest divisor of Ho with r*Wo % 8 == 0 and O*C*kh*kw*r*Wo >= 2**20
+    multiply-adds, else Ho.  So OpenBLAS gives one GEMM's bits: there is no
+    short tail band and no remainder of columns, which it computes with other
+    kernels, and no band small enough for its small-matrix path.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
     bias = _as_f64(bias)
     ho, wo = _conv_geometry(x, weight, stride, pad)
-    out_ch, _, kh, kw = weight.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = _im2col(xp, kh, kw, stride)
-    y = weight.reshape(out_ch, -1) @ cols + bias[:, None]
+    out_ch, in_ch, kh, kw = weight.shape
+    win = _windows(x, kh, kw, stride, pad)
+    rows = _band_rows(out_ch, in_ch * kh * kw, ho, wo)
+    cols = np.empty((in_ch, kh, kw, rows, wo))
+    y = np.empty((out_ch, ho // rows, rows * wo))
+    for i in range(ho // rows):
+        cols[...] = win[..., i * rows:(i + 1) * rows, :]
+        np.matmul(weight.reshape(out_ch, -1), cols.reshape(-1, rows * wo), out=y[:, i])
+        y[:, i] += bias[:, None]
     return y.reshape(out_ch, ho, wo)
 
 
@@ -99,8 +115,8 @@ def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0,
     if grad_out.shape != (out_ch, ho, wo):
         raise ValueError(f"upstream gradient shape {grad_out.shape} != {(out_ch, ho, wo)}")
 
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = _im2col(xp, kh, kw, stride)
+    # one full column matrix: banding would reorder grad_weight's column sum
+    cols = _windows(x, kh, kw, stride, pad).reshape(in_ch * kh * kw, ho * wo)
     g = grad_out.reshape(out_ch, -1)
 
     grad_bias = g.sum(axis=1)
@@ -109,7 +125,7 @@ def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0,
         return None, grad_weight, grad_bias
 
     grad_cols = (weight.reshape(out_ch, -1).T @ g).reshape(in_ch, kh, kw, ho, wo)
-    grad_xp = np.zeros_like(xp)
+    grad_xp = np.zeros((in_ch, x.shape[1] + 2 * pad, x.shape[2] + 2 * pad))
     for i in range(kh):
         for j in range(kw):
             grad_xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += grad_cols[:, i, j]

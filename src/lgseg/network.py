@@ -22,9 +22,9 @@ The model describes each pathway, and the fusion head, as one flat list of
 ops: (kind, parameter name or None, spec) entries such as
 ("conv", "local.0", ConvSpec), ("pool", None, PoolSpec), ("relu", None, None),
 ("flatten", None, None), ("dense", "local.fc", output width) and
-("sigmoid", None, None).  build_model creates the parameters by walking these
-lists; one loop runs any of them forward, appending what each op needs for its
-gradient to a tape, and one loop runs them backward, popping the tape.
+("sigmoid", None, None).  param_specs walks these lists for build_model and
+load_params; one loop runs any of them forward, appending what each op needs
+for its gradient to a tape, and one loop runs them backward, popping the tape.
 
 The per-patch loss is the summed binary cross entropy over the 256 output
 pixels; training is plain SGD with momentum and L2 weight decay, mini-batch
@@ -189,7 +189,7 @@ def _fusion_ops(hidden: tuple) -> list:
 
 
 class LgSegModel:
-    """Parameters plus topology; built via build_model()."""
+    """Parameters plus topology; build_model() draws them, load_params() fills them."""
 
     def __init__(self, pathways: dict, fusion_hidden: tuple, params: dict):
         prefixes = list(pathways)
@@ -211,12 +211,33 @@ class LgSegModel:
     def fusion_input_width(self) -> int:
         return sum(spec.embed_width for spec in self.pathways.values())
 
+    def param_specs(self):
+        """Yield (name, shape, fan_in, fan_out) per tensor in checkpoint order."""
+        # (op list, input channels, flattened input width) of each op list
+        inputs = [(prefix, 3, spec.flat_size()) for prefix, spec in self.pathways.items()]
+        inputs.append(("fusion", None, self.fusion_input_width))
+        for ops, channels, width in inputs:
+            for kind, name, spec in self.ops[ops]:
+                if kind == "conv":
+                    shape = (spec.out_channels, channels, spec.kernel, spec.kernel)
+                    fan_in = channels * spec.kernel * spec.kernel
+                    fan_out = spec.out_channels * spec.kernel * spec.kernel
+                    channels = spec.out_channels
+                elif kind == "dense":
+                    shape, fan_in, fan_out = (spec, width), width, spec
+                    width = spec
+                else:
+                    continue
+                yield f"{name}.weight", shape, fan_in, fan_out
+                yield f"{name}.bias", shape[:1], fan_in, fan_out
+
     def load_params(self, tensors: dict) -> None:
         """Replace parameters from a checkpoint; names and shapes must match."""
-        if list(tensors) != list(self.params):
+        shapes = {name: shape for name, shape, *_ in self.param_specs()}
+        if list(tensors) != list(shapes):
             raise ValueError("checkpoint parameter names do not match model architecture")
         for name, arr in tensors.items():
-            if arr.shape != self.params[name].shape:
+            if arr.shape != shapes[name]:
                 raise ValueError(f"checkpoint shape mismatch for {name}")
             self.params[name] = np.ascontiguousarray(arr, dtype=np.float64)
 
@@ -331,25 +352,8 @@ def build_model(pathways: dict = DUAL_PATHWAYS, fusion_hidden: tuple = FUSION_HI
     in op-list order, so the same seed always gives the same checkpoint)."""
     model = LgSegModel(pathways, fusion_hidden, {})
     rng = SplitMix64(seed)
-    # (op list, input channels, flattened input width) of each op list
-    inputs = [(prefix, 3, spec.flat_size())
-              for prefix, spec in model.pathways.items()]
-    inputs.append(("fusion", None, model.fusion_input_width))
-    for ops, channels, width in inputs:
-        for kind, name, spec in model.ops[ops]:
-            if kind == "conv":
-                shape = (spec.out_channels, channels, spec.kernel, spec.kernel)
-                fan_in = channels * spec.kernel * spec.kernel
-                fan_out = spec.out_channels * spec.kernel * spec.kernel
-                channels = spec.out_channels
-            elif kind == "dense":
-                shape, fan_in, fan_out = (spec, width), width, spec
-                width = spec
-            else:
-                continue
-            model.params[f"{name}.weight"] = engine.xavier_init(shape, fan_in, fan_out, rng.split())
-            model.params[f"{name}.bias"] = engine.xavier_init(shape[:1], fan_in, fan_out,
-                                                              rng.split())
+    for name, shape, fan_in, fan_out in model.param_specs():
+        model.params[name] = engine.xavier_init(shape, fan_in, fan_out, rng.split())
     return model
 
 

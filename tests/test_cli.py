@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from lgseg import cli, raster, sampling, tree
+from lgseg import cli, engine, raster, sampling, tree
 from lgseg.cli import _load_model, _tile_patches, dispatch
 from lgseg.config import parse_config_text
 from lgseg.counting import write_boxes_csv, DetectionBox
@@ -196,6 +196,39 @@ class TestInfer:
                    "--image", scene_dir / "scene_000.ppm", "--out", out) == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and "local.0.weight" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_loading_a_checkpoint_draws_no_initial_parameters(self, tmp_path, cfg_path,
+                                                              scene_dir, trained_dir,
+                                                              monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("xavier_init called while loading a checkpoint")
+
+        monkeypatch.setattr(engine, "xavier_init", no_draw)
+        ckpt = trained_dir / "model.ckpt"
+        model = _load_model(parse_config_text(SMALL_CFG), ckpt)
+        tensors = engine.load_checkpoint(ckpt)
+        assert list(model.params) == list(tensors)
+        assert all(np.array_equal(model.params[k], v) for k, v in tensors.items())
+        assert run("infer", "--config", cfg_path, "--model", ckpt,
+                   "--image", scene_dir / "scene_000.ppm", "--out", tmp_path / "x") == 0
+
+    @pytest.mark.parametrize("fault", ["renamed", "reshaped"])
+    def test_checkpoint_that_does_not_fit_the_config_is_data_error(self, tmp_path, cfg_path,
+                                                                   scene_dir, trained_dir,
+                                                                   fault, capsys):
+        tensors = engine.load_checkpoint(trained_dir / "model.ckpt")
+        if fault == "renamed":
+            tensors = {k.replace("fusion.1.bias", "fusion.1.offset"): v for k, v in tensors.items()}
+        else:
+            tensors["fusion.1.bias"] = np.zeros(tensors["fusion.1.bias"].size + 1)
+        ckpt = tmp_path / "misfit.ckpt"
+        save_checkpoint(ckpt, tensors)
+        out = tmp_path / "x"
+        assert run("infer", "--config", cfg_path, "--model", ckpt,
+                   "--image", scene_dir / "scene_000.ppm", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and ("fusion.1.bias" in err) == (fault == "reshaped")
         assert not out.exists() or not any(out.iterdir())
 
     def test_wrong_architecture_checkpoint_is_data_error(self, tmp_path, scene_dir,

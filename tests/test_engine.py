@@ -6,8 +6,10 @@ import re
 import numpy as np
 import pytest
 
+from numpy.lib.stride_tricks import sliding_window_view
+
 from gradcheck import grad_check
-from lgseg import engine
+from lgseg import engine, network
 from lgseg.rng import SplitMix64
 
 
@@ -31,6 +33,54 @@ def conv2d_reference(x, w, b, stride=1, pad=0):
                                 acc += w[o, ci, i, j] * x[ci, yy, xj]
                 out[o, y, xx] = acc
     return out
+
+
+def conv2d_forward_reference(x, weight, bias, stride=1, pad=0):
+    """The one-GEMM forward: every output pixel's im2col column in one
+    matrix, one GEMM, then the bias.  Banded forwards must match its bytes."""
+    out_ch, _, kh, kw = weight.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    c, ho, wo = win.shape[:3]
+    cols = win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, ho * wo)
+    y = weight.reshape(out_ch, -1) @ cols + bias[:, None]
+    return y.reshape(out_ch, ho, wo)
+
+
+def band_sweep_shapes(count=60, seed=12):
+    """Seeded conv shapes weighted toward banded GEMMs: (out_ch, in_ch,
+    kernel, stride, pad, ho, wo) with C*k*k above 384 and heights that have
+    odd divisors."""
+    rng = SplitMix64(seed)
+
+    def pick(options):
+        return options[int(rng.next_u64() % len(options))]
+
+    shapes = []
+    for _ in range(count):
+        k = pick((3, 5, 7))
+        in_ch = -(-385 // (k * k)) + pick(range(9))
+        shapes.append((pick((1, 8, 16, 32, 64)), in_ch, k, pick((1, 2)), pick(range(k)),
+                       pick((9, 15, 18, 21, 24, 27, 30, 45)),
+                       pick((8, 12, 16, 20, 24, 30, 32, 40, 56, 64, 120))))
+    return shapes
+
+
+# output rows per band of each default conv layer (one band is all ho rows).
+# Pinning them makes a silent fall-back to one GEMM fail, which would keep
+# the bytes and lose the cache blocking
+DEFAULT_BAND_ROWS = {"local.0": 64, "local.1": 8, "local.2": 8, "local.3": 4, "local.4": 4,
+                     "global.0": 4, "global.1": 2, "global.2": 4}
+
+
+def default_conv_layers():
+    """(name, input shape, ConvSpec) of every conv of the default model."""
+    layers = []
+    for prefix, spec in network.DUAL_PATHWAYS.items():
+        convs = [(shape, layer) for shape, layer in zip(spec.shape_trace(), spec.layers)
+                 if isinstance(layer, network.ConvSpec)]
+        layers += [(f"{prefix}.{i}", shape, layer) for i, (shape, layer) in enumerate(convs)]
+    return layers
 
 
 class TestRng:
@@ -164,6 +214,60 @@ class TestConv2d:
         y1 = engine.conv2d_forward(x, w, b, pad=1)
         y2 = engine.conv2d_forward(x, w, b, pad=1)
         assert np.array_equal(y1, y2)
+
+
+class TestConvBands:
+    """The banded forward against the one-GEMM reference, compared by bytes."""
+
+    @pytest.mark.parametrize("o,c,k,stride,pad,ho,wo", band_sweep_shapes())
+    def test_sweep_matches_one_gemm_bytes(self, o, c, k, stride, pad, ho, wo):
+        rng = SplitMix64(o * 1000 + c * 10 + k)
+        h, w = (ho - 1) * stride + k - 2 * pad, (wo - 1) * stride + k - 2 * pad
+        x = rng.uniform(-1, 1, (c, h, w))
+        weight = rng.uniform(-1, 1, (o, c, k, k))
+        bias = rng.uniform(-1, 1, (o,))
+        got = engine.conv2d_forward(x, weight, bias, stride, pad)
+        assert got.shape == (o, ho, wo)
+        assert got.tobytes() == conv2d_forward_reference(x, weight, bias, stride, pad).tobytes()
+
+    def test_sweep_is_mostly_banded(self):
+        banded = [engine._band_rows(o, c * k * k, ho, wo) < ho
+                  for o, c, k, _, _, ho, wo in band_sweep_shapes()]
+        assert sum(banded) >= len(banded) // 2
+
+    @pytest.mark.parametrize("name,shape,layer", default_conv_layers(),
+                             ids=[name for name, _, _ in default_conv_layers()])
+    def test_default_layers_match_one_gemm_bytes_in_pinned_bands(self, name, shape, layer,
+                                                                  monkeypatch):
+        rng = SplitMix64(len(name) + shape[1])
+        c = shape[0]
+        x = rng.uniform(0, 1, shape)
+        weight = rng.uniform(-0.1, 0.1, (layer.out_channels, c, layer.kernel, layer.kernel))
+        bias = rng.uniform(-0.1, 0.1, (layer.out_channels,))
+        widths, matmul = [], np.matmul
+
+        def spy(a, b, out):
+            widths.append(out.shape[1])
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        got = engine.conv2d_forward(x, weight, bias, layer.stride, layer.padding())
+        monkeypatch.undo()
+        ho, wo = got.shape[1:]
+        rows = DEFAULT_BAND_ROWS[name]
+        assert widths == [rows * wo] * (ho // rows)
+        want = conv2d_forward_reference(x, weight, bias, layer.stride, layer.padding())
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("o,k,ho,wo,rows", [
+        (16, 147, 128, 128, 4),   # global.0: 512 columns
+        (1, 27, 64, 64, 64),      # too small for any band: one GEMM
+        (64, 1024, 10, 10, 10),   # 10, 20 or 50 columns: none a multiple of 8
+        (64, 1024, 16, 12, 2),    # 24 columns, 1.6M multiply-adds
+        (8, 4096, 35, 35, 35),    # 35 is odd: no band width is a multiple of 8
+    ])
+    def test_band_rows_rule(self, o, k, ho, wo, rows):
+        assert engine._band_rows(o, k, ho, wo) == rows
 
 
 def maxpool_reference(x, k, stride):

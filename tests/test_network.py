@@ -417,6 +417,23 @@ class TestOpListMatchesOracle:
             assert np.array_equal(first[name], second[name])
 
 
+def epoch_losses_in_shuffle_order(losses, cfg):
+    """Each epoch's mean per-pixel loss from per-sample losses, added in that
+    epoch's SplitMix64(cfg.seed) shuffle order and batch grouping."""
+    shuffler, want = SplitMix64(cfg.seed), []
+    for _ in range(cfg.epochs):
+        order = list(range(len(losses)))
+        shuffler.shuffle(order)
+        total = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch_loss = 0.0
+            for i in order[start:start + cfg.batch_size]:
+                batch_loss += losses[i]
+            total += batch_loss
+        want.append(total / (len(losses) * network.OUTPUT_PIXELS))
+    return want
+
+
 class TestTrain:
     def test_zero_learning_rate_is_noop(self):
         model = small_dual(seed=1)
@@ -430,17 +447,20 @@ class TestTrain:
             assert np.array_equal(before[name], model.params[name])
         # every epoch adds the same per-sample losses, but in its own shuffle
         # order and batch grouping, so the float sums may differ by epoch
-        shuffler, want = SplitMix64(cfg.seed), []
-        for _ in range(cfg.epochs):
-            order = list(range(len(data)))
-            shuffler.shuffle(order)
-            total = 0.0
-            for start in range(0, len(order), cfg.batch_size):
-                batch_loss = 0.0
-                for i in order[start:start + cfg.batch_size]:
-                    batch_loss += losses[i]
-                total += batch_loss
-            want.append(total / (len(data) * network.OUTPUT_PIXELS))
+        assert report.epoch_losses == epoch_losses_in_shuffle_order(losses, cfg)
+
+    def test_epoch_loss_adds_sample_losses_in_shuffle_and_batch_order(self, monkeypatch):
+        # 1e16 + 1.0 rounds to 1e16, so these losses sum to 0, 1 or 2 by
+        # order and grouping, in plain IEEE arithmetic on any BLAS kernel
+        data = [make_triplet(s) for s in range(4)]
+        loss_of = {id(t.target): loss for t, loss in zip(data, (1e16, 1.0, -1e16, 1.0))}
+        monkeypatch.setattr(network, "patch_loss",
+                            lambda probs, gt, eps: (loss_of[id(gt)], np.zeros_like(probs)))
+        cfg = TrainConfig(learning_rate=0.0, epochs=6, batch_size=2, seed=1)
+        report = train(small_dual(seed=1), data, cfg)
+        want = epoch_losses_in_shuffle_order([loss_of[id(t.target)] for t in data], cfg)
+        # the epochs' orders give different sums, so no one fixed order matches
+        assert len(set(want)) > 1
         assert report.epoch_losses == want
 
     def test_identical_runs_identical_reports_and_params(self):
