@@ -5,7 +5,7 @@ config text, the seed, and sha256 hashes of the artifacts, so identical
 inputs are checkable for byte-identical outputs.  Each subcommand only writes
 its artifacts into the output directory; `dispatch` creates that directory,
 writes the `<command>_run.json` report and maps errors to the exit codes:
-0 success, 1 usage/config error (bad flags included), 2 data error.
+0 success, 1 usage/config error (bad flags included), 2 data or file error.
 `ablate` writes three maps of a dual-pathway model: `full`, `local_only`
 (the global pathway is fed the per-channel mean of its window, a constant
 image) and `global_only` (the local pathway is fed its mean instead).
@@ -23,8 +23,8 @@ import hashlib
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -184,10 +184,9 @@ def _cmd_train(args, cfg: RunConfig, out: Path):
         triplets += sample_triplets(img, labels, centers)
 
     model = build_model(*cfg.model_specs(), seed=cfg.get("model", "init_seed"))
-    t0 = time.perf_counter()
     report = train(model, triplets, cfg.train_config(epochs=args.epochs))
     print(f"trained {len(report.epoch_losses)} epochs on {len(triplets)} triplets "
-          f"in {time.perf_counter() - t0:.1f}s; final mean per-pixel loss "
+          f"in {sum(report.wall_clock):.1f}s; final mean per-pixel loss "
           f"{report.epoch_losses[-1]:.5f}", file=sys.stderr)
 
     ckpt_path = out / "model.ckpt"
@@ -314,12 +313,8 @@ def _cmd_count(args, cfg: RunConfig, out: Path):
     counting.write_boxes_csv(boxes, det_path)
     payload = {"threshold": threshold, "machine_count": len(boxes)}
     if match is not None:
-        payload.update({
-            "human_count": match.human_count, "tp": match.tp, "fp": match.fp,
-            "fn": match.fn, "residential": match.residential,
-            "residential_houses": match.residential_houses,
-            "precision": round(match.precision, 4), "recall": round(match.recall, 4),
-        })
+        payload.update(asdict(match), precision=round(match.precision, 4),
+                       recall=round(match.recall, 4))
     _write_json(report_path, payload)
     return None, [det_path, report_path], {}
 
@@ -348,9 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lgseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=False):
-        p.add_argument("--config", default=None, required=config_required,
-                       help="config file (omit for all defaults)")
+    def common(p):
+        p.add_argument("--config", default=None, help="config file (omit for all defaults)")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("gen", help="generate synthetic scenes")
@@ -424,7 +418,7 @@ def dispatch(argv=None) -> int:
     except ConfigError as exc:
         print(f"lgseg {args.command}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError) as exc:  # DataError is a ValueError
+    except (ValueError, OSError) as exc:  # DataError is a ValueError
         print(f"lgseg {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -6,8 +6,9 @@ predicted pixel.  `relaxed_counts` applies this rule at every threshold at
 once: the near-truth mask comes from one exact distance transform (integer
 squared distances, so the rho test is exact), and a true pixel is found at t
 exactly when the highest score in its rho-disk, one disk max-filter, reaches t.
-Curves and both set aggregates (the mean per-image F by default, or counts
-pooled over the images) derive P/R from these counts.
+A curve is a list of PrPoint, one per threshold; `pr_curve` is the set curve
+of one image, and both set aggregates (the mean per-image F by default, or
+counts pooled over the images) derive P/R from these counts.
 
 For context only, the published full-scale max F of this method family:
 buildings 0.9423 (US); buildings in Europe 0.6271 global, 0.8266 local and
@@ -44,12 +45,6 @@ class PrPoint:
     precision: float
     recall: float
     f: float
-
-
-@dataclass
-class PrCurve:
-    points: list
-    rho: int
 
 
 def f_measure(precision: float, recall: float) -> float:
@@ -134,16 +129,15 @@ def _check_thresholds(thresholds) -> tuple:
 
 
 def pr_curve(prob: np.ndarray, gt: np.ndarray, rho: int = DEFAULT_RHO,
-             thresholds=DEFAULT_THRESHOLDS) -> PrCurve:
-    """Relaxed PR at each threshold of an ascending grid (prediction = prob >= t)."""
-    prob = unit_array(prob)
-    thresholds = _check_thresholds(thresholds)
-    return PrCurve(count_points(thresholds, relaxed_counts(prob, gt, rho, thresholds)), rho)
+             thresholds=DEFAULT_THRESHOLDS) -> list:
+    """Relaxed PR at each threshold of an ascending grid (prediction = prob >= t):
+    the set curve of one image, whose mean is its own value bit for bit."""
+    return set_curve([prob], [gt], rho, thresholds)
 
 
 def set_curve(probs, gts, rho: int = DEFAULT_RHO, thresholds=DEFAULT_THRESHOLDS,
-              aggregate: str = "mean_f") -> PrCurve:
-    """Aggregate curve over a set of images.
+              aggregate: str = "mean_f") -> list:
+    """Aggregate curve over a set of images, one PrPoint per threshold.
 
     "mean_f" (default): per-image F values are averaged at each threshold, and
     the stored precision/recall are plain means as well.  "pooled": relaxed hit
@@ -158,26 +152,26 @@ def set_curve(probs, gts, rho: int = DEFAULT_RHO, thresholds=DEFAULT_THRESHOLDS,
     thresholds = _check_thresholds(thresholds)
     counts = [relaxed_counts(p, g, rho, thresholds) for p, g in zip(probs, gts)]
     if aggregate == "pooled":
-        return PrCurve(count_points(thresholds, sum(counts)), rho)
-    return PrCurve(mean_points(thresholds, [count_points(thresholds, c) for c in counts]), rho)
+        return count_points(thresholds, sum(counts))
+    return mean_points(thresholds, [count_points(thresholds, c) for c in counts])
 
 
-def max_f(curve: PrCurve) -> tuple:
+def max_f(points) -> tuple:
     """(threshold, F) at the maximum F; ties break toward the lower threshold."""
-    if not curve.points:
+    if not points:
         raise ValueError("empty curve")
-    best = curve.points[0]
-    for p in curve.points[1:]:
+    best = points[0]
+    for p in points[1:]:
         if p.f > best.f:
             best = p
     return best.threshold, best.f
 
 
-def write_pr_csv(curve: PrCurve, path) -> None:
+def write_pr_csv(points, path) -> None:
     """threshold,precision,recall,f with six decimal digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "precision", "recall", "f"])
-        for p in curve.points:
+        for p in points:
             writer.writerow([f"{p.threshold:.6f}", f"{p.precision:.6f}",
                              f"{p.recall:.6f}", f"{p.f:.6f}"])

@@ -186,7 +186,8 @@ def tile_index_map(shape: tuple) -> np.ndarray:
 
 
 def grid_shape(shape: tuple) -> tuple:
-    return len(_axis_starts(shape[0])), len(_axis_starts(shape[1]))
+    """Tile rows and columns of grid_centers(shape)."""
+    return tuple(len(starts) for starts in _grid_starts(shape))
 
 
 # ---------------------------------------------------------------------------

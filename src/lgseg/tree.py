@@ -6,9 +6,10 @@ t3.  A residential tile should make detections easier, so a fitted tree
 typically ends with t2 <= t3 and the high t3 suppresses isolated
 hallucinations.  Fitting initialises each threshold at its classifier's own
 max-F point, then cycles coordinate ascent over a fixed grid until the mean
-relaxed F stops improving.  Every F comes from `evaluation.relaxed_counts`,
-one call per image and sweep, on the score map `_leaf_scores` builds for the
-swept coordinate.
+relaxed F stops improving.  Every F of a fit, the start of t2 = t3 included,
+comes from `_mean_fs`: one `evaluation.relaxed_counts` call per image and
+sweep, on the score map `_leaf_scores` builds for the swept coordinate, with
+each image's near-truth mask computed once.
 
 At desk scale the RA score of a tile is the mean of a trained model's 16x16
 output patch there, taken from the same per-tile inference loop that `lgseg
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import (DEFAULT_RHO, PrCurve, count_points, max_f, mean_points,
-                         nearest_sqdist, relaxed_counts, set_curve, threshold_grid)
+from .evaluation import (DEFAULT_RHO, count_points, max_f, mean_points, nearest_sqdist,
+                         relaxed_counts, threshold_grid)
 from .raster import LabelMap, unit_array
 from .sampling import (grid_centers, grid_shape, residential_label, tile_index_map,
                        ResidentialClass)
@@ -152,11 +153,10 @@ def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
         raise ValueError("validation tiles lack both residential classes; "
                          "the gate threshold is undefined")
     t1_counts = relaxed_counts(np.array(scores)[None], truth[None], 0, grid)
-    t1, _ = max_f(PrCurve(count_points(grid, t1_counts), 0))
-
-    seg_curve = set_curve([img.prob for img in images],
-                          [img.gt for img in images], rho, thresholds=grid)
-    t23, _ = max_f(seg_curve)
+    t1, _ = max_f(count_points(grid, t1_counts))
+    # with gate 0 every pixel takes leaf t2 (RA scores lie in [0, 1]), so this
+    # sweep scores the plain probability maps; argmax keeps the lowest tie
+    t23 = grid[int(np.argmax(_mean_fs(images, TreeThresholds(0.0, 0.0, 0.0), "t2", grid)))]
 
     current = TreeThresholds(t1, t23, t23)
     (best_f,) = _mean_fs(images, current, "t2", (current.t2,))

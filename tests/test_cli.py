@@ -586,3 +586,23 @@ class TestDispatch:
     def test_missing_image_data_error(self, tmp_path, cfg_path, trained_dir):
         assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
                    "--image", tmp_path / "absent.ppm", "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("command", ["count", "infer", "gen"])
+    def test_file_system_error_is_data_error(self, tmp_path, capsys, cfg_path, trained_dir,
+                                             command):
+        # a directory where a file is read, or a file where --out wants a directory
+        a_dir = tmp_path / "a_dir"
+        a_dir.mkdir()
+        out = tmp_path / "out"
+        if command == "gen":
+            out.write_text("a file\n")
+            argv, named = ("--out", out), out
+        elif command == "count":
+            argv, named = ("--prob", a_dir, "--out", out), a_dir
+        else:
+            argv = ("--model", trained_dir / "model.ckpt", "--image", a_dir, "--out", out)
+            named = a_dir
+        assert run(command, "--config", cfg_path, *argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and str(named) in lines[0]
+        assert not list(tmp_path.rglob("*_run.json"))

@@ -376,17 +376,24 @@ class TestMaxPoolBackward:
     @pytest.mark.parametrize("stride", [1, 2, 3, 4, 5])
     def test_matches_scatter_oracle_bitwise(self, k, stride):
         # 11x10 leaves partial windows for most (k, stride); NaN goes in x
-        # and in the upstream gradient, with both signs
+        # and in the upstream gradient, with both signs.  The last two trials
+        # draw gradients whose sums depend on the order of addition (1e16
+        # absorbs 1.0 and 3.0), so a pixel that several windows route to pins
+        # the window order of its sum
         rng = SplitMix64(100 * k + stride)
-        for trial in range(6):
+        for trial in range(8):
             x = signed_ties(rng, (3, 11, 10))
-            if trial >= 2:
+            if 2 <= trial < 6:
                 x[rng.uniform(0, 1, x.shape) < 0.06] = np.nan
-            if trial >= 4:
+            if 4 <= trial < 6:
                 x[rng.uniform(0, 1, x.shape) < 0.04] = -np.nan
             y, idx = engine.maxpool2d(x, k, stride)
-            g = signed_ties(rng, y.shape)
-            if trial % 2:
+            if trial < 6:
+                g = signed_ties(rng, y.shape)
+            else:
+                pick = np.floor(rng.uniform(0, 4, y.shape)).astype(np.int64)
+                g = np.array([1e16, -1e16, 1.0, 3.0])[pick]
+            if trial in (1, 3, 5):
                 g[rng.uniform(0, 1, g.shape) < 0.1] = np.nan
                 g[rng.uniform(0, 1, g.shape) < 0.1] = -np.nan
             got = engine.maxpool2d_backward(idx, g)

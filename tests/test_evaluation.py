@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lgseg import evaluation
-from lgseg.evaluation import (PrCurve, PrPoint, count_points, f_measure, max_f,
+from lgseg.evaluation import (PrPoint, count_points, f_measure, max_f,
                               nearest_sqdist, pr_curve, relaxed_counts, set_curve)
 from lgseg.rng import SplitMix64
 
@@ -167,7 +167,7 @@ class TestRelaxedCounts:
             got = relaxed_counts(prob, gt, rho, self.THRESHOLDS)
             assert got.T.tolist() == [list(c) for c in want]
             curve = pr_curve(prob, gt, rho, self.THRESHOLDS)
-            for point, t in zip(curve.points, self.THRESHOLDS):
+            for point, t in zip(curve, self.THRESHOLDS):
                 assert (point.precision, point.recall) == brute_relaxed_pr(prob >= t, gt, rho)
 
         pooled = set_curve(probs, gts, rho, self.THRESHOLDS, aggregate="pooled")
@@ -176,10 +176,10 @@ class TestRelaxedCounts:
             n_pred, n_correct, n_gt, n_found = np.sum([img[i] for img in per_image], axis=0)
             precision = n_correct / n_pred if n_pred else 1.0
             recall = n_found / n_gt if n_gt else 1.0
-            assert (pooled.points[i].precision, pooled.points[i].recall) == (precision, recall)
-            assert pooled.points[i].f == f_measure(precision, recall)
+            assert (pooled[i].precision, pooled[i].recall) == (precision, recall)
+            assert pooled[i].f == f_measure(precision, recall)
             fs = [f_measure(*brute_relaxed_pr(p >= t, g, rho)) for p, g in zip(probs, gts)]
-            assert mean.points[i].f == float(np.mean(fs))
+            assert mean[i].f == float(np.mean(fs))
 
     def test_precomputed_near_mask_gives_the_same_counts(self):
         probs, gts = self.on_threshold_maps(40)
@@ -202,7 +202,7 @@ class TestPrCurve:
         gt[4:6, 4:6] = 1
         prob = np.full((10, 10), 0.7)
         curve = pr_curve(prob, gt, rho=1)
-        for p in curve.points:
+        for p in curve:
             if p.threshold <= 0.7:
                 # all-ones prediction: every gt pixel is found
                 assert p.recall == 1.0
@@ -213,7 +213,7 @@ class TestPrCurve:
         rng = SplitMix64(7)
         gt = random_mask(rng).astype(np.uint8)
         curve = pr_curve(gt.astype(float), gt, rho=1)
-        for p in curve.points:
+        for p in curve:
             assert p.precision == 1.0 and p.recall == 1.0 and p.f == 1.0
 
     def test_every_point_matches_per_threshold_oracle(self):
@@ -221,7 +221,7 @@ class TestPrCurve:
         prob = rng.uniform(0, 1, (32, 32))
         gt = random_mask(rng, (32, 32), 0.15)
         curve = pr_curve(prob, gt, rho=1, thresholds=[0.2, 0.5, 0.8])
-        for p in curve.points:
+        for p in curve:
             want = brute_relaxed_pr(prob >= p.threshold, gt, 1)
             assert (p.precision, p.recall) == want
 
@@ -230,7 +230,7 @@ class TestPrCurve:
         prob = rng.uniform(0, 1, (20, 20))
         gt = random_mask(rng, (20, 20))
         curve = pr_curve(prob, gt, rho=2)
-        recalls = [p.recall for p in curve.points]
+        recalls = [p.recall for p in curve]
         assert all(a >= b for a, b in zip(recalls, recalls[1:]))
 
     def test_unsorted_thresholds_rejected(self):
@@ -254,16 +254,16 @@ class TestMaxF:
         gt = random_mask(rng).astype(np.uint8)
         curve = pr_curve(gt.astype(float), gt, rho=1)
         t, f = max_f(curve)
-        assert f == 1.0 and t == curve.points[0].threshold
+        assert f == 1.0 and t == curve[0].threshold
 
     def test_tie_breaks_toward_lower_threshold(self):
         pts = [PrPoint(t, 0, 0, f) for t, f in [(0.1, 0.2), (0.2, 0.9), (0.3, 0.9), (0.4, 0.4)]]
-        t, f = max_f(PrCurve(pts, 3))
+        t, f = max_f(pts)
         assert (t, f) == (0.2, 0.9)
 
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):
-            max_f(PrCurve([], 3))
+            max_f([])
 
 
 class TestSetCurve:
@@ -278,8 +278,8 @@ class TestSetCurve:
         curve = set_curve(probs, gts, rho=1, thresholds=[0.5, 0.9])
         per_image = [pr_curve(p, g, 1, [0.5, 0.9]) for p, g in zip(probs, gts)]
         for i in range(2):
-            want_f = np.mean([c.points[i].f for c in per_image])
-            assert curve.points[i].f == pytest.approx(want_f, abs=1e-12)
+            want_f = np.mean([c[i].f for c in per_image])
+            assert curve[i].f == pytest.approx(want_f, abs=1e-12)
 
     @pytest.mark.parametrize("n_images", range(1, 25))
     def test_mean_points_match_per_threshold_list_mean_bit_for_bit(self, n_images):
@@ -306,7 +306,7 @@ class TestSetCurve:
         probs = [gt1 * 0.8, np.full((12, 12), 0.3)]
         mean_curve = set_curve(probs, [gt1, gt2], 0, thresholds=[0.5])
         pooled_curve = set_curve(probs, [gt1, gt2], 0, thresholds=[0.5], aggregate="pooled")
-        assert mean_curve.points[0].f != pooled_curve.points[0].f
+        assert mean_curve[0].f != pooled_curve[0].f
 
     @pytest.mark.parametrize("aggregate", ["mean_f", "pooled"])
     def test_negative_rho_rejected_for_both_aggregates(self, aggregate):
@@ -348,7 +348,7 @@ class TestThresholdGrid:
 
 
 def test_pr_csv_format(tmp_path):
-    curve = PrCurve([PrPoint(0.25, 1 / 3, 0.5, 0.4)], 3)
+    curve = [PrPoint(0.25, 1 / 3, 0.5, 0.4)]
     path = tmp_path / "curve.csv"
     evaluation.write_pr_csv(curve, path)
     lines = path.read_text().strip().splitlines()

@@ -8,9 +8,9 @@ from lgseg import sampling
 from lgseg.network import DUAL_PATHWAYS, GLOBAL_PATHWAY, LOCAL_PATHWAY
 from lgseg.raster import LabelMap, Raster
 from lgseg.rng import SplitMix64
-from lgseg.sampling import (ResidentialClass, balanced_centers, grid_centers, image_window,
-                            make_triplet, reflect_pad, residential_label, sample_triplets,
-                            stitch, tile_index_map)
+from lgseg.sampling import (ResidentialClass, balanced_centers, grid_centers, grid_shape,
+                            image_window, make_triplet, reflect_pad, residential_label,
+                            sample_triplets, stitch, tile_index_map)
 from window_oracle import gather_window, reflect_index
 
 
@@ -279,6 +279,18 @@ class TestGrid:
     def test_tile_index_map_rejects_images_below_one_tile(self, shape):
         with pytest.raises(ValueError, match="smaller than one 16px tile"):
             tile_index_map(shape)
+
+    @pytest.mark.parametrize("shape", [(10, 10), (15, 40), (40, 15), (0, 0)])
+    def test_grid_shape_rejects_images_below_one_tile(self, shape):
+        with pytest.raises(ValueError, match="smaller than one 16px tile"):
+            grid_shape(shape)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (17, 16), (36, 40), (184, 160)])
+    def test_grid_shape_counts_the_grid_centres(self, shape):
+        rows, cols = grid_shape(shape)
+        centers = grid_centers(shape)
+        assert len(centers) == rows * cols
+        assert len({c for _, c in centers}) == cols and len({r for r, _ in centers}) == rows
 
     def test_tile_index_map_matches_stitch(self):
         shape = (40, 40)

@@ -4,7 +4,7 @@ coordinate-descent fitter."""
 import numpy as np
 import pytest
 
-from lgseg import tree
+from lgseg import evaluation, tree
 from lgseg.evaluation import (count_points, f_measure, max_f, nearest_sqdist,
                               relaxed_counts, set_curve, threshold_grid)
 from lgseg.raster import LabelMap
@@ -73,6 +73,10 @@ class TestTreeSegment:
     def test_ra_grid_extent_checked(self):
         with pytest.raises(ValueError):
             TreeInput(np.zeros((2, 2)), np.zeros((64, 64)))
+
+    def test_image_below_one_tile_rejected(self):
+        with pytest.raises(ValueError, match="smaller than one 16px tile"):
+            TreeInput(np.zeros((1, 1)), np.zeros((10, 10)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
     def test_nonfinite_or_out_of_range_ra_rejected(self, bad):
@@ -362,6 +366,24 @@ class TestFitThresholds:
         assert result.thresholds.t2 == pytest.approx(result.thresholds.t3, abs=0.011)
         fitted_f = tree_f_direct(items, result.thresholds, 3)
         assert fitted_f == pytest.approx(f_plain, abs=1e-9)
+
+    def test_one_distance_transform_per_image_and_one_for_the_gate(self, monkeypatch):
+        # the t2 = t3 start reuses each image's near-truth mask; only the
+        # tile-truth gate (rho = 0) transforms inside relaxed_counts
+        calls = {"evaluation": 0, "tree": 0}
+
+        def counting(module, real):
+            def wrapped(mask):
+                calls[module] += 1
+                return real(mask)
+            return wrapped
+
+        monkeypatch.setattr(evaluation, "nearest_sqdist",
+                            counting("evaluation", evaluation.nearest_sqdist))
+        monkeypatch.setattr(tree, "nearest_sqdist", counting("tree", tree.nearest_sqdist))
+        items = random_validation(4)
+        fit_thresholds(items, rho=3, max_cycles=1)
+        assert calls == {"evaluation": 1, "tree": len(items)}
 
     def test_single_class_tiles_rejected(self):
         shape = (64, 64)
