@@ -3,7 +3,7 @@
 Every run writes its artifacts plus a JSON report embedding the verbatim
 config text, the seed, and sha256 hashes of the artifacts, so identical
 inputs are checkable for byte-identical outputs.  Each subcommand only writes
-its artifacts into the output directory; `dispatch` creates that directory,
+its artifacts into the output directory; `main` creates that directory,
 writes the `<command>_run.json` report and maps errors to the exit codes:
 0 success, 1 usage/config error (bad flags included), 2 data or file error.
 `ablate` writes three maps of a dual-pathway model: `full`, `local_only`
@@ -96,6 +96,14 @@ def _load_model(cfg: RunConfig, checkpoint_path) -> LgSegModel:
     return model
 
 
+def _read_image(path) -> raster.Raster:
+    """A 3-channel image; one that reads as 1 channel (a P5) is a data error."""
+    img = raster.read_raster(path)
+    if img.channels != 3:
+        raise DataError(f"{path}: need a 3-channel (P6) image, got {img.channels} channel")
+    return img
+
+
 def _read_prob(path: Path) -> np.ndarray:
     if path.suffix == ".lgprob":
         return raster.read_prob_sidecar(path)
@@ -146,7 +154,7 @@ def _write_prob(prob: np.ndarray, out: Path, stem: str, sidecar: bool) -> list:
 
 # ---------------------------------------------------------------------------
 # subcommands: each writes its artifacts into `out` and returns
-# (report seed, artifact paths, extra report fields) for dispatch to record
+# (report seed, artifact paths, extra report fields) for main to record
 
 
 def _cmd_gen(args, cfg: RunConfig, out: Path):
@@ -173,7 +181,7 @@ def _cmd_train(args, cfg: RunConfig, out: Path):
     sampler = SplitMix64(cfg.get("train", "seed"))
     triplets = []
     for scene_path, label_path in pairs:
-        img = raster.read_raster(scene_path)
+        img = _read_image(scene_path)
         labels = raster.read_label(label_path)
         if (img.width, img.height) != (labels.width, labels.height):
             raise DataError(f"{label_path}: extents do not match {scene_path.name}")
@@ -197,7 +205,7 @@ def _cmd_train(args, cfg: RunConfig, out: Path):
 
 def _cmd_infer(args, cfg: RunConfig, out: Path):
     model = _load_model(cfg, args.model)
-    img = raster.read_raster(args.image)
+    img = _read_image(args.image)
     prob = stitch(*_tile_patches(model, img), (img.height, img.width))
     base = args.name or Path(args.image).stem
     artifacts = _write_prob(prob, out, f"{base}_prob", args.sidecar)
@@ -229,7 +237,7 @@ def _cmd_tree_fit(args, cfg: RunConfig, out: Path):
     # every input is read and checked before the first (slow) forward pass
     inputs = []
     for image_path, prob_path, gt_path in zip(args.image, args.prob, args.gt):
-        img = raster.read_raster(image_path)
+        img = _read_image(image_path)
         prob, gt = _read_prob(Path(prob_path)), raster.read_label(gt_path)
         for path, shape in ((prob_path, prob.shape), (gt_path, (gt.height, gt.width))):
             if shape != (img.height, img.width):
@@ -262,7 +270,7 @@ def _cmd_ablate(args, cfg: RunConfig, out: Path):
     model = _load_model(cfg, args.model)
     if len(model.pathways) != 2:
         raise ConfigError("ablate requires a dual-pathway model")
-    img = raster.read_raster(args.image)
+    img = _read_image(args.image)
     base = args.name or Path(args.image).stem
     artifacts = []
     for tag, blank in (("full", ()), ("local_only", ("global",)), ("global_only", ("local",))):
@@ -402,7 +410,7 @@ _COMMANDS = {
 }
 
 
-def dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -415,16 +423,9 @@ def dispatch(argv=None) -> int:
         seed, artifacts, extras = _COMMANDS[args.command](args, cfg, out)
         _write_report(out, args.command, cfg, seed, artifacts, extras)
         return 0
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and DataError are ValueErrors
         print(f"lgseg {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:  # DataError is a ValueError
-        print(f"lgseg {args.command}: {exc}", file=sys.stderr)
-        return 2
-
-
-def main(argv=None) -> int:
-    return dispatch(argv)
+        return 1 if isinstance(exc, ConfigError) else 2
 
 
 if __name__ == "__main__":

@@ -152,7 +152,7 @@ class RunConfig:
                 key = f"{prefix}_layers"
                 if model["variant"] in ("dual", prefix):
                     spec = PathwaySpec(parse_layers(model[key]), model[f"{prefix}_embed"], width)
-                    spec.flat_size()  # raises if a layer leaves an empty map
+                    spec.flat_size()  # raises on a layer that cannot run
                     pathways[prefix] = spec
             key = "fusion_hidden"
             hidden = tuple(int(v) for v in model[key].split(",")) \

@@ -2,20 +2,22 @@
 
 Everything is a plain C-contiguous float64 ndarray; layers are free functions
 (forward/backward pairs) so they stay re-entrant, and parameters live in
-ordered ``{name: array}`` dicts owned by the caller.  Convolution uses
-im2col + GEMM, the forward in cache-sized bands of output rows bit-equal to
-one GEMM; its backward can skip the input gradient when nothing reads it.
-Max-pool takes a running maximum over its window taps.  Its backward
-sends each window's gradient to the first tap in scan order that holds the
-output (the first NaN, if any): tap by tap into strided views of the input
-gradient when windows do not overlap, and by a scatter over flat argmax
-positions when they do.  The classical momentum SGD step (weight decay on
-weights only, never biases) completes the training core.  Checkpoints
-serialise named tensors bit-exactly.
+ordered ``{name: array}`` dicts owned by the caller.  out_extent is the one
+output-extent rule of conv and pool windows, for the network too.  Convolution
+uses im2col + GEMM, the forward in cache-sized bands of output rows bit-equal
+to one GEMM; its backward can skip the input gradient when nothing reads it.
+Max-pool takes a running maximum over its window taps.  Its backward sends
+each window's gradient to the first tap in scan order that holds the output
+(the first NaN, if any): tap by tap into strided views of the input gradient
+when windows do not overlap, and by a scatter over flat argmax positions when
+they do.  The classical momentum SGD step (weight decay on weights only, never
+biases) completes the training core.  Checkpoints serialise named tensors
+bit-exactly.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,18 +50,26 @@ def xavier_init(shape, fan_in: int, fan_out: int, rng: SplitMix64) -> np.ndarray
 # convolution
 
 
+def out_extent(h: int, w: int, kh: int, kw: int, stride: int, pad: int,
+               kind: str = "window") -> tuple:
+    """(Ho, Wo) of a kh x kw window at step `stride` over an h x w map padded by
+    `pad`; ValueError unless kh, kw, stride >= 1, pad >= 0 and the window fits.
+    `kind` ("conv window", "pool window") opens the message."""
+    size = kh if kh == kw else f"{kh}x{kw}"
+    if min(kh, kw, stride) < 1 or pad < 0:
+        raise ValueError(f"{kind} {size} needs kernel and stride >= 1 and pad >= 0, "
+                         f"got stride {stride}, pad {pad}")
+    if h + 2 * pad < kh or w + 2 * pad < kw:
+        raise ValueError(f"{kind} {size} does not fit input {h}x{w} padded by {pad}")
+    return (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+
+
 def _conv_geometry(x, weight, stride, pad):
     c, h, w = x.shape
     out_ch, in_ch, kh, kw = weight.shape
     if in_ch != c:
         raise ValueError(f"conv channel mismatch: input has {c}, kernel expects {in_ch}")
-    if stride < 1 or pad < 0:
-        raise ValueError("stride must be >= 1 and pad >= 0")
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    if ho <= 0 or wo <= 0:
-        raise ValueError(f"conv output extent not positive for input {h}x{w}, kernel {kh}x{kw}")
-    return ho, wo
+    return out_extent(h, w, kh, kw, stride, pad, "conv window")
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
@@ -192,16 +202,10 @@ class PoolIndices:
 def maxpool2d(x, k: int, stride: int | None = None):
     """Per-window max over full (non-partial) windows; ties go to the first
     position in row-major scan order."""
-    if k < 1:
-        raise ValueError("pool size must be >= 1")
     stride = k if stride is None else stride
-    if stride < 1:
-        raise ValueError("pool stride must be >= 1")
     x = _as_f64(x)
-    c, h, w = x.shape
-    if h < k or w < k:
-        raise ValueError(f"pool window {k} does not fit input {h}x{w}")
-    taps = _pool_taps(x, k, stride, (h - k) // stride + 1, (w - k) // stride + 1)
+    _, h, w = x.shape
+    taps = _pool_taps(x, k, stride, *out_extent(h, w, k, k, stride, 0, "pool window"))
     out = taps[0].copy()
     for tap in taps[1:]:
         # np.maximum returns its second argument on a tie, so the earlier
@@ -368,8 +372,8 @@ def load_checkpoint(path) -> dict:
             raise ValueError(f"{path}: tensor {name} appears more than once")
         (rank,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        count = int(np.prod(shape)) if rank else 1
-        data = np.frombuffer(take(8 * count), dtype="<f8")
+        # exact Python ints: an int64 product of u32 extents can wrap
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
         if not np.isfinite(data).all():
             raise ValueError(f"{path}: tensor {name} holds non-finite values")
         out[name] = data.reshape(shape).astype(np.float64)

@@ -86,36 +86,29 @@ class PathwaySpec:
     input_width: int = LOCAL_WIDTH
 
     def shape_trace(self) -> list:
-        """(C, H, W) after each layer; raises if any stage degenerates."""
+        """(C, H, W) after each layer; raises ValueError on a layer that cannot run."""
         c, h, w = 3, self.input_width, self.input_width
         trace = [(c, h, w)]
         for spec in self.layers:
             if isinstance(spec, ConvSpec):
-                pad = spec.padding()
-                h = (h + 2 * pad - spec.kernel) // spec.stride + 1
-                w = (w + 2 * pad - spec.kernel) // spec.stride + 1
+                if spec.out_channels < 1:
+                    raise ValueError(f"conv needs an output channel, got {spec.out_channels}")
+                h, w = engine.out_extent(h, w, spec.kernel, spec.kernel, spec.stride,
+                                         spec.padding(), "conv window")
                 c = spec.out_channels
             elif isinstance(spec, PoolSpec):
                 stride = spec.k if spec.stride is None else spec.stride
-                if h < spec.k or w < spec.k:
-                    raise ValueError(f"pool window {spec.k} does not fit {h}x{w}")
-                h = (h - spec.k) // stride + 1
-                w = (w - spec.k) // stride + 1
-            elif isinstance(spec, ReluSpec):
-                pass
-            else:
+                h, w = engine.out_extent(h, w, spec.k, spec.k, stride, 0, "pool window")
+            elif not isinstance(spec, ReluSpec):
                 raise ValueError(f"unknown layer spec {spec!r}")
-            if h <= 0 or w <= 0:
-                raise ValueError(f"layer {spec!r} produces empty output")
             trace.append((c, h, w))
         return trace
 
     def flat_size(self) -> int:
         c, h, w = self.shape_trace()[-1]
-        n = c * h * w
-        if n <= 0 or self.embed_width <= 0:
-            raise ValueError("pathway flattened size and embed width must be positive")
-        return n
+        if self.embed_width <= 0:
+            raise ValueError("pathway embed width must be positive")
+        return c * h * w
 
 
 _CONV_RE = re.compile(r"^conv(\d+)x(\d+)(?:s(\d+))?(?:p(\d+))?$")
@@ -123,7 +116,9 @@ _POOL_RE = re.compile(r"^pool(\d+)(?:s(\d+))?$")
 
 
 def parse_layers(text: str) -> tuple:
-    """Layer DSL -> specs: convKxN[sS][pP] (pad defaults to K//2), poolK[sS], relu."""
+    """Layer DSL -> specs: convKxN[sS][pP] (S defaults to 1, P to K//2), poolK[sS]
+    (S defaults to K), relu.  Valid: conv K, N, S >= 1 and P >= 0; pool K, S >= 1.
+    PathwaySpec.shape_trace rejects the rest."""
     layers = []
     for token in (t.strip().lower() for t in text.split(",")):
         if not token:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lgseg import cli, engine, raster, sampling, tree
-from lgseg.cli import _load_model, _tile_patches, dispatch
+from lgseg.cli import _load_model, _tile_patches, main
 from lgseg.config import parse_config_text
 from lgseg.counting import write_boxes_csv, DetectionBox
 from lgseg.engine import CHECKPOINT_MAGIC, save_checkpoint
@@ -42,7 +42,7 @@ occluders = 0.1
 
 
 def run(*argv):
-    return dispatch([str(a) for a in argv])
+    return main([str(a) for a in argv])
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +229,19 @@ class TestInfer:
                    "--image", scene_dir / "scene_000.ppm", "--out", out) == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and ("fusion.1.bias" in err) == (fault == "reshaped")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_checkpoint_with_wrapping_extents_is_data_error(self, tmp_path, cfg_path,
+                                                          scene_dir, trained_dir, capsys):
+        # a tensor of (2**32 - 1)**2 elements after a valid checkpoint: an
+        # int64 element count wraps, an exact one finds the file truncated
+        ckpt = tmp_path / "huge.ckpt"
+        ckpt.write_bytes((trained_dir / "model.ckpt").read_bytes() + struct.pack("<I", 8)
+                         + b"x.weight" + struct.pack("<3I", 2, 2 ** 32 - 1, 2 ** 32 - 1))
+        out = tmp_path / "x"
+        assert run("infer", "--config", cfg_path, "--model", ckpt,
+                   "--image", scene_dir / "scene_000.ppm", "--out", out) == 2
+        assert capsys.readouterr().err == f"lgseg infer: {ckpt}: truncated checkpoint\n"
         assert not out.exists() or not any(out.iterdir())
 
     def test_wrong_architecture_checkpoint_is_data_error(self, tmp_path, scene_dir,
@@ -571,9 +584,10 @@ class TestDispatch:
         ("train", "[model]\nfusion_hidden = abc\n"),
         ("train", "[model]\nfusion_hidden = 8,,4\n"),
         ("train", "[model]\nlocal_layers = pool128\n"),
+        ("gen", "[model]\nlocal_layers = conv3x16s0\n"),
     ])
     def test_config_value_library_rejects_usage_error_before_any_work(self, tmp_path, scene_dir,
-                                                                      command, text):
+                                                                      command, text, capsys):
         bad = tmp_path / "bad.cfg"
         # a tiny train, so that a key that slips through fails in seconds
         bad.write_text(text + ("[train]\nsamples_per_scene = 1\nepochs = 1\n"
@@ -582,6 +596,36 @@ class TestDispatch:
         out = tmp_path / "out"
         assert run(command, "--config", bad, *inputs, "--out", out) == 1
         assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"lgseg {command}: {bad}: ")
+
+    @pytest.mark.parametrize("command", ["infer", "ablate", "tree-fit", "train"])
+    def test_single_channel_image_is_data_error_before_any_forward(
+            self, tmp_path, capsys, cfg_path, trained_dir, monkeypatch, command):
+        # a P5 file under a .ppm name; the pathways take 3 channels
+        img = small_image(4)
+        image = tmp_path / "scene_000.ppm"
+        raster.write_raster(raster.Raster(img.width, img.height, 1, img.pixels[..., :1].copy()),
+                            image)
+        raster.write_label(raster.LabelMap(img.width, img.height,
+                                           np.zeros((img.height, img.width), np.uint8)),
+                           tmp_path / "labels_000.pgm")
+        raster.write_prob_sidecar(np.full((img.height, img.width), 0.5), tmp_path / "p.lgprob")
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran on a single-channel image")
+
+        monkeypatch.setattr(cli, "_tile_patches", no_forward)
+        monkeypatch.setattr(cli, "train", no_forward)
+        inputs = ("--model", trained_dir / "model.ckpt", "--image", image)
+        if command == "tree-fit":
+            inputs += ("--prob", tmp_path / "p.lgprob", "--gt", tmp_path / "labels_000.pgm")
+        elif command == "train":
+            inputs = ("--data", tmp_path)
+        assert run(command, "--config", cfg_path, *inputs, "--out", tmp_path / "out") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"lgseg {command}: {image}: need a 3-channel (P6) image, got 1 channel"]
+        assert not list(tmp_path.rglob("*_run.json"))
 
     def test_missing_image_data_error(self, tmp_path, cfg_path, trained_dir):
         assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",

@@ -128,6 +128,15 @@ class TestParsing:
         ("[model]\nfusion_hidden = ,\n", r"\[model\] fusion_hidden: invalid literal"),
         ("[model]\nfusion_hidden = 8,,4\n", r"\[model\] fusion_hidden: invalid literal"),
         ("[model]\nlocal_layers = pool128\n", r"\[model\] local_layers: pool window 128"),
+        ("[model]\nlocal_layers = conv3x16s0\n",
+         r"\[model\] local_layers: conv window 3 needs kernel and stride >= 1 .*stride 0"),
+        ("[model]\nlocal_layers = pool0\n", r"\[model\] local_layers: pool window 0 needs kernel"),
+        ("[model]\nlocal_layers = pool2s0\n",
+         r"\[model\] local_layers: pool window 2 needs kernel and stride >= 1 .*stride 0"),
+        ("[model]\nlocal_layers = conv0x16\n",
+         r"\[model\] local_layers: conv window 0 needs kernel"),
+        ("[model]\nlocal_layers = conv3x0, relu, conv3x16\n",
+         r"\[model\] local_layers: conv needs an output channel, got 0"),
         ("[model]\nvariant = global\nglobal_layers = \n", r"\[model\] global_layers: .*empty"),
         ("[train]\nclamp_eps = 0.01\n", r"clamp_eps must lie in \(0, 1e-3\)"),
     ])

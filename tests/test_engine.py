@@ -2,6 +2,7 @@
 and checkpoint round-trips."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -171,6 +172,18 @@ class TestConv2d:
     def test_nonpositive_output_rejected(self):
         with pytest.raises(ValueError):
             engine.conv2d_forward(np.zeros((1, 2, 2)), np.zeros((1, 1, 3, 3)), np.zeros(1))
+
+    def test_out_extent_counts_whole_windows(self):
+        # as many as a stride-s sliding view of the padded map holds, kernels non-square too
+        for h, w, kh, kw, stride, pad in [(7, 6, 3, 2, 1, 0), (7, 6, 3, 2, 2, 1),
+                                          (5, 9, 5, 1, 3, 2), (1, 1, 3, 3, 1, 1)]:
+            padded = np.zeros((h + 2 * pad, w + 2 * pad))
+            view = sliding_window_view(padded, (kh, kw))[::stride, ::stride]
+            assert engine.out_extent(h, w, kh, kw, stride, pad) == view.shape[:2]
+        for bad in [(4, 4, 0, 3, 1, 0), (4, 4, 3, 0, 1, 0), (4, 4, 3, 3, 0, 1),
+                    (4, 4, 3, 3, 1, -1), (2, 4, 3, 3, 1, 0), (4, 1, 3, 4, 1, 1)]:
+            with pytest.raises(ValueError):
+                engine.out_extent(*bad)
 
     def test_zero_upstream_zero_grads(self):
         rng = SplitMix64(5)
@@ -668,4 +681,12 @@ class TestCheckpoint:
         engine.save_checkpoint(p, {"a.weight": np.ones((3, 3))})
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(ValueError):
+            engine.load_checkpoint(p)
+
+    def test_extents_whose_int64_product_wraps_are_truncated(self, tmp_path):
+        # (2**32 - 1)**2 elements: an int64 product wraps to a negative count
+        p = tmp_path / "model.ckpt"
+        p.write_bytes(engine.CHECKPOINT_MAGIC + struct.pack("<I", 8) + b"a.weight"
+                      + struct.pack("<3I", 2, 2 ** 32 - 1, 2 ** 32 - 1))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: truncated checkpoint$"):
             engine.load_checkpoint(p)

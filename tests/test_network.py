@@ -9,7 +9,7 @@ from gradcheck import grad_check
 from test_engine import maxpool_backward_reference
 from lgseg import engine, network
 from lgseg.network import (ConvSpec, PathwaySpec, PoolSpec, ReluSpec,
-                           TrainConfig, build_model, patch_loss, train)
+                           TrainConfig, build_model, parse_layers, patch_loss, train)
 from lgseg.rng import SplitMix64
 
 # compact dual architecture: full window sizes, few channels, cheap to run
@@ -132,6 +132,10 @@ class TestBuildModel:
             PathwaySpec(layers=(PoolSpec(2), PoolSpec(2), PoolSpec(2), PoolSpec(2),
                                 PoolSpec(2), PoolSpec(2), PoolSpec(2)),
                         embed_width=8, input_width=64).shape_trace()
+        # a zero kernel, stride or channel count: ValueError, never ZeroDivisionError
+        for text in ("conv3x16s0", "pool0", "pool2s0", "conv0x16", "conv3x0, relu, conv3x16"):
+            with pytest.raises(ValueError):
+                PathwaySpec(parse_layers(text), embed_width=8, input_width=64).shape_trace()
 
 
 class TestForward:
