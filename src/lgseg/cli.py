@@ -6,6 +6,8 @@ inputs are checkable for byte-identical outputs.  Each subcommand only writes
 its artifacts into the output directory; `main` creates that directory,
 writes the `<command>_run.json` report and maps errors to the exit codes:
 0 success, 1 usage/config error (bad flags included), 2 data or file error.
+`cli` reads no file format: `raster` reads and checks each input file, and
+only the rule that spans files (inputs that must share extents) lives here.
 `ablate` writes three maps of a dual-pathway model: `full`, `local_only`
 (the global pathway is fed the per-channel mean of its window, a constant
 image) and `global_only` (the local pathway is fed its mean instead).
@@ -96,18 +98,11 @@ def _load_model(cfg: RunConfig, checkpoint_path) -> LgSegModel:
     return model
 
 
-def _read_image(path) -> raster.Raster:
-    """A 3-channel image; one that reads as 1 channel (a P5) is a data error."""
-    img = raster.read_raster(path)
-    if img.channels != 3:
-        raise DataError(f"{path}: need a 3-channel (P6) image, got {img.channels} channel")
-    return img
-
-
-def _read_prob(path: Path) -> np.ndarray:
-    if path.suffix == ".lgprob":
-        return raster.read_prob_sidecar(path)
-    return raster.raster_to_prob(raster.read_raster(path))
+def _check_extents(reference, shape: tuple, others) -> None:
+    """Each (path, shape) in `others` must have the reference file's extents."""
+    for path, other in others:
+        if other != shape:
+            raise DataError(f"{path}: extents do not match {Path(reference).name}")
 
 
 def _scene_pairs(data_dir: Path):
@@ -141,17 +136,6 @@ def _tile_patches(model: LgSegModel, img: raster.Raster, blank: tuple = ()):
     return centers, _parallel_map(predict, centers)
 
 
-def _write_prob(prob: np.ndarray, out: Path, stem: str, sidecar: bool) -> list:
-    """The 8-bit PGM of a probability map and, with `sidecar`, the exact
-    float map beside it; returns the paths written."""
-    paths = [out / f"{stem}.pgm"]
-    raster.write_raster(raster.prob_to_raster(prob), paths[0])
-    if sidecar:
-        paths.append(out / f"{stem}.lgprob")
-        raster.write_prob_sidecar(prob, paths[1])
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each writes its artifacts into `out` and returns
 # (report seed, artifact paths, extra report fields) for main to record
@@ -181,10 +165,9 @@ def _cmd_train(args, cfg: RunConfig, out: Path):
     sampler = SplitMix64(cfg.get("train", "seed"))
     triplets = []
     for scene_path, label_path in pairs:
-        img = _read_image(scene_path)
+        img = raster.read_image(scene_path)
         labels = raster.read_label(label_path)
-        if (img.width, img.height) != (labels.width, labels.height):
-            raise DataError(f"{label_path}: extents do not match {scene_path.name}")
+        _check_extents(scene_path, (img.height, img.width), [(label_path, labels.labels.shape)])
         if use_grid:
             centers = grid_centers((labels.height, labels.width))
         else:
@@ -205,18 +188,20 @@ def _cmd_train(args, cfg: RunConfig, out: Path):
 
 def _cmd_infer(args, cfg: RunConfig, out: Path):
     model = _load_model(cfg, args.model)
-    img = _read_image(args.image)
+    img = raster.read_image(args.image)
     prob = stitch(*_tile_patches(model, img), (img.height, img.width))
     base = args.name or Path(args.image).stem
-    artifacts = _write_prob(prob, out, f"{base}_prob", args.sidecar)
+    artifacts = raster.write_prob(prob, out, f"{base}_prob", args.sidecar)
     return cfg.get("model", "init_seed"), artifacts, {"image": Path(args.image).name}
 
 
 def _cmd_eval(args, cfg: RunConfig, out: Path):
     if len(args.pred) != len(args.gt):
         raise ConfigError(f"{len(args.pred)} predictions but {len(args.gt)} ground truths")
-    probs = [_read_prob(Path(p)) for p in args.pred]
+    probs = [raster.read_prob(p) for p in args.pred]
     gts = [raster.read_label(p).labels for p in args.gt]
+    for pred_path, prob, gt_path, gt in zip(args.pred, probs, args.gt, gts):
+        _check_extents(gt_path, gt.shape, [(pred_path, prob.shape)])
     rho = cfg.get("eval", "rho")
     curve = evaluation.set_curve(probs, gts, rho, thresholds=cfg.eval_thresholds(),
                                  aggregate=cfg.get("eval", "aggregate"))
@@ -237,11 +222,10 @@ def _cmd_tree_fit(args, cfg: RunConfig, out: Path):
     # every input is read and checked before the first (slow) forward pass
     inputs = []
     for image_path, prob_path, gt_path in zip(args.image, args.prob, args.gt):
-        img = _read_image(image_path)
-        prob, gt = _read_prob(Path(prob_path)), raster.read_label(gt_path)
-        for path, shape in ((prob_path, prob.shape), (gt_path, (gt.height, gt.width))):
-            if shape != (img.height, img.width):
-                raise DataError(f"{path}: extents do not match {Path(image_path).name}")
+        img = raster.read_image(image_path)
+        prob, gt = raster.read_prob(prob_path), raster.read_label(gt_path)
+        _check_extents(image_path, (img.height, img.width),
+                       [(prob_path, prob.shape), (gt_path, gt.labels.shape)])
         inputs.append((img, prob, gt))
     validation = []
     for img, prob, gt in inputs:
@@ -270,12 +254,12 @@ def _cmd_ablate(args, cfg: RunConfig, out: Path):
     model = _load_model(cfg, args.model)
     if len(model.pathways) != 2:
         raise ConfigError("ablate requires a dual-pathway model")
-    img = _read_image(args.image)
+    img = raster.read_image(args.image)
     base = args.name or Path(args.image).stem
     artifacts = []
     for tag, blank in (("full", ()), ("local_only", ("global",)), ("global_only", ("local",))):
         prob = stitch(*_tile_patches(model, img, blank), (img.height, img.width))
-        artifacts += _write_prob(prob, out, f"{base}_{tag}", sidecar=True)
+        artifacts += raster.write_prob(prob, out, f"{base}_{tag}", sidecar=True)
     return None, artifacts, {"image": Path(args.image).name}
 
 
@@ -284,14 +268,16 @@ def _cmd_count(args, cfg: RunConfig, out: Path):
     if args.tallies:
         if args.prob or args.boxes or args.threshold is not None:
             raise ConfigError("count --tallies takes no --prob, --boxes or --threshold")
-        with open(args.tallies) as fh:
-            tallies = json.load(fh)
+        try:
+            tallies = json.loads(Path(args.tallies).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DataError(f"{args.tallies}: {exc}") from None
         values = [tallies.get(key) for key in ("tp", "fp", "fn", "residential")] \
             if isinstance(tallies, dict) else [None]
         # a JSON integer only: no float, string or bool (a Python int subclass)
-        if not all(type(v) is int for v in values):
-            raise DataError(f"{args.tallies}: need a JSON object of integer tp, fp, fn "
-                            "and residential tallies")
+        if not all(type(v) is int and v >= 0 for v in values):
+            raise DataError(f"{args.tallies}: need a JSON object of nonnegative integer "
+                            "tp, fp, fn and residential tallies")
         tp, fp, fn, residential = values
         precision, recall = counting.count_metrics(tp, fp, fn, residential)
         _write_json(report_path, {
@@ -302,7 +288,7 @@ def _cmd_count(args, cfg: RunConfig, out: Path):
 
     if not args.prob:
         raise ConfigError("count needs --prob (or --tallies)")
-    prob = _read_prob(Path(args.prob))
+    prob = raster.read_prob(args.prob)
     threshold = args.threshold if args.threshold is not None else cfg.get("count", "threshold")
     manual = counting.read_boxes_csv(args.boxes) if args.boxes else None
     if manual and any(b.row_max >= prob.shape[0] or b.col_max >= prob.shape[1] for b in manual):
@@ -373,7 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="relaxed PR curve and max F over image pairs")
     common(p)
-    p.add_argument("--pred", action="append", required=True, help="prob map (.lgprob or .pgm)")
+    p.add_argument("--pred", action="append", required=True,
+                   help="probability map (exact sidecar or 8-bit PGM)")
     p.add_argument("--gt", action="append", required=True, help="label map (.pgm)")
 
     p = sub.add_parser("tree-fit", help="fit the classifier-tree thresholds")

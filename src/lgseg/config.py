@@ -2,17 +2,17 @@
 
 Comments start with '#'; duplicate keys, unknown keys and float values that
 are not finite (nan, inf) are rejected with line numbers; every key has a
-default, so an empty file is a valid config.  Keys may be given without a
-section header when the name is unique across the schema.  Parsing builds the
-model, scene and training specs once, so a value the library rejects is a
-ConfigError before any command runs.  The raw text is kept for verbatim echo
-into run reports.
+default, so an empty file is a valid config.  Every key name is unique
+across the sections, so a key may be given without a section header.
+Parsing builds the model, scene and training specs once, so a value the
+library rejects is a ConfigError before any command runs.  The raw text is
+kept for verbatim echo into run reports.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .evaluation import threshold_grid
 from .network import (FUSION_HIDDEN, GLOBAL_LAYERS, GLOBAL_PATHWAY, INPUT_WIDTHS, LOCAL_LAYERS,
@@ -164,18 +164,11 @@ class RunConfig:
         return pathways, hidden
 
     def train_config(self, epochs: int | None = None) -> TrainConfig:
-        stop = self.get("train", "stop_loss")
-        return TrainConfig(
-            batch_size=self.get("train", "batch_size"),
-            learning_rate=self.get("train", "learning_rate"),
-            momentum=self.get("train", "momentum"),
-            weight_decay=self.get("train", "weight_decay"),
-            epochs=epochs if epochs is not None else self.get("train", "epochs"),
-            seed=self.get("train", "seed"),
-            clamp_eps=self.get("train", "clamp_eps"),
-            reduction=self.get("train", "reduction"),
-            stop_loss=stop if stop > 0 else None,
-        )
+        """TrainConfig from the [train] keys of its field names; `epochs` overrides."""
+        values = {f.name: self.get("train", f.name) for f in fields(TrainConfig)}
+        if epochs is not None:
+            values["epochs"] = epochs
+        return TrainConfig(**values)
 
     def scene_spec(self, seed: int) -> SceneSpec:
         return SceneSpec(
@@ -217,18 +210,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         key, _, raw_value = line.partition("=")
         key = key.strip().lower()
         raw_value = raw_value.strip()
-        if section is not None:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"{origin}:{lineno}: unknown key '{key}' in [{section}]")
-            target = section
-        else:
-            owners = [s for s, keys in _SCHEMA.items() if key in keys]
-            if not owners:
-                raise ConfigError(f"{origin}:{lineno}: unknown key '{key}'")
-            if len(owners) > 1:
-                raise ConfigError(f"{origin}:{lineno}: key '{key}' is ambiguous without "
-                                  f"a section header (in {sorted(owners)})")
-            target = owners[0]
+        target = section or next((s for s, keys in _SCHEMA.items() if key in keys), None)
+        if target is None or key not in _SCHEMA[target]:
+            where = f" in [{section}]" if section else ""
+            raise ConfigError(f"{origin}:{lineno}: unknown key '{key}'{where}")
         if (target, key) in seen:
             raise ConfigError(f"{origin}:{lineno}: duplicate key '{key}' "
                               f"(lines {seen[(target, key)]} and {lineno})")
@@ -267,6 +252,6 @@ def parse_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from None
     return parse_config_text(text, origin=str(path))

@@ -11,6 +11,7 @@ residential hit worth at least two houses in the derived precision/recall.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,16 +209,19 @@ def write_boxes_csv(boxes, path) -> None:
 
 
 def read_boxes_csv(path):
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(io.StringIO(fh.read(), newline=""))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
     boxes = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "row_min", "col_min", "row_max", "col_max"]:
-            raise ValueError(f"{path}: unexpected box CSV header {header}")
-        for row in reader:
-            try:
-                _, rmin, cmin, rmax, cmax = (int(v) for v in row)
-                boxes.append(DetectionBox(rmin, cmin, rmax, cmax))
-            except ValueError as exc:
-                raise DataError(f"{path}:{reader.line_num}: bad box row {row}: {exc}") from None
+    header = next(reader, None)
+    if header != ["id", "row_min", "col_min", "row_max", "col_max"]:
+        raise ValueError(f"{path}: unexpected box CSV header {header}")
+    for row in reader:
+        try:
+            _, rmin, cmin, rmax, cmax = (int(v) for v in row)
+            boxes.append(DetectionBox(rmin, cmin, rmax, cmax))
+        except ValueError as exc:
+            raise DataError(f"{path}:{reader.line_num}: bad box row {row}: {exc}") from None
     return boxes

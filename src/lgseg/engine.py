@@ -367,7 +367,10 @@ def load_checkpoint(path) -> dict:
 
     while off < len(blob):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: tensor name is not UTF-8: {exc}") from None
         if name in out:
             raise ValueError(f"{path}: tensor {name} appears more than once")
         (rank,) = struct.unpack("<I", take(4))

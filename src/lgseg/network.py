@@ -391,7 +391,7 @@ class TrainConfig:
     seed: int = 0
     clamp_eps: float = 1e-7
     reduction: str = "sum"  # mini-batch loss: "sum" (default) or "mean"
-    stop_loss: float | None = None  # stop once epoch mean per-pixel loss dips below
+    stop_loss: float = 0.0  # stop once epoch mean per-pixel loss dips below (0: never)
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -402,6 +402,8 @@ class TrainConfig:
             raise ValueError("reduction must be 'sum' or 'mean'")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not (isinstance(self.stop_loss, (int, float)) and self.stop_loss >= 0):
+            raise ValueError(f"stop_loss must be a number >= 0, got {self.stop_loss}")
 
 
 @dataclass
@@ -459,6 +461,6 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
         epoch_loss = total / (len(items) * OUTPUT_PIXELS)
         losses.append(epoch_loss)
         walls.append(time.perf_counter() - t0)
-        if config.stop_loss is not None and epoch_loss < config.stop_loss:
+        if epoch_loss < config.stop_loss:
             break
     return TrainReport(epoch_losses=losses, wall_clock=walls)

@@ -1,19 +1,21 @@
-"""Binary PGM (P5) / PPM (P6) images, binary label maps, and float sidecars.
-
-Formats are header-plus-raw with maxval 255, so round trips are bit-exact and
-carry no codec dependence.  Probability maps get quantised to 8-bit PGM for
-portability; the exact float64 values go to a sidecar file when they matter
-(fine-grained threshold sweeps).
+"""The pipeline's input files, each behind one reader that checks its kind
+and values and names the file in every error: `read_image` (a 3-channel P6
+image), `read_label` (a 1-channel P5 label map) and `read_prob` (a `.lgprob`
+float64 sidecar, or else a 1-channel P5 scaled by 1/255).  Formats are
+header-plus-raw with maxval 255, so round trips are bit-exact; `write_prob`
+writes the 8-bit PGM and, where exact values matter, the sidecar beside it.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 PROB_MAGIC = b"LGPROB1\x00"  # padded to 8 bytes; header is 16 bytes with extents
+RASTER_MAGIC = {1: b"P5", 3: b"P6"}  # channel count -> raster magic
 
 
 class DataError(ValueError):
@@ -30,7 +32,7 @@ class Raster:
     pixels: np.ndarray  # (H, W, C) uint8
 
     def __post_init__(self):
-        if self.channels not in (1, 3):
+        if self.channels not in RASTER_MAGIC:
             raise DataError(f"raster must have 1 or 3 channels, got {self.channels}")
         if self.width <= 0 or self.height <= 0:
             raise DataError(f"raster extents must be positive, got {self.width}x{self.height}")
@@ -90,13 +92,9 @@ def read_raster(path) -> Raster:
     with open(path, "rb") as fh:
         blob = fh.read()
     tokens, offset = _read_header_tokens(blob, path)
-    magic = tokens[0]
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
-        raise DataError(f"{path}: unsupported magic {magic!r} (want P5 or P6)")
+    channels = {magic: c for c, magic in RASTER_MAGIC.items()}.get(tokens[0])
+    if channels is None:
+        raise DataError(f"{path}: unsupported magic {tokens[0]!r} (want P5 or P6)")
     try:
         width, height, maxval = (int(t) for t in tokens[1:])
     except ValueError as exc:
@@ -117,32 +115,31 @@ def read_raster(path) -> Raster:
 
 def write_raster(raster: Raster, path) -> None:
     """Canonical header (single spaces, newlines) followed by the raw payload."""
-    magic = b"P5" if raster.channels == 1 else b"P6"
-    header = magic + b"\n" + f"{raster.width} {raster.height}".encode() + b"\n255\n"
+    header = RASTER_MAGIC[raster.channels] + f"\n{raster.width} {raster.height}\n255\n".encode()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(raster.pixels, dtype=np.uint8).tobytes())
 
 
-def label_to_raster(labels: LabelMap) -> Raster:
-    """Labels as a viewable P5 image: 1 -> 255."""
-    return Raster(labels.width, labels.height, 1, (labels.labels * np.uint8(255))[..., None])
-
-
-def raster_to_label(raster: Raster) -> LabelMap:
-    """Grayscale image back to binary labels; >= 128 counts as object."""
-    if raster.channels != 1:
-        raise DataError("label rasters must be single-channel")
-    return LabelMap(raster.width, raster.height,
-                    (raster.pixels[..., 0] >= 128).astype(np.uint8))
+def read_image(path, channels: int = 3) -> Raster:
+    """A raster with `channels` channels: 3 (a P6 image) or 1 (a P5 map)."""
+    img = read_raster(path)
+    if img.channels != channels:
+        raise DataError(f"{path}: need a {channels}-channel ({RASTER_MAGIC[channels].decode()}) "
+                        f"image, got {img.channels} channel{'s' if img.channels > 1 else ''}")
+    return img
 
 
 def read_label(path) -> LabelMap:
-    return raster_to_label(read_raster(path))
+    """A 1-channel map as binary labels; >= 128 counts as object."""
+    img = read_image(path, channels=1)
+    return LabelMap(img.width, img.height, (img.pixels[..., 0] >= 128).astype(np.uint8))
 
 
 def write_label(labels: LabelMap, path) -> None:
-    write_raster(label_to_raster(labels), path)
+    """Labels as a viewable P5 image: 1 -> 255."""
+    pixels = (labels.labels * np.uint8(255))[..., None]
+    write_raster(Raster(labels.width, labels.height, 1, pixels), path)
 
 
 def unit_array(values, what: str = "probabilities") -> np.ndarray:
@@ -160,12 +157,6 @@ def prob_to_raster(prob: np.ndarray) -> Raster:
     q = np.rint(prob * 255.0).astype(np.uint8)
     h, w = prob.shape
     return Raster(w, h, 1, q[..., None])
-
-
-def raster_to_prob(raster: Raster) -> np.ndarray:
-    if raster.channels != 1:
-        raise DataError("probability rasters must be single-channel")
-    return raster.pixels[..., 0].astype(np.float64) / 255.0
 
 
 def write_prob_sidecar(prob: np.ndarray, path) -> None:
@@ -195,3 +186,24 @@ def read_prob_sidecar(path) -> np.ndarray:
     if len(blob) != need:
         raise DataError(f"{path}: payload size mismatch")
     return np.frombuffer(blob[16:], dtype="<f8").reshape(h, w).astype(np.float64)
+
+
+def read_prob(path) -> np.ndarray:
+    """The exact floats of a `.lgprob` sidecar, or else a 1-channel map
+    scaled by 1/255; rejected unless every value is finite and in [0, 1]."""
+    if Path(path).suffix == ".lgprob":
+        prob = read_prob_sidecar(path)
+    else:
+        prob = read_image(path, channels=1).pixels[..., 0].astype(np.float64) / 255.0
+    return unit_array(prob, f"{path}: probabilities")
+
+
+def write_prob(prob: np.ndarray, out: Path, stem: str, sidecar: bool) -> list:
+    """The 8-bit PGM of a probability map and, with `sidecar`, the exact
+    float map beside it; returns the paths written."""
+    paths = [out / f"{stem}.pgm"]
+    write_raster(prob_to_raster(prob), paths[0])
+    if sidecar:
+        paths.append(out / f"{stem}.lgprob")
+        write_prob_sidecar(prob, paths[1])
+    return paths

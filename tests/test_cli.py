@@ -150,7 +150,7 @@ class TestInfer:
         prob = raster.read_prob_sidecar(out / "scene_000_prob.lgprob")
         assert prob.shape == (512, 512)
         assert prob.min() > 0.0 and prob.max() < 1.0
-        quantised = raster.raster_to_prob(raster.read_raster(out / "scene_000_prob.pgm"))
+        quantised = raster.read_prob(out / "scene_000_prob.pgm")
         assert np.abs(quantised - prob).max() <= 0.5 / 255 + 1e-12
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, cfg_path, scene_dir,
@@ -264,6 +264,20 @@ class TestEval:
         lines = (out / "pr_curve.csv").read_text().splitlines()
         assert lines[0] == "threshold,precision,recall,f"
         assert len(lines) == 100
+
+    def test_extent_mismatch_data_error_naming_the_prediction(self, tmp_path, cfg_path,
+                                                               scene_dir, capsys):
+        # the second pair's prediction is half as wide as its ground truth
+        gt = scene_dir / "labels_000.pgm"
+        full, half = tmp_path / "full.lgprob", tmp_path / "half.lgprob"
+        raster.write_prob_sidecar(np.full((512, 512), 0.5), full)
+        raster.write_prob_sidecar(np.full((512, 256), 0.5), half)
+        out = tmp_path / "eval"
+        assert run("eval", "--config", cfg_path, "--pred", full, "--gt", gt,
+                   "--pred", half, "--gt", gt, "--out", out) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"lgseg eval: {half}: extents do not match labels_000.pgm"]
+        assert not list(tmp_path.rglob("*_run.json"))
 
     def test_mismatched_pair_counts_usage_error(self, tmp_path, cfg_path, scene_dir):
         assert run("eval", "--config", cfg_path, "--pred", tmp_path / "a.lgprob",
@@ -491,11 +505,13 @@ class TestCount:
                                       '{"tp": 1, "fp": true, "fn": 0, "residential": 0}',
                                       '{"tp": 1, "fp": 1, "fn": "0", "residential": 0}',
                                       '{"tp": 1, "fp": 1, "fn": 0, "residential": 2.0}',
-                                      '{"tp": 1, "fp": 1, "fn": 0}'])
-    def test_malformed_tallies_data_error(self, tmp_path, text):
+                                      '{"tp": 1, "fp": 1, "fn": 0}',
+                                      '{"tp": 1, "fp": -1, "fn": 0, "residential": 0}'])
+    def test_malformed_tallies_data_error(self, tmp_path, text, capsys):
         tallies = tmp_path / "tallies.json"
         tallies.write_text(text)
         assert run("count", "--tallies", tallies, "--out", tmp_path / "count") == 2
+        assert capsys.readouterr().err.startswith(f"lgseg count: {tallies}: ")
 
     @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.5])
     def test_bad_probabilities_data_error(self, tmp_path, bad):
@@ -625,6 +641,90 @@ class TestDispatch:
         assert run(command, "--config", cfg_path, *inputs, "--out", tmp_path / "out") == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"lgseg {command}: {image}: need a 3-channel (P6) image, got 1 channel"]
+        assert not list(tmp_path.rglob("*_run.json"))
+
+    @pytest.mark.parametrize("command, flag", [("eval", "--gt"), ("eval", "--pred"),
+                                               ("count", "--prob"), ("tree-fit", "--gt")])
+    def test_three_channel_map_is_data_error_naming_it(self, tmp_path, capsys, cfg_path,
+                                                        trained_dir, monkeypatch, command, flag):
+        # the scene image itself where a 1-channel label or probability map belongs
+        img = small_image(4)
+        image = tmp_path / "scene_000.ppm"
+        raster.write_raster(img, image)
+        raster.write_label(raster.LabelMap(img.width, img.height,
+                                           np.zeros((img.height, img.width), np.uint8)),
+                           tmp_path / "labels_000.pgm")
+        raster.write_prob_sidecar(np.full((img.height, img.width), 0.5), tmp_path / "p.lgprob")
+        inputs = {"--model": trained_dir / "model.ckpt", "--image": image,
+                  "--prob": tmp_path / "p.lgprob", "--pred": tmp_path / "p.lgprob",
+                  "--gt": tmp_path / "labels_000.pgm", flag: image}
+        flags = {"eval": ("--pred", "--gt"), "count": ("--prob",),
+                 "tree-fit": ("--model", "--image", "--prob", "--gt")}[command]
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass ran before the inputs were checked")
+
+        monkeypatch.setattr(cli, "_tile_patches", no_forward)
+        argv = [a for f in flags for a in (f, inputs[f])]
+        assert run(command, "--config", cfg_path, *argv, "--out", tmp_path / "out") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"lgseg {command}: {image}: need a 1-channel (P5) image, got 3 channels"]
+        assert not list(tmp_path.rglob("*_run.json"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5])
+    @pytest.mark.parametrize("command", ["eval", "count", "tree-fit"])
+    def test_bad_probability_sidecar_is_data_error_naming_it(self, tmp_path, capsys, cfg_path,
+                                                             trained_dir, monkeypatch,
+                                                             command, bad):
+        img = small_image(2)
+        raster.write_raster(img, tmp_path / "img.ppm")
+        raster.write_label(raster.LabelMap(40, 36, np.zeros((36, 40), np.uint8)),
+                           tmp_path / "gt.pgm")
+        prob = np.full((36, 40), 0.5)
+        prob[20, 30] = bad
+        prob_path = tmp_path / "prob.lgprob"
+        raster.write_prob_sidecar(prob, prob_path)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("per-tile inference ran before the inputs were checked")
+
+        monkeypatch.setattr(cli, "_tile_patches", no_forward)
+        argv = {"eval": ("--pred", prob_path, "--gt", tmp_path / "gt.pgm"),
+                "count": ("--prob", prob_path),
+                "tree-fit": ("--model", trained_dir / "model.ckpt", "--image", tmp_path / "img.ppm",
+                             "--prob", prob_path, "--gt", tmp_path / "gt.pgm")}[command]
+        assert run(command, "--config", cfg_path, *argv, "--out", tmp_path / "out") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"lgseg {command}: {prob_path}: probabilities must be finite "
+                         "and lie in [0, 1]"]
+        assert not list(tmp_path.rglob("*_run.json"))
+
+    @pytest.mark.parametrize("fault", ["config", "checkpoint", "boxes", "tallies-utf8",
+                                       "tallies-json"])
+    def test_undecodable_file_names_itself(self, tmp_path, capsys, cfg_path, scene_dir,
+                                           trained_dir, fault):
+        # a config is a usage error (exit 1); every other input is data (exit 2)
+        bad = tmp_path / "bad"
+        prob_path = tmp_path / "p.lgprob"
+        raster.write_prob_sidecar(np.full((32, 32), 0.5), prob_path)
+        if fault == "config":
+            bad.write_bytes(b"\xff\xfe[\x00s\x00]\x00")
+            command, argv, code = "gen", ("--config", bad), 1
+        elif fault == "checkpoint":
+            # a valid checkpoint, then one tensor whose 2-byte name is not UTF-8
+            bad.write_bytes((trained_dir / "model.ckpt").read_bytes() + struct.pack("<I", 2)
+                            + b"\xff\xfe" + struct.pack("<2I", 1, 1) + struct.pack("<d", 0.0))
+            command, code = "infer", 2
+            argv = ("--config", cfg_path, "--model", bad, "--image", scene_dir / "scene_000.ppm")
+        elif fault == "boxes":
+            bad.write_bytes(b"id,row_min,col_min,row_max,col_max\n0,1,2,3,\xff\n")
+            command, argv, code = "count", ("--prob", prob_path, "--boxes", bad), 2
+        else:
+            bad.write_bytes(b'{"tp": \xff}' if fault == "tallies-utf8" else b'{"tp": 1,')
+            command, argv, code = "count", ("--tallies", bad), 2
+        assert run(command, *argv, "--out", tmp_path / "out") == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"lgseg {command}: {bad}: ")
         assert not list(tmp_path.rglob("*_run.json"))
 
     def test_missing_image_data_error(self, tmp_path, cfg_path, trained_dir):

@@ -1,12 +1,14 @@
 """Config parsing and layer-DSL tests."""
 
+import re
+
 import pytest
 
 from lgseg.config import (_SCHEMA, ConfigError, default_config, parse_config,
                           parse_config_text, parse_layers)
 from lgseg.evaluation import threshold_grid
 from lgseg.network import (FUSION_HIDDEN, GLOBAL_PATHWAY, LOCAL_PATHWAY, ConvSpec,
-                           PoolSpec, ReluSpec)
+                           PoolSpec, ReluSpec, TrainConfig)
 from lgseg.synth import SceneSpec
 
 
@@ -56,14 +58,10 @@ class TestParsing:
         cfg = parse_config_text("rho = 1\n")
         assert cfg.get("eval", "rho") == 1
 
-    def test_ambiguous_sectionless_key_rejected(self, monkeypatch):
-        # every key is currently unique across sections, so fake a collision
-        import lgseg.config as config_module
-        schema = {k: dict(v) for k, v in config_module._SCHEMA.items()}
-        schema["tree"]["rho"] = ("int", 3, None)
-        monkeypatch.setattr(config_module, "_SCHEMA", schema)
-        with pytest.raises(ConfigError, match="ambiguous"):
-            parse_config_text("rho = 1\n")
+    def test_every_key_name_is_unique_across_sections(self):
+        # a sectionless key resolves to the one section that has it
+        names = [key for keys in _SCHEMA.values() for key in keys]
+        assert len(names) == len(set(names))
 
     def test_duplicate_key_rejected_with_line_numbers(self):
         text = "[train]\nmomentum = 0.9\nepochs = 3\nmomentum = 0.8\n"
@@ -147,6 +145,29 @@ class TestParsing:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.cfg")
+
+    def test_file_that_is_not_utf8_is_config_error_naming_it(self, tmp_path):
+        p = tmp_path / "utf16.cfg"
+        p.write_bytes(b"\xff\xfe[\x00t\x00]\x00")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}: .*'utf-8' codec"):
+            parse_config(p)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("epochs", [None, 3])
+    def test_built_from_the_train_keys_of_the_same_names(self, epochs):
+        want = TrainConfig(batch_size=10, learning_rate=1e-4, momentum=0.9, weight_decay=5e-4,
+                           epochs=30 if epochs is None else epochs, seed=0, clamp_eps=1e-7,
+                           reduction="sum", stop_loss=0.0)
+        assert default_config().train_config(epochs=epochs) == want
+
+    def test_every_field_is_read_from_train(self):
+        text = ("[train]\nbatch_size = 3\nlearning_rate = 0.5\nmomentum = 0.25\n"
+                "weight_decay = 0.125\nepochs = 7\nseed = 11\nclamp_eps = 1e-5\n"
+                "reduction = mean\nstop_loss = 0.75\n")
+        assert parse_config_text(text).train_config() == TrainConfig(
+            batch_size=3, learning_rate=0.5, momentum=0.25, weight_decay=0.125, epochs=7,
+            seed=11, clamp_eps=1e-5, reduction="mean", stop_loss=0.75)
 
 
 class TestLayerDsl:

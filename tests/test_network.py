@@ -538,6 +538,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(small_dual(), [], TrainConfig())
 
+    @pytest.mark.parametrize("stop_loss", [None, -1.0, float("nan")])
+    def test_stop_loss_below_zero_or_not_a_number_rejected(self, stop_loss):
+        with pytest.raises(ValueError, match="stop_loss"):
+            TrainConfig(stop_loss=stop_loss)
+
     def test_report_equality_ignores_wall_clock(self):
         a = network.TrainReport([1.0, 0.5], wall_clock=[0.1, 0.1])
         b = network.TrainReport([1.0, 0.5], wall_clock=[9.9, 9.9])

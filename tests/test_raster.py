@@ -1,5 +1,6 @@
 """PGM/PPM and probability-sidecar round-trip tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -131,9 +132,52 @@ def test_prob_quantisation_rejects_bad_probabilities(bad):
         raster.prob_to_raster(prob)
 
 
-def test_prob_quantisation_round_trip():
+def test_prob_quantisation_round_trip(tmp_path):
     prob = np.array([[0.0, 0.5, 1.0]])
     r = raster.prob_to_raster(prob)
     assert r.pixels[..., 0].tolist() == [[0, 128, 255]]
-    back = raster.raster_to_prob(r)
+    p = tmp_path / "prob.pgm"
+    raster.write_raster(r, p)
+    back = raster.read_prob(p)
     assert np.allclose(back, [[0.0, 128 / 255, 1.0]])
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_read_image_names_file_and_both_channel_counts(tmp_path, channels):
+    # the other kind of file: a P5 where a P6 is wanted, and the reverse
+    have = 4 - channels
+    p = tmp_path / "img"
+    raster.write_raster(Raster(3, 2, have, np.zeros((2, 3, have), np.uint8)), p)
+    magic = "P6" if channels == 3 else "P5"
+    with pytest.raises(DataError) as exc:
+        raster.read_image(p, channels)
+    assert str(exc.value) == (f"{p}: need a {channels}-channel ({magic}) image, "
+                              f"got {have} channel{'s' if have == 3 else ''}")
+    assert raster.read_image(p, have).channels == have
+
+
+def test_read_label_rejects_three_channels_naming_file(tmp_path):
+    p = tmp_path / "labels.ppm"
+    raster.write_raster(Raster(3, 2, 3, np.zeros((2, 3, 3), np.uint8)), p)
+    with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: need a 1-channel \(P5\)"):
+        raster.read_label(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, -0.25, 1.5])
+def test_read_prob_rejects_bad_sidecar_values_naming_file(tmp_path, bad):
+    p = tmp_path / "bad.lgprob"
+    raster.write_prob_sidecar(np.array([[0.0, 0.5, bad]]), p)
+    with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: probabilities must be finite"):
+        raster.read_prob(p)
+
+
+def test_read_prob_reads_sidecar_by_suffix_and_anything_else_as_pgm(tmp_path):
+    prob = np.array([[0.0, 0.1, 1.0]])
+    written = raster.write_prob(prob, tmp_path, "map", sidecar=True)
+    assert [p.name for p in written] == ["map.pgm", "map.lgprob"]
+    assert raster.read_prob(tmp_path / "map.lgprob").tobytes() == prob.tobytes()
+    assert raster.read_prob(tmp_path / "map.pgm").tolist() == [[0.0, 26 / 255, 1.0]]
+    # a sidecar under another name is read as a PGM, and rejected as one
+    (tmp_path / "map.bin").write_bytes((tmp_path / "map.lgprob").read_bytes())
+    with pytest.raises(DataError, match=rf"^{re.escape(str(tmp_path / 'map.bin'))}: "):
+        raster.read_prob(tmp_path / "map.bin")
