@@ -10,7 +10,9 @@ writes the `<command>_run.json` report and maps errors to the exit codes:
 only the rule that spans files (inputs that must share extents) lives here.
 `ablate` writes three maps of a dual-pathway model: `full`, `local_only`
 (the global pathway is fed the per-channel mean of its window, a constant
-image) and `global_only` (the local pathway is fed its mean instead).
+image) and `global_only` (the local pathway is fed its mean instead), in one
+pass that embeds each pathway's real and blanked window once per tile; `full`
+is byte-identical to `infer`'s map.
 LGSEG_THREADS caps worker fan-out for per-tile inference in infer, ablate and
 tree-fit (absent means 1, the single-thread default; results are
 byte-identical for any worker count).  A fixed seed gives byte-identical
@@ -118,22 +120,24 @@ def _scene_pairs(data_dir: Path):
     return pairs
 
 
-def _tile_patches(model: LgSegModel, img: raster.Raster, blank: tuple = ()):
-    """Grid centres of the image and the model's 16x16 patch at each, one
-    forward pass per tile (spread over LGSEG_THREADS workers, which all read
-    the one padded scene).  Each pathway whose prefix is in `blank` is fed a
-    constant image, the per-channel mean of its own window."""
+def _tile_patches(model: LgSegModel, img: raster.Raster, predict):
+    """Grid centres of the image and `predict({prefix: window})` at each
+    (spread over LGSEG_THREADS workers, which all read the one padded scene)."""
     centers = grid_centers((img.height, img.width))
     scene = reflect_pad(img.pixels)
+    return centers, _parallel_map(
+        lambda center: predict(pathway_windows(scene, center, model.pathways)), centers)
 
-    def predict(center):
-        windows = pathway_windows(scene, center, model.pathways)
-        for prefix in blank:
-            x = windows[prefix]
-            windows[prefix] = np.broadcast_to(x.mean(axis=(1, 2))[:, None, None], x.shape).copy()
-        return model.forward(windows)
 
-    return centers, _parallel_map(predict, centers)
+def _ablate_patches(model: LgSegModel, windows: dict) -> tuple:
+    """One tile's full, local-only and global-only patches, from one embedding per
+    pathway of its window and of its blanked one (the constant per-channel means)."""
+    real = {p: model.embed(p, x) for p, x in windows.items()}
+    blank = {p: model.embed(p, np.broadcast_to(x.mean(axis=(1, 2))[:, None, None], x.shape).copy())
+             for p, x in windows.items()}
+    return (model.head([real["local"], real["global"]]),
+            model.head([real["local"], blank["global"]]),
+            model.head([blank["local"], real["global"]]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +193,7 @@ def _cmd_train(args, cfg: RunConfig, out: Path):
 def _cmd_infer(args, cfg: RunConfig, out: Path):
     model = _load_model(cfg, args.model)
     img = raster.read_image(args.image)
-    prob = stitch(*_tile_patches(model, img), (img.height, img.width))
+    prob = stitch(*_tile_patches(model, img, model.forward), (img.height, img.width))
     base = args.name or Path(args.image).stem
     artifacts = raster.write_prob(prob, out, f"{base}_prob", args.sidecar)
     return cfg.get("model", "init_seed"), artifacts, {"image": Path(args.image).name}
@@ -231,8 +235,8 @@ def _cmd_tree_fit(args, cfg: RunConfig, out: Path):
     for img, prob, gt in inputs:
         # the RA score of a tile is its own patch mean: in a stitched map the
         # shifted margin tiles overwrite part of their neighbours
-        _, patches = _tile_patches(model, img)
-        ra = np.array([patch.mean() for patch in patches]).reshape(grid_shape(prob.shape))
+        _, scores = _tile_patches(model, img, lambda windows: model.forward(windows).mean())
+        ra = np.array(scores).reshape(grid_shape(prob.shape))
         validation.append((tree.TreeInput(ra, prob), gt))
     result = tree.fit_thresholds(
         validation,
@@ -256,9 +260,10 @@ def _cmd_ablate(args, cfg: RunConfig, out: Path):
         raise ConfigError("ablate requires a dual-pathway model")
     img = raster.read_image(args.image)
     base = args.name or Path(args.image).stem
+    centers, patches = _tile_patches(model, img, lambda windows: _ablate_patches(model, windows))
     artifacts = []
-    for tag, blank in (("full", ()), ("local_only", ("global",)), ("global_only", ("local",))):
-        prob = stitch(*_tile_patches(model, img, blank), (img.height, img.width))
+    for tag, tag_patches in zip(("full", "local_only", "global_only"), zip(*patches)):
+        prob = stitch(centers, tag_patches, (img.height, img.width))
         artifacts += raster.write_prob(prob, out, f"{base}_{tag}", sidecar=True)
     return None, artifacts, {"image": Path(args.image).name}
 

@@ -12,7 +12,8 @@ A model's pathways are a {prefix: PathwaySpec} dict whose keys are "local",
 "global" or both in that order (the embedding concatenation and checkpoint
 tensor order); the one thing that differs between them at the input is the
 window width, INPUT_WIDTHS[prefix].  forward and forward_with_caches take the
-matching {prefix: window} dict of (3, width, width) arrays, one per pathway.
+matching {prefix: window} dict of (3, width, width) arrays, one per pathway,
+and are `head` over the pathways' `embed` outputs, which a caller may reuse.
 
 The default stacks are written once, in the layer DSL that configs use
 (`parse_layers`): LOCAL_LAYERS and GLOBAL_LAYERS parse to LOCAL_PATHWAY and
@@ -238,12 +239,6 @@ class LgSegModel:
 
     # -- forward / backward --------------------------------------------------
 
-    def _check_input(self, x, width, label):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (3, width, width):
-            raise ValueError(f"{label} input must have shape (3, {width}, {width}), got {x.shape}")
-        return x
-
     def _run(self, ops, x, tape: list | None):
         """Forward pass through an op list; with a tape, append per op what
         _unrun needs to take the step back."""
@@ -300,15 +295,23 @@ class LgSegModel:
                 grads[f"{name}.bias"] += gb
         return grad if input_grad else None
 
+    def embed(self, prefix: str, window, tape: list | None = None) -> np.ndarray:
+        """The prefix pathway's embedding of its (3, width, width) window."""
+        x, width = np.asarray(window, dtype=np.float64), self.pathways[prefix].input_width
+        if x.shape != (3, width, width):
+            raise ValueError(f"{prefix} input must have shape (3, {width}, {width}), got {x.shape}")
+        return self._run(self.ops[prefix], x, tape)
+
+    def head(self, embeds: list, tape: list | None = None) -> np.ndarray:
+        """The fusion layers' 16x16 patch over the pathways' embeddings, in order."""
+        probs = self._run(self.ops["fusion"], np.concatenate(embeds), tape)
+        return probs.reshape(TARGET_WIDTH, TARGET_WIDTH)
+
     def _forward(self, windows: dict, tape: list | None):
         if windows.keys() != self.pathways.keys():
             raise ValueError(f"windows {list(windows)} do not match the model's pathways "
                              f"{list(self.pathways)}")
-        embeds = [self._run(self.ops[prefix],
-                            self._check_input(windows[prefix], spec.input_width, prefix), tape)
-                  for prefix, spec in self.pathways.items()]
-        probs = self._run(self.ops["fusion"], np.concatenate(embeds), tape)
-        return probs.reshape(TARGET_WIDTH, TARGET_WIDTH)
+        return self.head([self.embed(p, windows[p], tape) for p in self.pathways], tape)
 
     def forward(self, windows: dict) -> np.ndarray:
         """16x16 patch of probabilities in (0, 1) for {prefix: window} inputs

@@ -1,7 +1,7 @@
 """The pipeline's input files, each behind one reader that checks its kind
 and values and names the file in every error: `read_image` (a 3-channel P6
-image), `read_label` (a 1-channel P5 label map) and `read_prob` (a `.lgprob`
-float64 sidecar, or else a 1-channel P5 scaled by 1/255).  Formats are
+image), `read_label` (a 1-channel P5 label map) and `read_prob` (a float64
+sidecar told by its magic, else a 1-channel P5 scaled by 1/255).  Formats are
 header-plus-raw with maxval 255, so round trips are bit-exact; `write_prob`
 writes the 8-bit PGM and, where exact values matter, the sidecar beside it.
 """
@@ -189,9 +189,11 @@ def read_prob_sidecar(path) -> np.ndarray:
 
 
 def read_prob(path) -> np.ndarray:
-    """The exact floats of a `.lgprob` sidecar, or else a 1-channel map
-    scaled by 1/255; rejected unless every value is finite and in [0, 1]."""
-    if Path(path).suffix == ".lgprob":
+    """The exact floats of a sidecar (told by its magic, not its name), or else a
+    1-channel map scaled by 1/255; rejected unless every value is finite and in [0, 1]."""
+    with open(path, "rb") as fh:
+        sidecar = fh.read(len(PROB_MAGIC)) == PROB_MAGIC
+    if sidecar:
         prob = read_prob_sidecar(path)
     else:
         prob = read_image(path, channels=1).pixels[..., 0].astype(np.float64) / 255.0

@@ -379,18 +379,39 @@ def small_image(seed, height=36, width=40):
 def ablate_oracle(model, windows, blank):
     """The forward pass with each pathway named in `blank` fed a constant
     image, the per-channel mean of its own input window (the body of the
-    former LgSegModel.ablate)."""
+    former LgSegModel.ablate): the three ablate maps take 6 pathway passes."""
     if not blank:
         return model.forward(windows)
     if len(model.pathways) != 2:
         raise ValueError("pathway blanking requires a dual-pathway model")
-    local = model._check_input(windows["local"], 64, "local")
-    global_ = model._check_input(windows["global"], 256, "global")
+    local = np.asarray(windows["local"], dtype=np.float64)
+    global_ = np.asarray(windows["global"], dtype=np.float64)
+    if local.shape != (3, 64, 64) or global_.shape != (3, 256, 256):
+        raise ValueError(f"window shapes {local.shape}, {global_.shape} do not fit the pathways")
     if "local" in blank:
         local = np.broadcast_to(local.mean(axis=(1, 2))[:, None, None], local.shape).copy()
     if "global" in blank:
         global_ = np.broadcast_to(global_.mean(axis=(1, 2))[:, None, None], global_.shape).copy()
     return model.forward({"local": local, "global": global_})
+
+
+# the blank sets of ablate's (full, local_only, global_only) maps
+ABLATE_BLANKS = ((), ("global",), ("local",))
+
+
+def ablate_tiles(model, img):
+    """Grid centres and each tile's (full, local_only, global_only) patches."""
+    return _tile_patches(model, img, lambda windows: cli._ablate_patches(model, windows))
+
+
+def count_calls(monkeypatch, model, *names):
+    """{method name: [one entry per call]} for the named methods of model."""
+    calls = {}
+    for name in names:
+        method, calls[name] = getattr(model, name), []
+        monkeypatch.setattr(model, name, lambda *a, _m=method, _c=calls[name], **k:
+                            _c.append(1) or _m(*a, **k))
+    return calls
 
 
 def scramble_channels(x, seed):
@@ -410,20 +431,32 @@ class TestTilePatches:
     @pytest.mark.parametrize("blank", [(), ("local",), ("global",)],
                              ids=["none", "local", "global"])
     def test_one_pass_per_grid_tile_any_thread_count(self, monkeypatch, blank, threads):
+        # no blank: infer's one forward per tile.  Otherwise ablate's helper:
+        # 4 pathway passes and 3 heads per tile give all three maps, each
+        # byte-equal to the 6-pass oracle, and blanking `blank` changes a tile
         model = build_model(*parse_config_text(SMALL_CFG).model_specs(), seed=1)
         img = small_image(0)
         monkeypatch.setenv("LGSEG_THREADS", threads)
-        calls = []
-        forward = model.forward
-        monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(1) or forward(*a, **k))
-        centers, patches = _tile_patches(model, img, blank)
+        calls = count_calls(monkeypatch, model, "forward", "embed", "head")
+        if blank:
+            centers, tiles = ablate_tiles(model, img)
+            blanks = ABLATE_BLANKS
+        else:
+            centers, patches = _tile_patches(model, img, model.forward)
+            tiles, blanks = [(patch,) for patch in patches], ((),)
         assert centers == grid_centers((36, 40))
-        assert len(calls) == len(centers)
-        for center, patch in zip(centers, patches):
-            want = ablate_oracle(model, {"local": gather_window(img.pixels, center, 64),
-                                         "global": gather_window(img.pixels, center, 256)},
-                                 blank)
-            assert patch.tobytes() == want.tobytes()
+        n = len(centers)
+        assert {name: len(c) for name, c in calls.items()} == \
+            ({"forward": 0, "embed": 4 * n, "head": 3 * n} if blank else
+             {"forward": n, "embed": 2 * n, "head": n})
+        for center, tile in zip(centers, tiles):
+            windows = {"local": gather_window(img.pixels, center, 64),
+                       "global": gather_window(img.pixels, center, 256)}
+            for patch, blanked in zip(tile, blanks, strict=True):
+                assert patch.tobytes() == ablate_oracle(model, windows, blanked).tobytes()
+        if blank:
+            index = ABLATE_BLANKS.index(blank)
+            assert not all(np.array_equal(tile[0], tile[index]) for tile in tiles)
 
     @pytest.mark.parametrize("prefix", ["local", "global"])
     def test_blanked_window_depends_only_on_channel_means(self, monkeypatch, prefix):
@@ -431,24 +464,25 @@ class TestTilePatches:
         # output unchanged, and changes the output when nothing is blanked
         model = build_model(*parse_config_text(SMALL_CFG).model_specs(), seed=3)
         img = small_image(4)
-        _, plain = _tile_patches(model, img, ())
-        _, blanked = _tile_patches(model, img, (prefix,))
+        index = ABLATE_BLANKS.index((prefix,))
+        _, plain = _tile_patches(model, img, model.forward)
+        blanked = [tile[index] for tile in ablate_tiles(model, img)[1]]
         width = model.pathways[prefix].input_width
         cut = sampling.image_window
         monkeypatch.setattr(sampling, "image_window", lambda scene, center, w: (
             scramble_channels(cut(scene, center, w), seed=center[0] * 1000 + center[1])
             if w == width else cut(scene, center, w)))
-        _, scrambled_plain = _tile_patches(model, img, ())
-        _, scrambled_blanked = _tile_patches(model, img, (prefix,))
+        _, scrambled_plain = _tile_patches(model, img, model.forward)
+        scrambled_blanked = [tile[index] for tile in ablate_tiles(model, img)[1]]
         for a, b in zip(blanked, scrambled_blanked):
             assert np.allclose(a, b, rtol=0, atol=1e-12)
         assert not all(np.array_equal(a, b) for a, b in zip(plain, scrambled_plain))
 
     def test_blank_local_and_blank_global_differ(self):
         model = build_model(*parse_config_text(SMALL_CFG).model_specs(), seed=3)
-        img = small_image(5)
-        _, local_blanked = _tile_patches(model, img, ("local",))
-        _, global_blanked = _tile_patches(model, img, ("global",))
+        _, tiles = ablate_tiles(model, small_image(5))
+        local_blanked = [tile[ABLATE_BLANKS.index(("local",))] for tile in tiles]
+        global_blanked = [tile[ABLATE_BLANKS.index(("global",))] for tile in tiles]
         assert not all(np.array_equal(a, b) for a, b in zip(local_blanked, global_blanked))
 
     def test_tree_fit_ra_is_per_tile_patch_mean(self, tmp_path, cfg_path, trained_dir,
@@ -471,7 +505,7 @@ class TestTilePatches:
                    "--gt", tmp_path / "gt.pgm", "--out", tmp_path / "tree") == 0
         (inp, _), = seen
         model = _load_model(parse_config_text(SMALL_CFG), trained_dir / "model.ckpt")
-        _, patches = _tile_patches(model, img)
+        _, patches = _tile_patches(model, img, model.forward)
         assert inp.ra_scores.shape == (3, 3)
         assert inp.ra_scores.ravel().tolist() == [float(p.mean()) for p in patches]
 

@@ -171,13 +171,27 @@ def test_read_prob_rejects_bad_sidecar_values_naming_file(tmp_path, bad):
         raster.read_prob(p)
 
 
-def test_read_prob_reads_sidecar_by_suffix_and_anything_else_as_pgm(tmp_path):
+def test_read_prob_tells_a_sidecar_by_its_magic_not_its_name(tmp_path):
     prob = np.array([[0.0, 0.1, 1.0]])
     written = raster.write_prob(prob, tmp_path, "map", sidecar=True)
     assert [p.name for p in written] == ["map.pgm", "map.lgprob"]
     assert raster.read_prob(tmp_path / "map.lgprob").tobytes() == prob.tobytes()
     assert raster.read_prob(tmp_path / "map.pgm").tolist() == [[0.0, 26 / 255, 1.0]]
-    # a sidecar under another name is read as a PGM, and rejected as one
+    # a sidecar under another name is still a sidecar, and a P5 under the
+    # sidecar suffix still a PGM
     (tmp_path / "map.bin").write_bytes((tmp_path / "map.lgprob").read_bytes())
-    with pytest.raises(DataError, match=rf"^{re.escape(str(tmp_path / 'map.bin'))}: "):
-        raster.read_prob(tmp_path / "map.bin")
+    assert raster.read_prob(tmp_path / "map.bin").tobytes() == prob.tobytes()
+    (tmp_path / "pgm.lgprob").write_bytes((tmp_path / "map.pgm").read_bytes())
+    assert raster.read_prob(tmp_path / "pgm.lgprob").tolist() == [[0.0, 26 / 255, 1.0]]
+
+
+@pytest.mark.parametrize("blob, reason", [
+    (raster.PROB_MAGIC + b"\x01\x00", "truncated header"),
+    (raster.PROB_MAGIC + struct.pack("<II", 1, 2) + b"\x00" * 8, "payload size mismatch"),
+    (b"", "truncated header"),
+], ids=["sidecar-header", "sidecar-payload", "empty"])
+def test_read_prob_names_the_file_whatever_it_holds(tmp_path, blob, reason):
+    p = tmp_path / "map.bin"
+    p.write_bytes(blob)
+    with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: {reason}"):
+        raster.read_prob(p)
