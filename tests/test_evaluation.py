@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from lgseg import evaluation
-from lgseg.evaluation import (PrPoint, count_points, f_measure, max_f,
-                              nearest_sqdist, pr_curve, relaxed_counts, set_curve)
+from lgseg.evaluation import (PrPoint, RelaxedTruth, count_points, f_measure, max_f,
+                              nearest_sqdist, pr_curve, relaxed_counts, relaxed_prf, set_curve)
 from lgseg.rng import SplitMix64
 
 
 def relaxed_pr(pred, gt, rho):
     """(precision, recall) of a binary prediction, through the library's counts."""
-    (point,) = count_points((1.0,), relaxed_counts(np.asarray(pred).astype(bool), gt, rho, (1.0,)))
+    counts = relaxed_counts(np.asarray(pred).astype(bool), RelaxedTruth(gt, rho), (1.0,))
+    (point,) = count_points((1.0,), counts)
     return point.precision, point.recall
 
 
@@ -164,7 +166,7 @@ class TestRelaxedCounts:
         per_image = [[brute_counts(p >= t, g, rho) for t in self.THRESHOLDS]
                      for p, g in zip(probs, gts)]
         for prob, gt, want in zip(probs, gts, per_image):
-            got = relaxed_counts(prob, gt, rho, self.THRESHOLDS)
+            got = relaxed_counts(prob, RelaxedTruth(gt, rho), self.THRESHOLDS)
             assert got.T.tolist() == [list(c) for c in want]
             curve = pr_curve(prob, gt, rho, self.THRESHOLDS)
             for point, t in zip(curve, self.THRESHOLDS):
@@ -181,19 +183,112 @@ class TestRelaxedCounts:
             fs = [f_measure(*brute_relaxed_pr(p >= t, g, rho)) for p, g in zip(probs, gts)]
             assert mean[i].f == float(np.mean(fs))
 
-    def test_precomputed_near_mask_gives_the_same_counts(self):
+    def test_precomputed_truth_gives_the_same_counts(self):
+        # one truth, its transform given, serves several score maps
         probs, gts = self.on_threshold_maps(40)
-        near = nearest_sqdist(gts[2]) <= 4
-        assert np.array_equal(relaxed_counts(probs[2], gts[2], 2, self.THRESHOLDS, near=near),
-                              relaxed_counts(probs[2], gts[2], 2, self.THRESHOLDS))
+        truth = RelaxedTruth(gts[2], 2, nearest_sqdist(gts[2]))
+        for prob in probs:
+            assert np.array_equal(relaxed_counts(prob, truth, self.THRESHOLDS),
+                                  relaxed_counts(prob, RelaxedTruth(gts[2], 2), self.THRESHOLDS))
 
     def test_infinite_scores_always_or_never_predict(self):
         gt = np.zeros((6, 6), dtype=bool)
         gt[1, 1] = True
         scores = np.full((6, 6), -np.inf)
         scores[1, 3] = np.inf
-        counts = relaxed_counts(scores, gt, 2, (0.1, 0.9))
+        counts = relaxed_counts(scores, RelaxedTruth(gt, 2), (0.1, 0.9))
         assert counts.tolist() == [[1, 1], [1, 1], [1, 1], [1, 1]]
+
+
+def footprint_counts(scores, gt, rho, thresholds):
+    """relaxed_counts as computed before the disk maximum was gathered at the
+    true pixels: one full-map footprint maximum_filter per call."""
+    scores = np.asarray(scores, dtype=np.float64)
+    gt = np.asarray(gt).astype(bool)
+    near = nearest_sqdist(gt) <= float(rho) * float(rho)
+    dy, dx = np.ogrid[-rho:rho + 1, -rho:rho + 1]
+    reach = ndimage.maximum_filter(scores, footprint=dy * dy + dx * dx <= rho * rho,
+                                   mode="constant", cval=-np.inf)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+
+    def at_least(values):
+        return values.size - np.searchsorted(np.sort(values), thresholds, side="left")
+
+    return np.stack([at_least(scores.ravel()), at_least(scores[near]),
+                     np.full(thresholds.shape, gt.sum()), at_least(reach[gt])])
+
+
+def border_truth(shape):
+    """Truth touching all four borders: the first and last row and column."""
+    gt = np.zeros(shape, dtype=bool)
+    gt[[0, -1], :] = True
+    gt[:, [0, -1]] = True
+    return gt
+
+
+TRUTHS = {
+    "random": lambda rng, shape: random_mask(rng, shape, 0.25),
+    "empty": lambda rng, shape: np.zeros(shape, dtype=bool),
+    "all": lambda rng, shape: np.ones(shape, dtype=bool),
+    "borders": lambda rng, shape: border_truth(shape),
+    "corners": lambda rng, shape: np.isin(np.arange(shape[0] * shape[1]).reshape(shape),
+                                          [0, shape[1] - 1, (shape[0] - 1) * shape[1],
+                                           shape[0] * shape[1] - 1]),
+}
+
+
+class TestDiskMaxOracle:
+    """The gathered disk maximum against the footprint maximum_filter path."""
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1), (7, 11), (12, 5)],
+                             ids=["row", "column", "pixel", "wide", "tall"])
+    @pytest.mark.parametrize("truth", list(TRUTHS))
+    @pytest.mark.parametrize("rho", range(6))
+    def test_counts_match_the_footprint_filter_exactly(self, rho, truth, shape):
+        rng = SplitMix64(1000 * rho + 10 * len(truth) + shape[0])
+        gt = TRUTHS[truth](rng, shape)
+        # few levels give ties; +-inf are the tree sweep's forced leaves
+        scores = np.round(rng.uniform(-1, 1, shape), 1)
+        scores[rng.uniform(0, 1, shape) < 0.15] = np.inf
+        scores[rng.uniform(0, 1, shape) < 0.15] = -np.inf
+        # a threshold at every score value pins the whole distribution of maxima
+        thresholds = np.unique(np.concatenate([scores.ravel(), [-2.0, 0.05, 2.0]]))
+        truth_map = RelaxedTruth(gt, rho)
+        got = relaxed_counts(scores, truth_map, thresholds)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, footprint_counts(scores, gt, rho, thresholds))
+        # a truth serves any number of score maps
+        again = rng.uniform(0, 1, shape)
+        assert np.array_equal(relaxed_counts(again, truth_map, thresholds),
+                              footprint_counts(again, gt, rho, thresholds))
+
+
+class TestRelaxedPrf:
+    def test_array_f_matches_f_measure_bit_for_bit(self):
+        rng = SplitMix64(51)
+        n = 4000
+        n_pred = (rng.uniform(0, 1, n) * 10 ** rng.uniform(0, 7, n)).astype(np.int64)
+        n_gt = (rng.uniform(0, 1, n) * 10 ** rng.uniform(0, 7, n)).astype(np.int64)
+        n_correct = (rng.uniform(0, 1, n) * n_pred).astype(np.int64)
+        n_found = (rng.uniform(0, 1, n) * n_gt).astype(np.int64)
+        # zero n_pred, zero n_gt, and p + r == 0 (nothing correct and nothing found)
+        n_pred[:40], n_correct[:40] = 0, 0
+        n_gt[40:80], n_found[40:80] = 0, 0
+        n_correct[80:120], n_found[80:120] = 0, 0
+        n_pred[120], n_correct[120], n_gt[120], n_found[120] = 0, 0, 0, 0
+        n_pred[121], n_correct[121], n_gt[121], n_found[121] = 3, 0, 0, 0
+        n_pred[122], n_correct[122], n_gt[122], n_found[122] = 0, 0, 5, 0
+        counts = np.stack([n_pred, n_correct, n_gt, n_found])
+        got = relaxed_prf(counts)
+        assert got.shape == (3, n)
+        want = []
+        for p, c, g, f in zip(*counts.tolist()):
+            precision = c / p if p else 1.0
+            recall = f / g if g else 1.0
+            want.append((precision, recall, f_measure(precision, recall)))
+        assert [tuple(x.hex() for x in col) for col in got.T.tolist()] == \
+            [tuple(x.hex() for x in w) for w in want]
+        assert (got[2, 80:120] == 0.0).all() and got[2, 122] == 0.0 and got[2, 120] == 1.0
 
 
 class TestPrCurve:
@@ -282,21 +377,22 @@ class TestSetCurve:
             assert curve[i].f == pytest.approx(want_f, abs=1e-12)
 
     @pytest.mark.parametrize("n_images", range(1, 25))
-    def test_mean_points_match_per_threshold_list_mean_bit_for_bit(self, n_images):
+    def test_image_mean_matches_per_threshold_list_mean_bit_for_bit(self, n_images):
+        # set_curve averages (3, n) precision/recall/F arrays, a tree sweep (n,) F arrays
         rng = SplitMix64(100 + n_images)
-        thresholds = evaluation.DEFAULT_THRESHOLDS
+        n = len(evaluation.DEFAULT_THRESHOLDS)
         per_image = []
         for _ in range(n_images):
-            values = rng.uniform(0, 1, (len(thresholds), 3))
-            values[:5], values[-5:] = 1.0, 0.0  # what empty predictions and truths give
-            per_image.append([PrPoint(t, *v) for t, v in zip(thresholds, values.tolist())])
-        got = evaluation.mean_points(thresholds, per_image)
-        assert [p.threshold for p in got] == list(thresholds)
-        for key in ("precision", "recall", "f"):
-            want = [float(np.mean([getattr(points[i], key) for points in per_image]))
-                    for i in range(len(thresholds))]
-            assert np.array_equal(np.array([getattr(p, key) for p in got]).view(np.uint64),
-                                  np.array(want).view(np.uint64))
+            values = rng.uniform(0, 1, (3, n))
+            values[:, :5], values[:, -5:] = 1.0, 0.0  # what empty predictions and truths give
+            per_image.append(values)
+        want = np.array([[np.mean([values[k, i] for values in per_image]) for i in range(n)]
+                         for k in range(3)])
+        got = evaluation.image_mean(per_image)
+        assert got.shape == (3, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        fs = evaluation.image_mean([values[2] for values in per_image])
+        assert np.array_equal(fs.view(np.uint64), want[2].view(np.uint64))
 
     def test_mean_f_differs_from_pooled_on_unbalanced_sets(self):
         gt1 = np.zeros((12, 12), dtype=np.uint8)

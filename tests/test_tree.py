@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lgseg import evaluation, tree
-from lgseg.evaluation import (count_points, f_measure, max_f, nearest_sqdist,
+from lgseg.evaluation import (RelaxedTruth, count_points, f_measure, max_f, nearest_sqdist,
                               relaxed_counts, set_curve, threshold_grid)
 from lgseg.raster import LabelMap
 from lgseg.rng import SplitMix64
@@ -296,6 +296,114 @@ def random_validation(seed):
     return items
 
 
+def every_sweep_fit(validation, rho, min_houses=15, step=0.01, tol=1e-4, max_cycles=20):
+    """fit_thresholds' count-based loop as it was before sweeps could be
+    skipped: every cycle sweeps all three coordinates, and each F is f_measure
+    of that threshold's precision and recall, averaged by np.mean over the
+    per-image list."""
+    images = [tree._FitImage(inp, gt, rho) for inp, gt in validation]
+    grid = threshold_grid(step)
+
+    def point_fs(counts):
+        return [f_measure(c / p if p else 1.0, f / g if g else 1.0)
+                for p, c, g, f in zip(*counts.tolist())]
+
+    def mean_fs(th, coord, values):
+        per_image = []
+        for img in images:
+            scores, sign = tree._leaf_scores(img.prob, img.ra_pixels, th, coord)
+            per_image.append(point_fs(relaxed_counts(scores, img.truth,
+                                                     np.multiply(sign, values))))
+        return [float(np.mean(fs)) for fs in zip(*per_image)]
+
+    scores, tile_truth = [], []
+    for inp, gt in validation:
+        classes = residential_label(gt, grid_centers(inp.prob_map.shape), min_houses)
+        for klass, score in zip(classes, inp.ra_scores.ravel()):
+            if klass is not ResidentialClass.EXCLUDED:
+                scores.append(score)
+                tile_truth.append(klass is ResidentialClass.RESIDENTIAL)
+    gate = RelaxedTruth(np.array(tile_truth)[None], 0)
+    t1 = grid[int(np.argmax(point_fs(relaxed_counts(np.array(scores)[None], gate, grid))))]
+    t23 = grid[int(np.argmax(mean_fs(TreeThresholds(0.0, 0.0, 0.0), "t2", grid)))]
+
+    current = TreeThresholds(t1, t23, t23)
+    (best_f,) = mean_fs(current, "t2", (current.t2,))
+    trace = [best_f]
+    for _ in range(max_cycles):
+        cycle_start = best_f
+        for coord in ("t1", "t2", "t3"):
+            fs = [best_f if t == getattr(current, coord) else f
+                  for t, f in zip(grid, mean_fs(current, coord, grid))]
+            top = max(fs)
+            if top > best_f:
+                current = TreeThresholds(**{**current.__dict__, coord: grid[int(np.argmax(fs))]})
+                best_f = top
+            trace.append(best_f)
+        if best_f - cycle_start < tol:
+            break
+    return FitResult(current, trace, leaf_order_ok=current.t2 <= current.t3)
+
+
+def count_sweep_calls(monkeypatch):
+    """A dict whose "n" counts tree's relaxed_counts calls from now on."""
+    calls = {"n": 0}
+    real = tree.relaxed_counts
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tree, "relaxed_counts", counted)
+    return calls
+
+
+# random_validation seeds whose fits run one to four cycles, and end with t2 > t3 for
+# seeds 1 and 4 at both steps
+SKIP_ORACLE_SEEDS = (0, 1, 2, 4, 15)
+
+
+class TestSkippedSweeps:
+    @pytest.mark.parametrize("step", [0.05, 0.01])
+    @pytest.mark.parametrize("seed", SKIP_ORACLE_SEEDS)
+    def test_matches_the_loop_that_sweeps_every_coordinate(self, seed, step, monkeypatch):
+        items = random_validation(seed)
+        calls = count_sweep_calls(monkeypatch)
+        for max_cycles in range(1, 7):
+            calls["n"] = 0
+            got = fit_thresholds(items, rho=3, step=step, max_cycles=max_cycles)
+            want = every_sweep_fit(items, 3, step=step, max_cycles=max_cycles)
+            assert got.thresholds == want.thresholds
+            assert got.leaf_order_ok == want.leaf_order_ok
+            assert [x.hex() for x in got.trace] == [x.hex() for x in want.trace]
+            # the gate, the t2 = t3 start sweep and its F, then one call per image
+            # and sweep made; every sweep of the oracle would make 3 per cycle
+            cycles = (len(want.trace) - 1) // 3
+            assert calls["n"] <= 1 + 2 * len(items) + 3 * cycles * len(items)
+            last = want.trace[-4:]
+            if cycles >= 2 and cycles < max_cycles and len(set(last)) == 1:
+                # a closing cycle that moves nothing skips at least the sweep of
+                # the coordinate that moved last
+                assert calls["n"] <= 1 + 2 * len(items) + (3 * cycles - 1) * len(items)
+
+    def test_oracle_seeds_include_fits_ending_with_t2_above_t3(self):
+        for seed in (1, 4):
+            for step in (0.05, 0.01):
+                assert not fit_thresholds(random_validation(seed), rho=3, step=step,
+                                          max_cycles=6).leaf_order_ok
+
+    def test_closing_cycle_after_a_gate_move_makes_no_call(self, monkeypatch):
+        # seed 0 at step 0.01 moves only t1 in its second cycle, so its third
+        # cycle, which finds no improvement, sweeps nothing
+        items = random_validation(0)
+        want = every_sweep_fit(items, 3, step=0.01)
+        assert len(want.trace) == 10 and len(set(want.trace[-4:])) == 1
+        calls = count_sweep_calls(monkeypatch)
+        got = fit_thresholds(items, rho=3, step=0.01)
+        assert [x.hex() for x in got.trace] == [x.hex() for x in want.trace]
+        assert calls["n"] == 1 + 2 * len(items) + 3 * 2 * len(items)
+
+
 class TestFitThresholds:
     @pytest.mark.parametrize("items", [toy_validation(), random_validation(4)],
                              ids=["toy", "random"])
@@ -407,7 +515,7 @@ def per_candidate_gate_sweep(images, th, values):
         per_image = []
         for img in images:
             pred = img.prob >= np.where(img.ra_pixels >= t1, th.t2, th.t3)
-            counts = relaxed_counts(pred, img.gt, img.rho, (1.0,), near=img.gt_near)
+            counts = relaxed_counts(pred, img.truth, (1.0,))
             per_image.append(count_points((t1,), counts)[0].f)
         fs.append(float(np.mean(per_image)))
     return fs
