@@ -16,8 +16,9 @@ is byte-identical to `infer`'s map.
 LGSEG_THREADS caps worker fan-out for per-tile inference in infer, ablate and
 tree-fit (absent means 1, the single-thread default; results are
 byte-identical for any worker count).  A fixed seed gives byte-identical
-artifacts for one NumPy/OpenBLAS build and BLAS kernel (OPENBLAS_CORETYPE):
-another kernel may round GEMM sums differently and change the floats.
+artifacts for one NumPy/OpenBLAS build, BLAS kernel (OPENBLAS_CORETYPE) and
+BLAS thread count (OPENBLAS_NUM_THREADS): another kernel, or under SkylakeX
+another thread count, may round GEMM sums differently and change the floats.
 """
 
 from __future__ import annotations

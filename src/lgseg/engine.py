@@ -4,8 +4,10 @@ Everything is a plain C-contiguous float64 ndarray; layers are free functions
 (forward/backward pairs) so they stay re-entrant, and parameters live in
 ordered ``{name: array}`` dicts owned by the caller.  out_extent is the one
 output-extent rule of conv and pool windows, for the network too.  Convolution
-uses im2col + GEMM, the forward in cache-sized bands of output rows bit-equal
-to one GEMM; its backward can skip the input gradient when nothing reads it.
+uses im2col + GEMM over one zero-padded buffer that forward and backward build
+alike.  The forward runs one GEMM per cache-sized band of output rows, bit-equal
+to one GEMM, and adds the bias once to the whole output; the backward can skip
+the input gradient when nothing reads it.
 Max-pool takes a running maximum over its window taps.  Its backward sends
 each window's gradient to the first tap in scan order that holds the output
 (the first NaN, if any): tap by tap into strided views of the input gradient
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .rng import SplitMix64
 
@@ -72,11 +74,19 @@ def _conv_geometry(x, weight, stride, pad):
     return out_extent(h, w, kh, kw, stride, pad, "conv window")
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    # the im2col view: [c, i, j, y, x] = padded[c, y*stride + i, x*stride + j]
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    return win.transpose(0, 3, 4, 1, 2)
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+             ho: int, wo: int) -> np.ndarray:
+    # the read-only im2col view that forward and backward share, for the
+    # out_extent (ho, wo): [c, i, j, y, x] = padded[c, y*stride + i, x*stride + j].
+    # The zero padding is one zeroed buffer with x copied into its interior
+    c, h, w = x.shape
+    if pad:
+        xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
+        xp[:, pad:pad + h, pad:pad + w] = x
+        x = xp
+    sc, sh, sw = x.strides
+    return as_strided(x, (c, kh, kw, ho, wo), (sc, sh, sw, stride * sh, stride * sw),
+                      writeable=False)
 
 
 def _band_rows(out_ch: int, k: int, ho: int, wo: int) -> int:
@@ -88,25 +98,26 @@ def conv2d_forward(x, weight, bias, stride: int = 1, pad: int = 0) -> np.ndarray
     """Cross-correlation of a (C,H,W) input with an (O,C,kh,kw) kernel bank.
 
     Zero padding; out[o,y,x] = b[o] + sum_{c,i,j} w[o,c,i,j] * in[c, y*s+i-pad, x*s+j-pad].
-    The GEMM runs on bands of r output rows whose columns stay in cache: r is
+    The GEMM runs per band of r output rows whose columns stay in cache: r is
     the smallest divisor of Ho with r*Wo % 8 == 0 and O*C*kh*kw*r*Wo >= 2**20
     multiply-adds, else Ho.  So OpenBLAS gives one GEMM's bits: there is no
     short tail band and no remainder of columns, which it computes with other
-    kernels, and no band small enough for its small-matrix path.
+    kernels, and no band small enough for its small-matrix path.  The bias is
+    added once, to the whole output, after the last band.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
     bias = _as_f64(bias)
     ho, wo = _conv_geometry(x, weight, stride, pad)
     out_ch, in_ch, kh, kw = weight.shape
-    win = _windows(x, kh, kw, stride, pad)
+    win = _windows(x, kh, kw, stride, pad, ho, wo)
     rows = _band_rows(out_ch, in_ch * kh * kw, ho, wo)
     cols = np.empty((in_ch, kh, kw, rows, wo))
     y = np.empty((out_ch, ho // rows, rows * wo))
     for i in range(ho // rows):
         cols[...] = win[..., i * rows:(i + 1) * rows, :]
         np.matmul(weight.reshape(out_ch, -1), cols.reshape(-1, rows * wo), out=y[:, i])
-        y[:, i] += bias[:, None]
+    y += bias[:, None, None]
     return y.reshape(out_ch, ho, wo)
 
 
@@ -126,7 +137,7 @@ def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0,
         raise ValueError(f"upstream gradient shape {grad_out.shape} != {(out_ch, ho, wo)}")
 
     # one full column matrix: banding would reorder grad_weight's column sum
-    cols = _windows(x, kh, kw, stride, pad).reshape(in_ch * kh * kw, ho * wo)
+    cols = _windows(x, kh, kw, stride, pad, ho, wo).reshape(in_ch * kh * kw, ho * wo)
     g = grad_out.reshape(out_ch, -1)
 
     grad_bias = g.sum(axis=1)

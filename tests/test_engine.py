@@ -36,16 +36,43 @@ def conv2d_reference(x, w, b, stride=1, pad=0):
     return out
 
 
+def im2col_reference(x, kh, kw, stride, pad):
+    """(columns, ho, wo): every output pixel's window of the np.pad-padded
+    input, cut by sliding_window_view, as one (C*kh*kw, ho*wo) matrix."""
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    c, ho, wo = win.shape[:3]
+    return win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, ho * wo), ho, wo
+
+
 def conv2d_forward_reference(x, weight, bias, stride=1, pad=0):
     """The one-GEMM forward: every output pixel's im2col column in one
     matrix, one GEMM, then the bias.  Banded forwards must match its bytes."""
     out_ch, _, kh, kw = weight.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    c, ho, wo = win.shape[:3]
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, ho * wo)
+    cols, ho, wo = im2col_reference(x, kh, kw, stride, pad)
     y = weight.reshape(out_ch, -1) @ cols + bias[:, None]
     return y.reshape(out_ch, ho, wo)
+
+
+def conv2d_backward_reference(x, weight, grad_out, stride=1, pad=0, input_grad=True):
+    """The backward on np.pad padding: weight and bias gradients from the
+    reference columns, and the input gradient added tap by tap into a padded
+    buffer whose interior is then copied out.  conv2d_backward must match
+    its bytes."""
+    out_ch, in_ch, kh, kw = weight.shape
+    cols, ho, wo = im2col_reference(x, kh, kw, stride, pad)
+    g = grad_out.reshape(out_ch, -1)
+    grad_bias = g.sum(axis=1)
+    grad_weight = (g @ cols.T).reshape(weight.shape)
+    if not input_grad:
+        return None, grad_weight, grad_bias
+    grad_cols = (weight.reshape(out_ch, -1).T @ g).reshape(in_ch, kh, kw, ho, wo)
+    _, h, w = x.shape
+    grad_xp = np.zeros((in_ch, h + 2 * pad, w + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            grad_xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += grad_cols[:, i, j]
+    return np.ascontiguousarray(grad_xp[:, pad:pad + h, pad:pad + w]), grad_weight, grad_bias
 
 
 def band_sweep_shapes(count=60, seed=12):
@@ -82,6 +109,10 @@ def default_conv_layers():
                  if isinstance(layer, network.ConvSpec)]
         layers += [(f"{prefix}.{i}", shape, layer) for i, (shape, layer) in enumerate(convs)]
     return layers
+
+
+over_default_conv_layers = pytest.mark.parametrize(
+    "name,shape,layer", default_conv_layers(), ids=[name for name, _, _ in default_conv_layers()])
 
 
 class TestRng:
@@ -224,9 +255,14 @@ class TestConv2d:
         x = rng.uniform(-1, 1, (2, 5, 5))
         w = rng.uniform(-1, 1, (2, 2, 3, 3))
         b = rng.uniform(-1, 1, (2,))
+        up = rng.uniform(-1, 1, (2, 5, 5))
+        inputs = [a.tobytes() for a in (x, w, b, up)]
         y1 = engine.conv2d_forward(x, w, b, pad=1)
         y2 = engine.conv2d_forward(x, w, b, pad=1)
         assert np.array_equal(y1, y2)
+        engine.conv2d_backward(x, w, up, pad=1)
+        # the zero padding is a buffer of the engine's own: x is never written
+        assert [a.tobytes() for a in (x, w, b, up)] == inputs
 
 
 class TestConvBands:
@@ -248,8 +284,7 @@ class TestConvBands:
                   for o, c, k, _, _, ho, wo in band_sweep_shapes()]
         assert sum(banded) >= len(banded) // 2
 
-    @pytest.mark.parametrize("name,shape,layer", default_conv_layers(),
-                             ids=[name for name, _, _ in default_conv_layers()])
+    @over_default_conv_layers
     def test_default_layers_match_one_gemm_bytes_in_pinned_bands(self, name, shape, layer,
                                                                   monkeypatch):
         rng = SplitMix64(len(name) + shape[1])
@@ -272,6 +307,23 @@ class TestConvBands:
         want = conv2d_forward_reference(x, weight, bias, layer.stride, layer.padding())
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("tensor", ["x", "weight", "bias"])
+    @over_default_conv_layers
+    def test_default_layers_match_one_gemm_bytes_on_non_finite_input(self, name, shape, layer,
+                                                                      tensor, value):
+        rng = SplitMix64(len(name) + shape[1])
+        k = layer.kernel
+        args = {"x": rng.uniform(0, 1, shape),
+                "weight": rng.uniform(-0.1, 0.1, (layer.out_channels, shape[0], k, k)),
+                "bias": rng.uniform(-0.1, 0.1, (layer.out_channels,))}
+        args[tensor].flat[int(rng.next_u64() % args[tensor].size)] = value
+        # inf times a zero of the padding is NaN, and matmul warns on it
+        with np.errstate(invalid="ignore"):
+            got = engine.conv2d_forward(**args, stride=layer.stride, pad=layer.padding())
+            want = conv2d_forward_reference(**args, stride=layer.stride, pad=layer.padding())
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("o,k,ho,wo,rows", [
         (16, 147, 128, 128, 4),   # global.0: 512 columns
         (1, 27, 64, 64, 64),      # too small for any band: one GEMM
@@ -281,6 +333,39 @@ class TestConvBands:
     ])
     def test_band_rows_rule(self, o, k, ho, wo, rows):
         assert engine._band_rows(o, k, ho, wo) == rows
+
+
+def backward_bytes(grads):
+    return [None if g is None else g.tobytes() for g in grads]
+
+
+class TestConvBackwardBytes:
+    """conv2d_backward against the np.pad reference, compared by bytes."""
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("o,c,k,stride,pad,ho,wo", band_sweep_shapes())
+    def test_sweep_matches_reference_bytes(self, o, c, k, stride, pad, ho, wo, input_grad):
+        rng = SplitMix64(o * 1000 + c * 10 + k)
+        h, w = (ho - 1) * stride + k - 2 * pad, (wo - 1) * stride + k - 2 * pad
+        x = rng.uniform(-1, 1, (c, h, w))
+        weight = rng.uniform(-1, 1, (o, c, k, k))
+        up = rng.uniform(-1, 1, (o, ho, wo))
+        got = engine.conv2d_backward(x, weight, up, stride, pad, input_grad)
+        want = conv2d_backward_reference(x, weight, up, stride, pad, input_grad)
+        assert backward_bytes(got) == backward_bytes(want)
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @over_default_conv_layers
+    def test_default_layers_match_reference_bytes(self, name, shape, layer, input_grad):
+        rng = SplitMix64(len(name) + shape[1])
+        k, stride, pad = layer.kernel, layer.stride, layer.padding()
+        x = rng.uniform(0, 1, shape)
+        weight = rng.uniform(-0.1, 0.1, (layer.out_channels, shape[0], k, k))
+        ho, wo = engine.out_extent(shape[1], shape[2], k, k, stride, pad)
+        up = rng.uniform(-1, 1, (layer.out_channels, ho, wo))
+        got = engine.conv2d_backward(x, weight, up, stride, pad, input_grad)
+        want = conv2d_backward_reference(x, weight, up, stride, pad, input_grad)
+        assert backward_bytes(got) == backward_bytes(want)
 
 
 def maxpool_reference(x, k, stride):

@@ -1,10 +1,14 @@
-"""Fixed-seed byte identity: a small pipeline through `cli.main`, with every
-artifact's and every `*_run.json`'s sha256 compared against a committed
-manifest (`fixed_seed_manifest.json`).
+"""Fixed-seed byte identity: a small pipeline through `cli.main`, and `infer`
+of an untrained default model on a small crop, with every artifact's and
+every `*_run.json`'s sha256 compared against a committed manifest
+(`fixed_seed_manifest.json`).
 
 The bytes depend on the NumPy version, the OpenBLAS build and kernel, and
 NumPy's SIMD dispatch level, so the manifest keys the hashes of the files that
-run a network by those three (`bytes_key`).  The files that touch no BLAS --
+run a network by those three (`bytes_key`).  Under the `SkylakeX` kernel they
+also depend on the OpenBLAS thread count (the default model's 32-channel GEMMs
+split differently across threads), so the pipeline runs with OpenBLAS held at
+one thread, whatever the host's core count.  The files that touch no BLAS --
 `gen`'s, and `eval` and `count` on a map derived from `gen`'s labels -- are
 pinned on every key.  On a key that was not recorded only those are checked,
 and the rest is reported as a skip that names the key.
@@ -18,6 +22,7 @@ it can reach, and says why in CHANGES.md:
         python tests/test_fixed_seed.py
 """
 
+import contextlib
 import ctypes
 import hashlib
 import json
@@ -32,6 +37,8 @@ import pytest
 
 from lgseg import counting, raster
 from lgseg.cli import main
+from lgseg.engine import save_checkpoint
+from lgseg.network import build_model
 
 MANIFEST = Path(__file__).with_name("fixed_seed_manifest.json")
 
@@ -56,6 +63,9 @@ max_cycles = 2
 # ragged on both axes, so the stitched maps have shifted margin tiles, and its
 # tiles hold both residential classes, so tree-fit has a gate to fit
 CROP = (slice(96, 168), slice(112, 376))
+# the default model's 32-channel convs, which CFG's model lacks, run untrained
+# on a 40x32 crop of that scene: 6 tiles, the last row shifted
+DEFAULT_CROP = (slice(96, 136), slice(112, 144))
 
 
 def bytes_key() -> str:
@@ -66,12 +76,30 @@ def bytes_key() -> str:
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     level = next((t for t in reversed(__cpu_dispatch__) if __cpu_features__.get(t)), "baseline")
     blas = "unknown"
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs")
-                      .glob("libscipy_openblas64_*")):
-        get_config = ctypes.CDLL(str(lib)).scipy_openblas_get_config64_
+    for lib in _openblas_libs():
+        get_config = lib.scipy_openblas_get_config64_
         get_config.restype = ctypes.c_char_p
         blas = " ".join(get_config().decode().split())
     return f"numpy {np.__version__} | {blas} | {level}"
+
+
+def _openblas_libs() -> list:
+    return [ctypes.CDLL(str(lib)) for lib in sorted(
+        (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))]
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold NumPy's OpenBLAS at one thread, then restore its thread count."""
+    libs = _openblas_libs()
+    before = [lib.scipy_openblas_get_num_threads64_() for lib in libs]
+    for lib in libs:
+        lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        for lib, n in zip(libs, before):
+            lib.scipy_openblas_set_num_threads64_(n)
 
 
 def _run(*argv) -> None:
@@ -84,8 +112,15 @@ def _hashes(root: Path, steps) -> dict:
             for step in steps for p in sorted((root / step).iterdir())}
 
 
+def _write_crop(img: raster.Raster, crop: tuple, path: Path) -> None:
+    pixels = img.pixels[crop].copy()
+    raster.write_raster(raster.Raster(pixels.shape[1], pixels.shape[0], 3, pixels), path)
+
+
+@_one_blas_thread()
 def run_pipeline(root: Path):
-    """(BLAS-free hashes, network hashes) of one fixed-seed pipeline under root."""
+    """(BLAS-free hashes, network hashes) of one fixed-seed pipeline under root,
+    run with OpenBLAS at one thread."""
     cfg = root / "small.cfg"
     cfg.write_text(CFG)
     pooled = root / "pooled.cfg"
@@ -98,9 +133,7 @@ def run_pipeline(root: Path):
     crop.mkdir()
     rows, cols = CROP
     img = raster.read_image(gen / "scene_000.ppm")
-    pixels = img.pixels[rows, cols].copy()
-    raster.write_raster(raster.Raster(pixels.shape[1], pixels.shape[0], 3, pixels),
-                        crop / "scene.ppm")
+    _write_crop(img, CROP, crop / "scene.ppm")
     labels = raster.read_label(gen / "labels_000.pgm").labels[rows, cols].copy()
     raster.write_label(raster.LabelMap(labels.shape[1], labels.shape[0], labels),
                        crop / "labels.pgm")
@@ -139,8 +172,12 @@ def run_pipeline(root: Path):
          "--out", root / "tree_fit")
     _run("count", "--config", cfg, "--prob", sidecar, "--boxes", crop / "boxes.csv",
          "--out", root / "count")
+    _write_crop(img, DEFAULT_CROP, crop / "default_scene.ppm")
+    save_checkpoint(root / "default.ckpt", build_model(seed=7).params)
+    _run("infer", "--model", root / "default.ckpt", "--image", crop / "default_scene.ppm",
+         "--sidecar", "--out", root / "infer_default")
     network = _hashes(root, ["train", "infer", "ablate", "eval_mean_f", "eval_pooled",
-                             "tree_fit", "count"])
+                             "tree_fit", "count", "infer_default"])
     return blas_free, network
 
 
