@@ -233,6 +233,7 @@ def _cmd_tree_fit(args, cfg: RunConfig, out: Path):
         _check_extents(image_path, (img.height, img.width),
                        [(prob_path, prob.shape), (gt_path, gt.labels.shape)])
         inputs.append((img, prob, gt))
+    tree.residential_tiles([gt for _, _, gt in inputs], cfg.get("tree", "min_houses"))
     validation = []
     for img, prob, gt in inputs:
         # the RA score of a tile is its own patch mean: in a stitched map the

@@ -8,6 +8,12 @@ every side, and every image window is a slice of that padded scene; target
 windows are never padded, so valid centres keep at least 8 px of margin.  At
 inference the image is tiled by disjoint 16x16 target windows on a grid, with
 a final shifted tile covering any ragged right/bottom margin.
+
+The residential rule counts the 8-connected houses that meet each tile's
+256x256 window, clipped at the image, from their bounding boxes: a connected
+house's rows, and its columns, form an interval, so a box that meets the
+window with its rows or its columns inside the window's is a house that meets
+it.  Pixels are read only where a box sticks out of a window on both axes.
 """
 
 from __future__ import annotations
@@ -15,13 +21,12 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage
 
+from .counting import components
 from .network import GLOBAL_WIDTH, TARGET_WIDTH
 from .raster import LabelMap, Raster
 from .rng import SplitMix64
 
-_EIGHT = np.ones((3, 3), dtype=int)
 _MARGIN = GLOBAL_WIDTH // 2
 
 
@@ -195,22 +200,41 @@ def grid_shape(shape: tuple) -> tuple:
 
 
 def residential_label(labels: LabelMap, centers, min_houses: int = 15) -> list:
-    """Classify the 256x256 window (clipped at borders) around each centre by
-    the number of 8-connected building components intersecting it: none at all
-    is non-residential, at least min_houses is residential, in between
-    excluded.  The map is labelled once for all the centres."""
-    comps, n = ndimage.label(labels.labels, structure=_EIGHT)
+    """Classify the 256x256 window (clipped at the image) around each centre by
+    the number of 8-connected building components that meet it: none at all is
+    non-residential, at least min_houses is residential, in between excluded.
+    Every centre must lie inside the image.
+
+    The map is labelled once.  A component meets a window when its box does
+    and its rows lie inside the window's rows or its columns inside the
+    window's columns: with its rows inside, a column it shares with the window
+    holds one of its pixels, in a window row.  Only for a box that meets a
+    window and sticks out of it on both axes (across a window corner) are the
+    component's pixels read, inside box and window.
+    """
+    height, width = labels.height, labels.width
+    centers = np.array(centers, dtype=np.int64).reshape(-1, 2)
+    outside = np.nonzero((centers < 0) | (centers >= (height, width)))[0]
+    if outside.size:
+        center = tuple(centers[outside[0]].tolist())
+        raise ValueError(f"centre {center} lies outside the {height}x{width} image")
+    comps, boxes = components(labels.labels, 8)
+    # axis 0 is (rows, columns) and every span runs to one past its last
+    # pixel; C order keeps the broadcasts below running along their long axes
+    spans = np.array([(b.row_min, b.col_min, b.row_max + 1, b.col_max + 1) for b in boxes],
+                     dtype=np.int64).reshape(-1, 4)
+    first, stop = np.ascontiguousarray(spans.T).reshape(2, 2, 1, len(boxes))  # (2, 1, components)
     half = GLOBAL_WIDTH // 2
-    out = []
-    for r, c in centers:
-        seen = np.zeros(n + 1, dtype=bool)
-        seen[comps[max(0, r - half):min(labels.height, r + half),
-                   max(0, c - half):min(labels.width, c + half)]] = True
-        count = int(seen[1:].sum())
-        if count == 0:
-            out.append(ResidentialClass.NON_RESIDENTIAL)
-        elif count >= min_houses:
-            out.append(ResidentialClass.RESIDENTIAL)
-        else:
-            out.append(ResidentialClass.EXCLUDED)
-    return out
+    mid = np.ascontiguousarray(centers.T)[:, :, None]  # (2, centres, 1)
+    lo, hi = np.maximum(mid - half, 0), np.minimum(mid + half, [[[height]], [[width]]])
+    meets, inside = (first < hi) & (stop > lo), (first >= lo) & (stop <= hi)
+    meets, inside = meets[0] & meets[1], inside[0] | inside[1]  # (centres, components)
+    hits = meets & inside
+    for i, k in zip(*np.nonzero(meets & ~inside)):
+        r0, c0 = np.maximum(lo[:, i, 0], first[:, 0, k])
+        r1, c1 = np.minimum(hi[:, i, 0], stop[:, 0, k])
+        hits[i, k] = (comps[r0:r1, c0:c1] == k + 1).any()
+    return [ResidentialClass.NON_RESIDENTIAL if n == 0
+            else ResidentialClass.RESIDENTIAL if n >= min_houses
+            else ResidentialClass.EXCLUDED
+            for n in hits.sum(axis=1).tolist()]

@@ -124,6 +124,19 @@ def _mean_fs(images, th: TreeThresholds, coord: str, values) -> list:
     return image_mean(per_image).tolist()
 
 
+def residential_tiles(ground_truths, min_houses: int = 15) -> list:
+    """The residential class of every grid tile of each ground truth, in
+    grid_centers order.  The gate threshold is defined only when the tiles
+    not excluded hold both classes; without them this raises ValueError, and
+    it needs no probability map or RA score to tell."""
+    classes = [residential_label(gt, grid_centers((gt.height, gt.width)), min_houses)
+               for gt in ground_truths]
+    if {ResidentialClass.RESIDENTIAL, ResidentialClass.NON_RESIDENTIAL} - set().union(*classes):
+        raise ValueError("validation tiles lack both residential classes; "
+                         "the gate threshold is undefined")
+    return classes
+
+
 def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
                    step: float = DEFAULT_GRID_STEP, tol: float = DEFAULT_TOL,
                    max_cycles: int = DEFAULT_MAX_CYCLES) -> FitResult:
@@ -144,19 +157,12 @@ def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
     grid = threshold_grid(step)
 
     # tile-level residential truth for the gate threshold
-    scores, truth = [], []
-    for inp, gt in validation:
-        classes = residential_label(gt, grid_centers(inp.prob_map.shape), min_houses)
-        for klass, score in zip(classes, inp.ra_scores.ravel()):
-            if klass is ResidentialClass.EXCLUDED:
-                continue
-            scores.append(score)
-            truth.append(klass is ResidentialClass.RESIDENTIAL)
-    truth = np.array(truth, dtype=bool)
-    if truth.all() or not truth.any():
-        raise ValueError("validation tiles lack both residential classes; "
-                         "the gate threshold is undefined")
-    t1_counts = relaxed_counts(np.array(scores)[None], RelaxedTruth(truth[None], 0), grid)
+    classes = np.array([k.value for per_image in residential_tiles(
+        [gt for _, gt in validation], min_houses) for k in per_image])
+    kept = classes != ResidentialClass.EXCLUDED.value
+    scores = np.concatenate([inp.ra_scores.ravel() for inp, _ in validation])[kept]
+    truth = classes[kept] == ResidentialClass.RESIDENTIAL.value
+    t1_counts = relaxed_counts(scores[None], RelaxedTruth(truth[None], 0), grid)
     t1, _ = max_f(count_points(grid, t1_counts))
     # with gate 0 every pixel takes leaf t2 (RA scores lie in [0, 1]), so this
     # sweep scores the plain probability maps; argmax keeps the lowest tie

@@ -369,6 +369,28 @@ class TestTreeFit:
                    "--gt", tmp_path / "short.pgm", "--out", tmp_path / "tree") == 2
         assert str(tmp_path / "short.pgm") in capsys.readouterr().err
 
+    def test_undefined_gate_data_error_before_any_forward(self, tmp_path, scene_dir,
+                                                          trained_dir, monkeypatch, capsys):
+        # no tile window holds 100000 houses, so every tile with a house is
+        # excluded and the label map alone shows that the gate is undefined
+        labels = raster.read_label(scene_dir / "labels_000.pgm")
+        raster.write_prob_sidecar(labels.labels * 0.8 + 0.1, tmp_path / "p.bin")
+        cfg = tmp_path / "gate.cfg"
+        cfg.write_text(SMALL_CFG + "\n[tree]\nmin_houses = 100000\n")
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("per-tile inference ran before the gate was checked")
+
+        monkeypatch.setattr(cli, "_tile_patches", no_forward)
+        out = tmp_path / "tree"
+        assert run("tree-fit", "--config", cfg, "--model", trained_dir / "model.ckpt",
+                   "--image", scene_dir / "scene_000.ppm", "--prob", tmp_path / "p.bin",
+                   "--gt", scene_dir / "labels_000.pgm", "--out", out) == 2
+        assert capsys.readouterr().err == ("lgseg tree-fit: validation tiles lack both "
+                                           "residential classes; the gate threshold is "
+                                           "undefined\n")
+        assert not (out / "tree.json").exists()
+
 
 def small_image(seed, height=36, width=40):
     """Ragged on both axes, so the grid has shifted margin tiles."""
@@ -493,6 +515,9 @@ class TestTilePatches:
             seen.extend(validation)
             return tree.FitResult(tree.TreeThresholds(0.5, 0.5, 0.5), [0.0], True)
 
+        # one 36x40 image has a single tile class, so the gate check that
+        # comes before the forwards is faked along with the fit
+        monkeypatch.setattr(tree, "residential_tiles", lambda gts, min_houses: None)
         monkeypatch.setattr(tree, "fit_thresholds", fake_fit)
         monkeypatch.setenv("LGSEG_THREADS", "2")
         assert run("tree-fit", "--config", cfg_path, "--model", trained_dir / "model.ckpt",

@@ -5,6 +5,7 @@ import pytest
 from scipy import ndimage
 
 from lgseg import sampling
+from lgseg.counting import components
 from lgseg.network import DUAL_PATHWAYS, GLOBAL_PATHWAY, LOCAL_PATHWAY
 from lgseg.raster import LabelMap, Raster
 from lgseg.rng import SplitMix64
@@ -328,6 +329,78 @@ def residential_label_per_centre(labels, center, min_houses=15):
     return ResidentialClass.EXCLUDED
 
 
+def residential_per_centre(labels, centers, min_houses):
+    return [residential_label_per_centre(labels, c, min_houses) for c in centers]
+
+
+def random_blobs(seed, shape):
+    """Irregular 8-connected blobs over about a fifth of a map."""
+    field = ndimage.gaussian_filter(np.random.default_rng(seed).random(shape), 2.5)
+    mask = (field > np.quantile(field, 0.8)).astype(np.uint8)
+    return LabelMap(shape[1], shape[0], mask)
+
+
+def corner_crossings(labels, centers):
+    """(centre, component) pairs whose box meets the window and sticks out of
+    it on both axes: the pairs whose pixels residential_label reads."""
+    _, boxes = components(labels.labels, 8)
+    first = np.array([(b.row_min, b.col_min) for b in boxes]).reshape(-1, 2)
+    last = np.array([(b.row_max, b.col_max) for b in boxes]).reshape(-1, 2)
+    total = 0
+    for r, c in centers:
+        lo = np.maximum((r - 128, c - 128), 0)
+        hi = np.minimum((r + 127, c + 127), (labels.height - 1, labels.width - 1))
+        meets = ((first <= hi) & (last >= lo)).all(axis=1)
+        within = ((first >= lo) & (last <= hi)).any(axis=1)
+        total += int((meets & ~within).sum())
+    return total
+
+
+def square_symmetry(mask, symmetry):
+    """One of the 8 symmetries of a square map: bit 2 transposes, bits 0 and 1
+    flip the rows and the columns."""
+    flips = tuple(axis for axis in (0, 1) if symmetry >> axis & 1)
+    return np.ascontiguousarray(np.flip(mask.T if symmetry & 4 else mask, axis=flips))
+
+
+def corner_shapes():
+    """{name: (400x400 mask, whether a pixel lies in the window)}: one house
+    each, whose box crosses the bottom-right corner (327, 327) of the window
+    of (200, 200), with no pixel inside it or with exactly one."""
+    shapes = {}
+
+    def add(name, inside, *cells):
+        mask = np.zeros((400, 400), dtype=np.uint8)
+        for rows, cols in cells:
+            mask[rows, cols] = 1
+        shapes[name] = (mask, inside)
+
+    # an L along the row and the column just past the corner; its mirror
+    # bends at the corner pixel itself
+    add("l_outside", False, (328, slice(300, 341)), (slice(300, 329), 328))
+    add("l_one_inside", True, (327, slice(327, 341)), (slice(327, 341), 327))
+    # one-pixel diagonal staircases past the corner, or through it
+    steps = np.arange(300, 357)
+    add("staircase_outside", False, (steps, 656 - steps))
+    add("staircase_one_inside", True, (steps, 654 - steps))
+    # staircases of 3x3 steps, two rows down and two columns left apiece:
+    # past the corner, or with the corner pixel as the top-left of one step
+    for name, inside, first, diagonal in (("thick_staircase_outside", False, 300, 658),
+                                          ("thick_staircase_one_inside", True, 301, 654)):
+        add(name, inside, *[(slice(r, r + 3), slice(diagonal - r, diagonal - r + 3))
+                            for r in range(first, first + 58, 2)])
+    # a ring round the whole window, bare or with a spur whose tip is the
+    # window's first pixel in row 200
+    ring = [(60, slice(60, 341)), (340, slice(60, 341)), (slice(60, 341), 60),
+            (slice(60, 341), 340)]
+    add("ring_outside", False, *ring)
+    add("ring_one_inside", True, *ring, (200, slice(60, 73)))
+    return shapes
+
+
+CORNER_SHAPES = corner_shapes()
+
+
 class TestResidential:
     @pytest.mark.parametrize("min_houses", [1, 15, 40])
     def test_matches_per_centre_rule(self, min_houses):
@@ -376,3 +449,68 @@ class TestResidential:
         labels = paint_rects(20, start=(10, 10), gap=12)
         # window far away from the rectangles
         assert residential_label(labels, [(450, 450)], 15)[0] is ResidentialClass.NON_RESIDENTIAL
+
+    @pytest.mark.parametrize("center", [(-200, 100), (-129, 100), (512, 0), (0, 512)])
+    def test_centre_outside_the_image_rejected(self, center):
+        # 20 houses at rows 300-303: a window read through a negative slice
+        # stop would see them
+        labels = paint_rects(20, start=(300, 20), gap=9)
+        with pytest.raises(ValueError, match=rf"centre \({center[0]}, {center[1]}\) lies outside "
+                                             r"the 512x512 image"):
+            residential_label(labels, [(256, 256), center])
+
+    @pytest.mark.parametrize("shape", sorted(CORNER_SHAPES))
+    @pytest.mark.parametrize("symmetry", range(8))
+    def test_box_across_a_window_corner_counts_only_with_a_pixel_inside(self, shape, symmetry):
+        # the window of (200, 200) on a 400x400 map is rows and columns
+        # 72-327, so every flip and the transpose keep it in place
+        mask, inside = CORNER_SHAPES[shape]
+        labels = LabelMap(400, 400, square_symmetry(mask, symmetry))
+        assert corner_crossings(labels, [(200, 200)]) == 1
+        want = ResidentialClass.RESIDENTIAL if inside else ResidentialClass.NON_RESIDENTIAL
+        assert residential_per_centre(labels, [(200, 200)], 1) == [want]
+        assert residential_label(labels, [(200, 200)], 1) == [want]
+
+    @pytest.mark.parametrize("symmetry", range(8))
+    @pytest.mark.parametrize("first, counted", [((328, 190), False), ((327, 190), True),
+                                                ((328, 328), False), ((327, 327), True),
+                                                ((324, 324), True)])
+    def test_house_one_pixel_either_side_of_a_window_edge(self, symmetry, first, counted):
+        # a 4x4 house starting just past the window's last row (or corner) of
+        # (200, 200), or on it; the symmetries put it at every edge and corner
+        mask = np.zeros((400, 400), dtype=np.uint8)
+        mask[first[0]:first[0] + 4, first[1]:first[1] + 4] = 1
+        labels = LabelMap(400, 400, square_symmetry(mask, symmetry))
+        want = ResidentialClass.RESIDENTIAL if counted else ResidentialClass.NON_RESIDENTIAL
+        assert residential_per_centre(labels, [(200, 200)], 1) == [want]
+        assert residential_label(labels, [(200, 200)], 1) == [want]
+
+    @pytest.mark.parametrize("shape", [(64, 256), (256, 64), (64, 500), (500, 64), (200, 180),
+                                       (100, 90), (16, 16), (300, 300)])
+    def test_clipped_windows_match_per_centre_rule(self, shape):
+        # windows clipped at every border, on maps narrower than a window on
+        # one axis or both; centres also at the four corner pixels and at the
+        # middle of each edge
+        height, width = shape
+        labels = random_blobs(sum(shape), shape)
+        centers = grid_centers(shape) + [(0, 0), (0, width - 1), (height - 1, 0),
+                                         (height - 1, width - 1), (height // 2, 0),
+                                         (0, width // 2), (height - 1, width // 2),
+                                         (height // 2, width - 1)]
+        for min_houses in (1, 3, 15):
+            assert (residential_label(labels, centers, min_houses)
+                    == residential_per_centre(labels, centers, min_houses))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_blobs_match_per_centre_rule(self, seed):
+        # blobs of every shape (rings, L-shapes and staircases among them) at
+        # all grid centres and at random off-grid ones
+        shape = (288 + 16 * seed, 304 - 8 * seed)
+        labels = random_blobs(seed, shape)
+        rng = np.random.default_rng(seed)
+        centers = grid_centers(shape) + [tuple(rng.integers(0, shape).tolist())
+                                         for _ in range(40)]
+        assert corner_crossings(labels, centers) > 0
+        for min_houses in (1, 3, 15):
+            assert (residential_label(labels, centers, min_houses)
+                    == residential_per_centre(labels, centers, min_houses))

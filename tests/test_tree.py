@@ -9,7 +9,8 @@ from lgseg.evaluation import (RelaxedTruth, count_points, f_measure, max_f, near
                               relaxed_counts, set_curve, threshold_grid)
 from lgseg.raster import LabelMap
 from lgseg.rng import SplitMix64
-from lgseg.tree import FitResult, TreeInput, TreeThresholds, fit_thresholds
+from lgseg.tree import (FitResult, TreeInput, TreeThresholds, fit_thresholds,
+                        residential_tiles)
 from lgseg.sampling import (ResidentialClass, grid_centers, grid_shape,
                             residential_label, tile_index_map)
 
@@ -500,6 +501,17 @@ class TestFitThresholds:
         items = [(toy_input(prob, 0.9), LabelMap(64, 64, gt))]
         with pytest.raises(ValueError):
             fit_thresholds(items, rho=3)
+
+    def test_tile_classes_are_residential_label_over_the_grid(self):
+        # the first map's right-hand windows hold no house
+        gts = [LabelMap(300, 64, paint_houses((64, 300), 18)),
+               LabelMap(40, 56, paint_houses((56, 40), 3))]
+        for min_houses in (1, 15):
+            assert residential_tiles(gts, min_houses) == [
+                residential_label(gt, grid_centers((gt.height, gt.width)), min_houses)
+                for gt in gts]
+        with pytest.raises(ValueError, match="lack both residential classes"):
+            residential_tiles(gts, min_houses=1000)
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
