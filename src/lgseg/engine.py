@@ -12,14 +12,20 @@ Max-pool takes a running maximum over its window taps.  Its backward sends
 each window's gradient to the first tap in scan order that holds the output
 (the first NaN, if any): tap by tap into strided views of the input gradient
 when windows do not overlap, and by a scatter over flat argmax positions when
-they do.  The classical momentum SGD step (weight decay on weights only, never
-biases) completes the training core.  Checkpoints serialise named tensors
-bit-exactly.
+they do.  Dense backward adds its weight and bias gradients into the caller's
+arrays, the outer product one ~512 KiB block of rows at a time, and returns the
+input gradient; relu's backward is written over its upstream gradient.  The
+classical momentum SGD step (weight decay on weights only, never biases)
+streams each tensor in fixed chunks through one scratch buffer and rejects a
+step that leaves a parameter non-finite.  Checkpoints serialise named tensors
+bit-exactly, written from and read into the tensors' own buffers.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,6 +36,8 @@ from numpy.lib.stride_tricks import as_strided
 from .rng import SplitMix64
 
 CHECKPOINT_MAGIC = b"LGSEG1"
+_DENSE_BLOCK_BYTES = 1 << 19  # dense_backward's outer-product block
+_SGD_CHUNK = 1 << 13  # elements per tensor chunk of sgd_momentum_step
 
 
 def _as_f64(x) -> np.ndarray:
@@ -264,15 +272,37 @@ def dense_forward(x, weight, bias) -> np.ndarray:
     return weight @ x + _as_f64(bias)
 
 
-def dense_backward(x, weight, grad_out):
+def _dense_block_rows(in_units: int) -> int:
+    """Rows of the outer-product block that dense_backward adds at a time:
+    512 KiB of them, or one row if a row is longer."""
+    return max(1, _DENSE_BLOCK_BYTES // (8 * max(in_units, 1)))
+
+
+def dense_backward(x, weight, grad_out, grad_weight, grad_bias) -> np.ndarray:
+    """Add outer(grad_out, x) into grad_weight and grad_out into grad_bias, in
+    place, and return the input gradient W.T @ grad_out.
+
+    The outer product is formed one block of rows at a time in a buffer of
+    about 512 KiB that stays in cache.  Each entry gets the one rounded
+    product and the one rounded add that np.outer followed by += would give.
+    """
     x = _as_f64(x)
     weight = _as_f64(weight)
     grad_out = _as_f64(grad_out)
     if grad_out.size != weight.shape[0]:
         raise ValueError("upstream gradient length != out_units")
-    grad_x = weight.T @ grad_out
-    grad_weight = np.outer(grad_out, x)
-    return grad_x, grad_weight, grad_out.copy()
+    for name, arr, shape in (("weight", grad_weight, weight.shape),
+                             ("bias", grad_bias, weight.shape[:1])):
+        if arr.shape != shape or arr.dtype != np.float64:
+            raise ValueError(f"dense {name} gradient must be float64 of shape {shape}")
+    rows = _dense_block_rows(x.size)
+    block = np.empty((min(rows, grad_out.size), x.size))
+    for r in range(0, grad_out.size, rows):
+        part = block[:min(rows, grad_out.size - r)]
+        np.multiply(grad_out[r:r + rows, None], x, out=part)
+        grad_weight[r:r + rows] += part
+    grad_bias += grad_out
+    return weight.T @ grad_out
 
 
 def relu(x) -> np.ndarray:
@@ -280,7 +310,10 @@ def relu(x) -> np.ndarray:
 
 
 def relu_backward(x, grad_out) -> np.ndarray:
-    return _as_f64(grad_out) * (_as_f64(x) > 0.0)
+    """Gradient through relu given its input x.  It is written over grad_out
+    when that is a C-contiguous float64 array, which the caller gives up."""
+    grad = _as_f64(grad_out)
+    return np.multiply(grad, _as_f64(x) > 0.0, out=grad)
 
 
 _SIGMOID_LO = np.nextafter(0.0, 1.0)
@@ -308,6 +341,13 @@ def sigmoid_backward(y, grad_out) -> np.ndarray:
 # optimiser
 
 
+def check_hyperparameters(**values) -> None:
+    """ValueError unless every named value is a finite number >= 0."""
+    for name, value in values.items():
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+
+
 @dataclass
 class SgdState:
     """Classical momentum state: v <- m*v - lr*(g + wd*w); w <- w + v."""
@@ -318,27 +358,62 @@ class SgdState:
     velocity: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.learning_rate < 0 or self.momentum < 0 or self.weight_decay < 0:
-            raise ValueError("hyperparameters must be nonnegative")
+        check_hyperparameters(learning_rate=self.learning_rate, momentum=self.momentum,
+                              weight_decay=self.weight_decay)
+
+
+def _chunks(arr: np.ndarray, what: str, name: str) -> np.ndarray:
+    # a flat view that in-place chunk updates write through to arr
+    if arr.dtype != np.float64 or not arr.flags.c_contiguous:
+        raise ValueError(f"{what} {name} must be a C-contiguous float64 array")
+    return arr.reshape(-1)
 
 
 def sgd_momentum_step(params: dict, grads: dict, state: SgdState) -> None:
     """One in-place update of every parameter.  Weight decay is applied to
-    tensors whose name ends in '.weight' only, never to biases."""
-    for name, w in params.items():
-        g = grads[name]
-        if g.shape != w.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        v = state.velocity.get(name)
-        if v is None:
-            v = np.zeros_like(w)
-            state.velocity[name] = v
-        if v.shape != w.shape:
-            raise ValueError(f"velocity shape mismatch for {name}")
-        eff = g + state.weight_decay * w if name.endswith(".weight") else g
-        v *= state.momentum
-        v -= state.learning_rate * eff
-        w += v
+    tensors whose name ends in '.weight' only, never to biases.
+
+    Each tensor streams through one scratch chunk of _SGD_CHUNK elements:
+    t = wd*w; t += g; t *= lr; v *= m; v -= t; w += v, the IEEE operations of
+    v = m*v - lr*(g + wd*w) reordered only by commutation, so every value is
+    the same (the payload that NaN + NaN keeps is not: NumPy picks it by
+    operand order).  Every updated chunk is checked while it is in cache;
+    after the whole step, ValueError names the first tensor that holds a
+    non-finite value.
+    """
+    lr, m, wd = state.learning_rate, state.momentum, state.weight_decay
+    scratch = np.empty(_SGD_CHUNK)
+    finite = np.empty(_SGD_CHUNK, dtype=bool)
+    bad = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, w in params.items():
+            g = grads[name]
+            v = state.velocity.get(name)
+            if v is None:
+                v = state.velocity[name] = np.zeros_like(w)
+            for arr, what in ((g, "gradient"), (v, "velocity")):
+                if arr.shape != w.shape:
+                    raise ValueError(f"{what} shape mismatch for {name}")
+            decay = name.endswith(".weight")
+            w, v = _chunks(w, "parameter", name), _chunks(v, "velocity", name)
+            g = _as_f64(g).reshape(-1)
+            for lo in range(0, w.size, _SGD_CHUNK):
+                part = slice(lo, lo + _SGD_CHUNK)
+                wc, gc, vc = w[part], g[part], v[part]
+                t = scratch[:wc.size]
+                if decay:
+                    np.multiply(wd, wc, out=t)
+                    t += gc
+                    np.multiply(lr, t, out=t)
+                else:
+                    np.multiply(lr, gc, out=t)
+                vc *= m
+                vc -= t
+                wc += vc
+                if bad is None and not np.isfinite(wc, out=finite[:wc.size]).all():
+                    bad = name
+    if bad is not None:
+        raise ValueError(f"SGD step left non-finite values in {bad}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,48 +422,60 @@ def sgd_momentum_step(params: dict, grads: dict, state: SgdState) -> None:
 
 def save_checkpoint(path, tensors: dict) -> None:
     """Write named float64 tensors: magic, then per tensor
-    u32 name length, name bytes, u32 rank, u32 extents, little-endian payload."""
+    u32 name length, name bytes, u32 rank, u32 extents, little-endian payload.
+    A C-contiguous float64 tensor is written from its own buffer."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         for name, arr in tensors.items():
-            arr = _as_f64(arr)
+            arr = np.ascontiguousarray(arr, dtype="<f8")
             raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes())
+            fh.write(struct.pack(f"<I{len(raw)}sI{arr.ndim}I", len(raw), raw, arr.ndim,
+                                 *arr.shape))
+            fh.write(arr.data)
 
 
 def load_checkpoint(path) -> dict:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(CHECKPOINT_MAGIC):
-        raise ValueError(f"{path}: not a checkpoint (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
+    """The named tensors of a save_checkpoint file.  The bytes left in the
+    file are checked against each piece before it is read, and a tensor's
+    payload is read straight into its own array."""
     out: dict = {}
+    with open(path, "rb") as fh:
+        left = os.fstat(fh.fileno()).st_size
+        if left < len(CHECKPOINT_MAGIC) or fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint (bad magic)")
+        left -= len(CHECKPOINT_MAGIC)
 
-    def take(n):
-        nonlocal off
-        if off + n > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
-        piece = blob[off:off + n]
-        off += n
-        return piece
+        def claim(n):
+            nonlocal left
+            if n > left:
+                raise ValueError(f"{path}: truncated checkpoint")
+            left -= n
 
-    while off < len(blob):
-        (name_len,) = struct.unpack("<I", take(4))
-        try:
-            name = take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: tensor name is not UTF-8: {exc}") from None
-        if name in out:
-            raise ValueError(f"{path}: tensor {name} appears more than once")
-        (rank,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        # exact Python ints: an int64 product of u32 extents can wrap
-        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-        if not np.isfinite(data).all():
-            raise ValueError(f"{path}: tensor {name} holds non-finite values")
-        out[name] = data.reshape(shape).astype(np.float64)
+        def check(got, n):  # a file that shrank while it was read
+            if got != n:
+                raise ValueError(f"{path}: truncated checkpoint")
+
+        def read(n):
+            claim(n)
+            piece = fh.read(n)
+            check(len(piece), n)
+            return piece
+
+        while left:
+            (name_len,) = struct.unpack("<I", read(4))
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: tensor name is not UTF-8: {exc}") from None
+            if name in out:
+                raise ValueError(f"{path}: tensor {name} appears more than once")
+            (rank,) = struct.unpack("<I", read(4))
+            shape = struct.unpack(f"<{rank}I", read(4 * rank))
+            # exact Python ints: an int64 product of u32 extents can wrap
+            claim(8 * math.prod(shape))
+            data = np.empty(shape, dtype="<f8")
+            check(fh.readinto(data.reshape(-1).view(np.uint8)), data.nbytes)
+            if not np.isfinite(data).all():
+                raise ValueError(f"{path}: tensor {name} holds non-finite values")
+            out[name] = data
     return out

@@ -280,6 +280,8 @@ class LgSegModel:
                 grad, gw, gb = engine.conv2d_backward(saved, self.params[f"{name}.weight"], grad,
                                                       spec.stride, spec.padding(),
                                                       input_grad=i != stop)
+                grads[f"{name}.weight"] += gw
+                grads[f"{name}.bias"] += gb
             elif kind == "pool":
                 grad = engine.maxpool2d_backward(saved, grad)
             elif kind == "relu":
@@ -287,12 +289,10 @@ class LgSegModel:
             elif kind == "flatten":
                 grad = grad.reshape(saved)
             elif kind == "dense":
-                grad, gw, gb = engine.dense_backward(saved, self.params[f"{name}.weight"], grad)
+                grad = engine.dense_backward(saved, self.params[f"{name}.weight"], grad,
+                                             grads[f"{name}.weight"], grads[f"{name}.bias"])
             else:  # sigmoid
                 grad = engine.sigmoid_backward(saved, grad)
-            if name is not None:
-                grads[f"{name}.weight"] += gw
-                grads[f"{name}.bias"] += gb
         return grad if input_grad else None
 
     def embed(self, prefix: str, window, tape: list | None = None) -> np.ndarray:
@@ -397,6 +397,8 @@ class TrainConfig:
     stop_loss: float = 0.0  # stop once epoch mean per-pixel loss dips below (0: never)
 
     def __post_init__(self):
+        engine.check_hyperparameters(learning_rate=self.learning_rate, momentum=self.momentum,
+                                     weight_decay=self.weight_decay)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not (0.0 < self.clamp_eps < 1e-3):
@@ -427,13 +429,17 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
     Every triplet needs a .target and a .windows(pathways) method that returns
     the {prefix: window} input for the given pathways, here model.pathways.
     Gradients within a batch are summed (or averaged per config.reduction)
-    and applied in one optimiser step.
+    and applied in one optimiser step.  One gradient dict is allocated per
+    call and zero-filled before each batch.  A non-finite batch loss, or a
+    step that leaves a parameter non-finite, raises ValueError naming the
+    epoch and batch.
     """
     items = list(triplets)
     if not items:
         raise ValueError("training requires a nonempty dataset")
     state = engine.SgdState(config.learning_rate, config.momentum, config.weight_decay)
     rng = SplitMix64(config.seed)
+    grads = model.zero_grads()
     losses: list = []
     walls: list = []
 
@@ -444,7 +450,8 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
         total = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            grads = model.zero_grads()
+            for g in grads.values():
+                g.fill(0.0)
             batch_loss = 0.0
             for i in batch:
                 t = items[i]
@@ -452,14 +459,17 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
                 loss, dprobs = patch_loss(probs, t.target, config.clamp_eps)
                 batch_loss += loss
                 model.backward(caches, dprobs, out=grads)
+            where = f"in epoch {epoch + 1}, batch {start // config.batch_size + 1}"
             if not np.isfinite(batch_loss):
-                raise ValueError(f"non-finite loss in epoch {epoch + 1}, "
-                                 f"batch {start // config.batch_size + 1}")
+                raise ValueError(f"non-finite loss {where}")
             if config.reduction == "mean":
                 scale = 1.0 / len(batch)
                 for name in grads:
                     grads[name] *= scale
-            engine.sgd_momentum_step(model.params, grads, state)
+            try:
+                engine.sgd_momentum_step(model.params, grads, state)
+            except ValueError as exc:  # a step that left a parameter non-finite
+                raise ValueError(f"{exc} {where}") from None
             total += batch_loss
         epoch_loss = total / (len(items) * OUTPUT_PIXELS)
         losses.append(epoch_loss)

@@ -137,6 +137,19 @@ class TestTrain:
         assert "expects a finite float, got 'nan'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_step_that_overflows_is_data_error_without_a_checkpoint(self, tmp_path, scene_dir,
+                                                                     capsys):
+        cfg = tmp_path / "divergent.cfg"
+        cfg.write_text("[model]\nlocal_layers = conv3x4, relu, pool4\n"
+                       "global_layers = conv5x4s4, relu, pool8\nlocal_embed = 8\n"
+                       "global_embed = 8\nfusion_hidden = 8\n[train]\n"
+                       "learning_rate = 1.7e308\nsamples_per_scene = 4\nepochs = 1\n")
+        out = tmp_path / "out"
+        assert run("train", "--config", cfg, "--data", scene_dir, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err and "epoch 1, batch 1" in err
+        assert list(out.iterdir()) == []
+
     def test_missing_data_dir_is_data_error(self, tmp_path, cfg_path):
         assert run("train", "--config", cfg_path, "--data", tmp_path / "none",
                    "--out", tmp_path / "out") == 2

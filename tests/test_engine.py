@@ -1,8 +1,10 @@
 """Layer engine tests: hand oracles, finite differences, optimiser recursion,
 and checkpoint round-trips."""
 
+import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from gradcheck import grad_check
 from lgseg import engine, network
+from lgseg import rng as rng_module
 from lgseg.rng import SplitMix64
 
 
@@ -141,6 +144,32 @@ class TestRng:
         SplitMix64(9).shuffle(items)
         assert sorted(items) == list(range(50))
         assert items != list(range(50))
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 64 - 1])
+    def test_blocks_match_the_reference_generator_bitwise(self, seed):
+        chunk = rng_module._CHUNK
+        for n in [0] + around_blocks(chunk):
+            got, want = SplitMix64(seed), SplitMix64Reference(seed)
+            assert got.next_u64() == want.next_u64()
+            assert got.u64_block(n).tobytes() == want.u64_block(n).tobytes(), n
+            assert got.floats(n).tobytes() == want.floats(n).tobytes(), n
+            for low, high in [(-1, 1), (0, 256), (0.0, 1.0), (-0.0, 1.0), (2.0, 2.0),
+                              (-3.5, 1e300), (np.float64(-0.25), np.float64(0.75))]:
+                a, b = got.uniform(low, high, n), want.uniform(low, high, n)
+                assert a.tobytes() == b.tobytes() and a.dtype == b.dtype, (n, low, high)
+            a, b = got.uniform(-1, 1, (n, 2)), want.uniform(-1, 1, (n, 2))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), n
+            assert got.next_u64() == want.next_u64(), n
+
+    def test_xavier_draws_of_the_default_model_match_the_reference(self, monkeypatch):
+        got = network.build_model(seed=4).params
+        monkeypatch.setattr(network, "SplitMix64", SplitMix64Reference)
+        monkeypatch.setattr(SplitMix64, "split",
+                            lambda self: SplitMix64Reference(self.next_u64()))
+        want = network.build_model(seed=4).params
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestXavierInit:
@@ -537,6 +566,19 @@ class TestActivations:
     def test_relu_definition(self):
         assert np.array_equal(engine.relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
+    def test_relu_backward_is_the_masked_product_written_over_the_gradient(self):
+        rng = SplitMix64(8)
+        x, g = with_specials(rng, (3, 7, 5)), with_specials(rng, (3, 7, 5), every=3)
+        with np.errstate(invalid="ignore"):  # inf * 0
+            want = relu_backward_reference(x, g)
+            out = g.copy()
+            assert engine.relu_backward(x, out) is out
+            assert out.tobytes() == want.tobytes()
+            kept = g.astype(np.float32)  # converted first, so left as it was
+            assert engine.relu_backward(x, kept).tobytes() == \
+                relu_backward_reference(x, kept).tobytes()
+            assert kept.tobytes() == g.astype(np.float32).tobytes()
+
     def test_sigmoid_open_interval(self):
         y = engine.sigmoid(np.array([-50.0, 50.0, -700.0, 700.0]))
         assert np.all(y > 0.0) and np.all(y < 1.0)
@@ -600,7 +642,8 @@ class TestGradCheck:
             return 0.5 * float(y @ y)
 
         y = engine.dense_forward(x, w, b)
-        gx, gw, gb = engine.dense_backward(x, w, y)
+        gw, gb = np.zeros_like(w), np.zeros_like(b)
+        gx = engine.dense_backward(x, w, y, gw, gb)
         err = grad_check(loss, {"w": w, "b": b, "x": x}, {"w": gw, "b": gb, "x": gx}, eps=1e-5)
         assert err < 1e-7
 
@@ -657,7 +700,8 @@ class TestGradCheck:
             return 0.5 * float(((y - target) ** 2).sum())
 
         y = engine.dense_forward(x, w, b)
-        gx, gw, gb = engine.dense_backward(x, w, y - target)
+        gw, gb = np.zeros_like(w), np.zeros_like(b)
+        gx = engine.dense_backward(x, w, y - target, gw, gb)
         err = grad_check(loss, {"w": w, "b": b, "x": x}, {"w": gw, "b": gb, "x": gx}, eps=1e-5)
         assert err < 1e-5
 
@@ -686,7 +730,8 @@ class TestGradCheck:
         def loss():
             return float((w @ x).sum())
 
-        _, gw, _ = engine.dense_backward(x, w, np.ones(3))
+        gw = np.zeros_like(w)
+        engine.dense_backward(x, w, np.ones(3), gw, np.zeros(3))
         err = grad_check(loss, {"w": w}, {"w": 2.0 * gw}, eps=1e-5)
         assert err == pytest.approx(0.5, abs=0.05)
 
@@ -698,7 +743,8 @@ class TestGradCheck:
         def loss():
             return float((w @ x).sum())
 
-        _, gw, _ = engine.dense_backward(x, w, np.ones(10))
+        gw = np.zeros_like(w)
+        engine.dense_backward(x, w, np.ones(10), gw, np.zeros(10))
         err = grad_check(loss, {"w": w}, {"w": gw}, eps=1e-5, sample=7)
         assert err < 1e-7
 
@@ -775,3 +821,356 @@ class TestCheckpoint:
                       + struct.pack("<3I", 2, 2 ** 32 - 1, 2 ** 32 - 1))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: truncated checkpoint$"):
             engine.load_checkpoint(p)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the dense backward (its gradients then added with +=), relu
+# backward, SGD step, block generator and checkpoint writer and reader that the
+# in-place and streaming versions replaced, kept verbatim
+
+
+def dense_backward_reference(x, weight, grad_out, grad_weight, grad_bias):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    weight = np.ascontiguousarray(weight, dtype=np.float64)
+    grad_out = np.ascontiguousarray(grad_out, dtype=np.float64)
+    if grad_out.size != weight.shape[0]:
+        raise ValueError("upstream gradient length != out_units")
+    grad_x = weight.T @ grad_out
+    grad_weight += np.outer(grad_out, x)
+    grad_bias += grad_out.copy()
+    return grad_x
+
+
+def relu_backward_reference(x, grad_out):
+    return (np.ascontiguousarray(grad_out, dtype=np.float64)
+            * (np.ascontiguousarray(x, dtype=np.float64) > 0.0))
+
+
+def sgd_step_reference(params, grads, state):
+    for name, w in params.items():
+        g = grads[name]
+        if g.shape != w.shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+        v = state.velocity.get(name)
+        if v is None:
+            v = np.zeros_like(w)
+            state.velocity[name] = v
+        if v.shape != w.shape:
+            raise ValueError(f"velocity shape mismatch for {name}")
+        eff = g + state.weight_decay * w if name.endswith(".weight") else g
+        v *= state.momentum
+        v -= state.learning_rate * eff
+        w += v
+
+
+class SplitMix64Reference(SplitMix64):
+    """The generator with its previous block routines."""
+
+    def u64_block(self, n):
+        if n < 0:
+            raise ValueError("block size must be nonnegative")
+        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        z = np.uint64(self._state) + steps
+        z = z ^ (z >> np.uint64(30))
+        z = z * np.uint64(0xBF58476D1CE4E5B9)
+        z = z ^ (z >> np.uint64(27))
+        z = z * np.uint64(0x94D049BB133111EB)
+        out = z ^ (z >> np.uint64(31))
+        self._state = (self._state + n * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+        return out
+
+    def floats(self, n):
+        return (self.u64_block(n) >> np.uint64(11)) * (2.0 ** -53)
+
+    def uniform(self, low, high, shape):
+        size = int(np.prod(shape)) if np.ndim(shape) else int(shape)
+        u = self.floats(size)
+        return (low + (high - low) * u).reshape(shape)
+
+
+def save_checkpoint_reference(path, tensors):
+    with open(path, "wb") as fh:
+        fh.write(engine.CHECKPOINT_MAGIC)
+        for name, arr in tensors.items():
+            arr = np.ascontiguousarray(arr, dtype=np.float64)
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.astype("<f8").tobytes())
+
+
+def load_checkpoint_reference(path):
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if not blob.startswith(engine.CHECKPOINT_MAGIC):
+        raise ValueError(f"{path}: not a checkpoint (bad magic)")
+    off = len(engine.CHECKPOINT_MAGIC)
+    out = {}
+
+    def take(n):
+        nonlocal off
+        if off + n > len(blob):
+            raise ValueError(f"{path}: truncated checkpoint")
+        piece = blob[off:off + n]
+        off += n
+        return piece
+
+    while off < len(blob):
+        (name_len,) = struct.unpack("<I", take(4))
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: tensor name is not UTF-8: {exc}") from None
+        if name in out:
+            raise ValueError(f"{path}: tensor {name} appears more than once")
+        (rank,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
+        data = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise ValueError(f"{path}: tensor {name} holds non-finite values")
+        out[name] = data.reshape(shape).astype(np.float64)
+    return out
+
+
+SPECIALS = (np.nan, np.inf, -np.inf, -0.0, 0.0)
+
+
+def with_specials(rng, shape, every=7, start=0):
+    """Uniform draws on [-2, 2) with NaN, +-inf and signed zeros strewn in,
+    the first of them at flat index start."""
+    a = rng.uniform(-2.0, 2.0, shape)
+    flat = a.reshape(-1)
+    for k, value in enumerate(SPECIALS):
+        flat[start + k::every * len(SPECIALS)] = value
+    return a
+
+
+def around_blocks(block):
+    """Sizes 1, block - 1, block, block + 1 and several blocks plus a remainder."""
+    return sorted({1, block - 1, block, block + 1, 3 * block + block // 2 + 1} - {0})
+
+
+class TestDenseBackwardStreaming:
+    @pytest.mark.parametrize("in_units, rows", [(5, 13107), (3000, 21), (2 ** 16, 1),
+                                                (2 ** 16 + 3, 1)])
+    def test_block_rows_hold_512_kib_or_one_row(self, in_units, rows):
+        assert engine._dense_block_rows(in_units) == rows
+
+    @pytest.mark.parametrize("in_units", [5, 3000, 2 ** 16 + 3])
+    @pytest.mark.parametrize("specials", [False, True], ids=["finite", "specials"])
+    def test_adds_match_outer_then_add_bitwise(self, in_units, specials):
+        draw = with_specials if specials else (lambda rng, shape: rng.uniform(-2, 2, shape))
+        for out_units in around_blocks(engine._dense_block_rows(in_units)):
+            rng = SplitMix64(out_units * 7 + in_units)
+            x, weight = draw(rng, in_units), rng.uniform(-1, 1, (out_units, in_units))
+            gw, gb = draw(rng, (out_units, in_units)), draw(rng, out_units)
+            want_w, want_b = gw.copy(), gb.copy()
+            for sample in range(2):  # a second sample adds onto the first
+                grad_out = draw(rng, out_units)
+                with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf
+                    got = engine.dense_backward(x, weight, grad_out, gw, gb)
+                    want = dense_backward_reference(x, weight, grad_out, want_w, want_b)
+                assert got.tobytes() == want.tobytes(), (out_units, sample)
+                assert gw.tobytes() == want_w.tobytes(), (out_units, sample)
+                assert gb.tobytes() == want_b.tobytes(), (out_units, sample)
+
+    @pytest.mark.parametrize("which, bad", [("weight", np.zeros((3, 5))),
+                                            ("weight", np.zeros((4, 5), dtype=np.float32)),
+                                            ("bias", np.zeros(5))])
+    def test_gradient_arrays_of_wrong_shape_or_dtype_rejected(self, which, bad):
+        grads = {"weight": np.zeros((4, 5)), "bias": np.zeros(4), which: bad}
+        with pytest.raises(ValueError, match=f"dense {which} gradient"):
+            engine.dense_backward(np.ones(5), np.ones((4, 5)), np.ones(4),
+                                  grads["weight"], grads["bias"])
+
+
+def same_bits_but_nan_payloads(a, b):
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def sgd_case(sizes, seed, specials=False):
+    """params and three steps' grads for .weight/.bias tensors of the given
+    sizes, one .weight 2-D; with specials, both hold NaN, +-inf and signed
+    zeros."""
+    rng = SplitMix64(seed)
+    draw = with_specials if specials else (lambda r, shape: r.uniform(-2, 2, shape))
+    shapes = {}
+    for i, n in enumerate(sizes):
+        shapes[f"layer{i}.weight"] = (n,) if i else (1, n)
+        shapes[f"layer{i}.bias"] = (n,)
+    params = {name: draw(rng, shape) for name, shape in shapes.items()}
+    # each step's specials one place further on: NaN gradients meet infinite weights
+    grads = [{name: np.roll(draw(rng, shape), step + 1) for name, shape in shapes.items()}
+             for step in range(3)]
+    return params, grads
+
+
+class TestSgdStreaming:
+    SIZES = around_blocks(engine._SGD_CHUNK)
+
+    @pytest.mark.parametrize("lr, momentum, decay", [(0.1, 0.9, 5e-4), (0.1, 0.0, 5e-4),
+                                                     (1e-3, 0.9, 0.0), (0.0, 0.5, 0.1),
+                                                     (1e-4, 0.9, 5e-4)])
+    def test_steps_match_reference_bitwise(self, lr, momentum, decay):
+        params, grads = sgd_case(self.SIZES, seed=11)
+        want_params = {k: v.copy() for k, v in params.items()}
+        state = engine.SgdState(lr, momentum, decay)
+        want_state = engine.SgdState(lr, momentum, decay)
+        for step, g in enumerate(grads):
+            engine.sgd_momentum_step(params, g, state)
+            sgd_step_reference(want_params, g, want_state)
+            for name in params:
+                assert params[name].tobytes() == want_params[name].tobytes(), (step, name)
+                assert state.velocity[name].tobytes() == \
+                    want_state.velocity[name].tobytes(), (step, name)
+
+    def test_signed_zeros_match_reference_bitwise(self):
+        params = {"a.weight": np.array([0.0, -0.0, 0.0, -0.0, 1.0]),
+                  "a.bias": np.array([-0.0, 0.0, -0.0, 0.0, -1.0])}
+        grads = {"a.weight": np.array([-0.0, -0.0, 0.0, 0.0, -0.0]),
+                 "a.bias": np.array([0.0, -0.0, -0.0, 0.0, 0.0])}
+        want = {k: v.copy() for k, v in params.items()}
+        state, want_state = engine.SgdState(0.5, 0.0, 0.5), engine.SgdState(0.5, 0.0, 0.5)
+        for _ in range(2):
+            engine.sgd_momentum_step(params, grads, state)
+            sgd_step_reference(want, grads, want_state)
+            for name in params:
+                assert params[name].tobytes() == want[name].tobytes(), name
+                assert state.velocity[name].tobytes() == want_state.velocity[name].tobytes()
+
+    @pytest.mark.parametrize("momentum, decay", [(0.9, 5e-4), (0.0, 5e-4), (0.9, 0.0)])
+    def test_non_finite_values_complete_the_step_then_name_the_first_tensor(self, momentum,
+                                                                           decay):
+        # with decay 0, 0 * inf gives the default NaN, which g + wd*w then
+        # meets with the NaN of g.  Which payload survives depends on operand
+        # order, and the reference's own order flips at 256 KiB, where NumPy
+        # reuses the wd*w temporary (g + tmp runs as tmp += g).  So a NaN is
+        # compared as a NaN, and every other value bit for bit
+        params, grads = sgd_case(self.SIZES, seed=12, specials=True)
+        want_params = {k: v.copy() for k, v in params.items()}
+        state, want_state = (engine.SgdState(0.1, momentum, decay) for _ in range(2))
+        for step, g in enumerate(grads):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"^SGD step left non-finite values in "
+                                                     r"layer0\.weight$"):
+                    engine.sgd_momentum_step(params, g, state)
+            with np.errstate(invalid="ignore", over="ignore"):
+                sgd_step_reference(want_params, g, want_state)
+            for name in params:
+                assert same_bits_but_nan_payloads(params[name], want_params[name]), (step, name)
+                assert same_bits_but_nan_payloads(state.velocity[name],
+                                                  want_state.velocity[name]), (step, name)
+
+    def test_overflowing_step_is_rejected_without_a_warning(self):
+        params = {"a.weight": np.ones(3), "a.bias": np.ones(2)}
+        grads = {"a.weight": np.zeros(3), "a.bias": np.array([0.5, 2.0])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite values in a.bias$"):
+                engine.sgd_momentum_step(params, grads, engine.SgdState(1.7e308))
+        assert np.isfinite(params["a.weight"]).all()
+
+    def test_parameter_that_is_not_contiguous_float64_rejected(self):
+        state = engine.SgdState(0.1)
+        with pytest.raises(ValueError, match="parameter a.weight must be"):
+            engine.sgd_momentum_step({"a.weight": np.ones((3, 4)).T},
+                                     {"a.weight": np.zeros((4, 3))}, state)
+
+
+class TestHyperparameters:
+    @pytest.mark.parametrize("field", ["learning_rate", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1e-300])
+    def test_non_finite_or_negative_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite number >= 0"):
+            engine.SgdState(**{"learning_rate": 0.1, field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0, 5e-324, 1.7e308])
+    def test_zero_and_finite_extremes_accepted(self, field, value):
+        engine.SgdState(**{"learning_rate": 0.1, field: value})
+
+
+def outcome(load, path):
+    """What a checkpoint reader makes of path: its tensors' names, shapes,
+    dtypes and bytes, or its error message."""
+    try:
+        tensors = load(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", [(k, v.shape, v.dtype, v.tobytes()) for k, v in tensors.items()]
+
+
+def checkpoint_tensors():
+    rng = SplitMix64(21)
+    return {
+        "local.0.weight": rng.uniform(-1, 1, (4, 3, 3, 3)),
+        "local.0.bias": np.array([-0.0, 0.0, 5e-324, -1.7e308]),
+        "fusion.0.weight": rng.uniform(-1, 1, (5, 6)).T,  # not C-contiguous
+        "fusion.0.bias": rng.uniform(-1, 1, 6).astype(np.float32),
+        "counts": np.arange(6, dtype=np.int64).reshape(2, 3),
+        "scalar": np.float64(2.5),
+        "empty": np.zeros((2, 0, 3)),
+        "naïve.weight": with_specials(rng, (3, 4), every=1),
+    }
+
+
+class TestCheckpointStreaming:
+    def test_file_bytes_match_reference(self, tmp_path):
+        tensors = checkpoint_tensors()
+        engine.save_checkpoint(tmp_path / "new.ckpt", tensors)
+        save_checkpoint_reference(tmp_path / "old.ckpt", tensors)
+        assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "old.ckpt").read_bytes()
+
+    def test_default_model_bytes_and_round_trip_match_reference(self, tmp_path):
+        params = network.build_model(seed=3).params
+        engine.save_checkpoint(tmp_path / "new.ckpt", params)
+        save_checkpoint_reference(tmp_path / "old.ckpt", params)
+        assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "old.ckpt").read_bytes()
+        got = outcome(engine.load_checkpoint, tmp_path / "new.ckpt")
+        assert got == outcome(load_checkpoint_reference, tmp_path / "new.ckpt")
+        assert [(k, v) for k, _, _, v in got[1]] == [(k, a.tobytes()) for k, a in params.items()]
+
+    def test_every_malformed_file_gets_the_reference_message(self, tmp_path):
+        finite = {k: v for k, v in checkpoint_tensors().items() if k != "naïve.weight"}
+        save_checkpoint_reference(tmp_path / "ok.ckpt", finite)
+        good = (tmp_path / "ok.ckpt").read_bytes()
+        magic = engine.CHECKPOINT_MAGIC
+
+        def tensor(name: bytes, shape, payload: bytes = b""):
+            return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape))
+                    + struct.pack(f"<{len(shape)}I", *shape) + payload)
+
+        one = tensor(b"a.weight", (2,), struct.pack("<2d", 1.0, -0.0))
+        cases = {
+            "empty file": b"",
+            "short magic": magic[:3],
+            "bad magic": b"NOTLGSEG" + good[len(magic):],
+            "magic only": magic,
+            "wrapping extents": magic + tensor(b"a.weight", (2, 2 ** 32 - 1, 2 ** 32 - 1)),
+            "huge name length": magic + struct.pack("<I", 2 ** 32 - 1) + b"abc",
+            "huge rank": magic + struct.pack("<I", 1) + b"a" + struct.pack("<I", 2 ** 32 - 1),
+            "repeated name": magic + one + one,
+            "non-UTF-8 name": magic + tensor(b"a\xff.weight", (1,), struct.pack("<d", 1.0)),
+            "trailing bytes": good + b"\x01\x02\x03",
+        }
+        for k, bad in enumerate((np.nan, np.inf, -np.inf)):
+            cases[f"non-finite {k}"] = magic + one + tensor(
+                b"b.bias", (3,), struct.pack("<3d", 0.5, bad, 1.0))
+        for cut in range(len(good)):
+            cases[f"cut at {cut}"] = good[:cut]
+        path, messages = tmp_path / "case.ckpt", set()
+        for label, blob in cases.items():
+            path.write_bytes(blob)
+            got = outcome(engine.load_checkpoint, path)
+            assert got == outcome(load_checkpoint_reference, path), label
+            if got[0] == "error":
+                messages.add(got[1])
+        # the cases meet every message the reader has
+        for text in ("not a checkpoint (bad magic)", "truncated checkpoint",
+                     "tensor name is not UTF-8", "tensor a.weight appears more than once",
+                     "tensor b.bias holds non-finite values"):
+            assert any(text in message for message in messages), text

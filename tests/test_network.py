@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from gradcheck import grad_check
-from test_engine import maxpool_backward_reference
+from test_engine import (dense_backward_reference, maxpool_backward_reference,
+                         relu_backward_reference, sgd_step_reference)
 from lgseg import engine, network
 from lgseg.network import (ConvSpec, PathwaySpec, PoolSpec, ReluSpec,
                            TrainConfig, build_model, parse_layers, patch_loss, train)
@@ -275,9 +276,8 @@ def _oracle_pathway_backward(model, prefix, spec, caches, grad, grads):
     grad = engine.relu_backward(z[1], grad)
     fl = steps.pop()
     assert fl[0] == "flatten"
-    grad, gw, gb = engine.dense_backward(fl[2], model.params[f"{prefix}.fc.weight"], grad)
-    grads[f"{prefix}.fc.weight"] += gw
-    grads[f"{prefix}.fc.bias"] += gb
+    grad = engine.dense_backward(fl[2], model.params[f"{prefix}.fc.weight"], grad,
+                                 grads[f"{prefix}.fc.weight"], grads[f"{prefix}.fc.bias"])
     grad = grad.reshape(fl[1])
     for layer in reversed(spec.layers):
         step = steps.pop()
@@ -341,9 +341,8 @@ def oracle_backward(model, caches, grad_probs):
             assert tagged[0] == "pre_relu"
             grad = engine.relu_backward(tagged[1], grad)
         z_in = fusion_steps.pop()
-        grad, gw, gb = engine.dense_backward(z_in, model.params[f"fusion.{i}.weight"], grad)
-        grads[f"fusion.{i}.weight"] += gw
-        grads[f"fusion.{i}.bias"] += gb
+        grad = engine.dense_backward(z_in, model.params[f"fusion.{i}.weight"], grad,
+                                     grads[f"fusion.{i}.weight"], grads[f"fusion.{i}.bias"])
 
     local_spec, global_spec = model.pathways.get("local"), model.pathways.get("global")
     grad_local = grad_global = None
@@ -533,6 +532,67 @@ class TestTrain:
         monkeypatch.setattr(engine, "sgd_momentum_step", checked_step)
         train(model, data, cfg)
         assert applied == [3, 3, 2, 3, 3, 2]
+
+    @pytest.mark.parametrize("variant, reduction, momentum, decay", [
+        ("small", "sum", 0.9, 5e-4), ("small", "mean", 0.9, 5e-4), ("small", "sum", 0.0, 5e-4),
+        ("small", "mean", 0.0, 0.0), ("default", "mean", 0.9, 5e-4)])
+    def test_params_and_losses_match_the_reference_engine_bitwise(
+            self, monkeypatch, variant, reduction, momentum, decay):
+        # 5 samples in batches of 2 over 2 epochs: each epoch ends on a short batch
+        build = small_dual if variant == "small" else (lambda seed: build_model(seed=seed))
+        count = 5 if variant == "small" else 2
+        data = [make_triplet(50 + s, positive=s % 2 == 0) for s in range(count)]
+        cfg = TrainConfig(epochs=2, batch_size=2, seed=4, learning_rate=1e-3,
+                          momentum=momentum, weight_decay=decay, reduction=reduction)
+        got_model, want_model = build(seed=6), build(seed=6)
+        got = train(got_model, data, cfg)
+        monkeypatch.setattr(engine, "dense_backward", dense_backward_reference)
+        monkeypatch.setattr(engine, "relu_backward", relu_backward_reference)
+        monkeypatch.setattr(engine, "sgd_momentum_step", sgd_step_reference)
+        want = train(want_model, data, cfg)
+        assert got.epoch_losses == want.epoch_losses
+        for name, arr in want_model.params.items():
+            assert got_model.params[name].tobytes() == arr.tobytes(), name
+
+    def test_one_gradient_dict_per_call_zeroed_before_each_batch(self, monkeypatch):
+        model = small_dual(seed=3)
+        data = [make_triplet(60 + s) for s in range(5)]
+        allocations, seen = [], []
+        zero_grads = network.LgSegModel.zero_grads
+
+        def counted(self):
+            allocations.append(1)
+            return zero_grads(self)
+
+        sgd_step = engine.sgd_momentum_step
+
+        def checked_step(params, grads, state):
+            seen.append(grads)
+            sgd_step(params, grads, state)
+
+        monkeypatch.setattr(network.LgSegModel, "zero_grads", counted)
+        monkeypatch.setattr(engine, "sgd_momentum_step", checked_step)
+        train(model, data, TrainConfig(epochs=2, batch_size=2, learning_rate=1e-3))
+        assert len(allocations) == 1 and len(seen) == 6
+        assert all(grads is seen[0] for grads in seen)
+
+    def test_step_that_leaves_a_parameter_non_finite_aborts_naming_epoch_and_batch(self):
+        model = small_dual(seed=1)
+        data = [make_triplet(s) for s in range(4)]
+        with pytest.raises(ValueError, match=r"^SGD step left non-finite values in \S+ "
+                                             r"in epoch 1, batch 1$"):
+            train(model, data, TrainConfig(epochs=2, batch_size=4, learning_rate=1.7e308))
+
+    @pytest.mark.parametrize("field", ["learning_rate", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1e-300])
+    def test_non_finite_or_negative_hyperparameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite number >= 0"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 1.7e308])
+    def test_zero_and_finite_extreme_hyperparameters_accepted(self, field, value):
+        assert getattr(TrainConfig(**{field: value}), field) == value
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
