@@ -233,7 +233,7 @@ def _cmd_tree_fit(args, cfg: RunConfig, out: Path):
         _check_extents(image_path, (img.height, img.width),
                        [(prob_path, prob.shape), (gt_path, gt.labels.shape)])
         inputs.append((img, prob, gt))
-    tree.residential_tiles([gt for _, _, gt in inputs], cfg.get("tree", "min_houses"))
+    classes = tree.residential_tiles([gt for _, _, gt in inputs], cfg.get("tree", "min_houses"))
     validation = []
     for img, prob, gt in inputs:
         # the RA score of a tile is its own patch mean: in a stitched map the
@@ -248,6 +248,7 @@ def _cmd_tree_fit(args, cfg: RunConfig, out: Path):
         step=cfg.get("tree", "grid_step"),
         tol=cfg.get("tree", "tol"),
         max_cycles=cfg.get("tree", "max_cycles"),
+        classes=classes,
     )
     tree_path = out / "tree.json"
     _write_json(tree_path, {

@@ -12,12 +12,14 @@ Max-pool takes a running maximum over its window taps.  Its backward sends
 each window's gradient to the first tap in scan order that holds the output
 (the first NaN, if any): tap by tap into strided views of the input gradient
 when windows do not overlap, and by a scatter over flat argmax positions when
-they do.  Dense backward adds its weight and bias gradients into the caller's
-arrays, the outer product one ~512 KiB block of rows at a time, and returns the
-input gradient; relu's backward is written over its upstream gradient.  The
-classical momentum SGD step (weight decay on weights only, never biases)
-streams each tensor in fixed chunks through one scratch buffer and rejects a
-step that leaves a parameter non-finite.  Checkpoints serialise named tensors
+they do.  Dense backward adds its bias gradient into the caller's array,
+records its (upstream gradient, input) pair in the weight's OuterSum and
+returns the input gradient; the weight gradient, a batch's sum of outer
+products, is never stored.  relu's backward is written over its upstream
+gradient.  The classical momentum SGD step (weight decay on weights only,
+never biases) streams each tensor in fixed chunks through one scratch buffer,
+forms an OuterSum's chunk just before it applies it, and rejects a step that
+leaves a parameter non-finite.  Checkpoints serialise named tensors
 bit-exactly, written from and read into the tensors' own buffers.
 """
 
@@ -36,7 +38,6 @@ from numpy.lib.stride_tricks import as_strided
 from .rng import SplitMix64
 
 CHECKPOINT_MAGIC = b"LGSEG1"
-_DENSE_BLOCK_BYTES = 1 << 19  # dense_backward's outer-product block
 _SGD_CHUNK = 1 << 13  # elements per tensor chunk of sgd_momentum_step
 
 
@@ -272,35 +273,79 @@ def dense_forward(x, weight, bias) -> np.ndarray:
     return weight @ x + _as_f64(bias)
 
 
-def _dense_block_rows(in_units: int) -> int:
-    """Rows of the outer-product block that dense_backward adds at a time:
-    512 KiB of them, or one row if a row is longer."""
-    return max(1, _DENSE_BLOCK_BYTES // (8 * max(in_units, 1)))
-
-
-def dense_backward(x, weight, grad_out, grad_weight, grad_bias) -> np.ndarray:
-    """Add outer(grad_out, x) into grad_weight and grad_out into grad_bias, in
-    place, and return the input gradient W.T @ grad_out.
-
-    The outer product is formed one block of rows at a time in a buffer of
-    about 512 KiB that stays in cache.  Each entry gets the one rounded
-    product and the one rounded add that np.outer followed by += would give.
+class OuterSum:
+    """The batch sum of outer(grad_out, x) over the (grad_out, x) pairs that
+    dense_backward records for one (out_units, in_units) weight, and the
+    factors it is then scaled by (``*=``).  The sum is never stored: form()
+    computes any flat run of its entries, and sgd_momentum_step forms each
+    chunk just before it updates the weight there.  The pairs are kept by
+    reference until clear(), so neither array may be modified in place
+    meanwhile.
     """
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        self.pairs: list = []
+        self.factors: list = []
+
+    def clear(self) -> None:
+        self.pairs.clear()
+        self.factors.clear()
+
+    def __imul__(self, factor):
+        self.factors.append(factor)
+        return self
+
+    def scratch_size(self, n: int) -> int:
+        """Floats of the products scratch that form() needs for n entries."""
+        return n + 2 * self.shape[1]
+
+    def form(self, lo: int, hi: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Flat entries lo:hi of the sum, written into out[:hi - lo], with
+        scratch for the products of the rows they touch.  Each entry starts
+        from 0.0, adds every pair's product in recording order and then takes
+        each factor: the rounded operations of a zero-filled array that
+        np.outer followed by += adds into, then scaled with *=.  A run that
+        _chunk_bounds cuts also keeps the payload that NumPy's add picks for
+        NaN + NaN there."""
+        n = self.shape[1]
+        r0, r1 = lo // n, -(-hi // n)
+        prods = scratch[:(r1 - r0) * n].reshape(r1 - r0, n)
+        part = prods.reshape(-1)[lo - r0 * n:hi - r0 * n]
+        acc = out[:hi - lo]
+        acc.fill(0.0)
+        for grad_out, x in self.pairs:
+            np.multiply(grad_out[r0:r1, None], x, out=prods)
+            acc += part
+        for factor in self.factors:
+            acc *= factor
+        return acc
+
+    def toarray(self) -> np.ndarray:
+        """The whole sum as an array, formed in the SGD step's chunks."""
+        out = np.empty(self.shape)
+        flat = out.reshape(-1)
+        scratch = np.empty(self.scratch_size(_SGD_CHUNK + 8))
+        for lo, hi in _chunk_bounds(flat.size):
+            self.form(lo, hi, flat[lo:], scratch)
+        return out
+
+
+def dense_backward(x, weight, grad_out, grad_weight: OuterSum, grad_bias) -> np.ndarray:
+    """Record the pair (grad_out, x) in grad_weight, add grad_out into
+    grad_bias in place, and return the input gradient W.T @ grad_out."""
     x = _as_f64(x)
     weight = _as_f64(weight)
     grad_out = _as_f64(grad_out)
-    if grad_out.size != weight.shape[0]:
+    if grad_out.shape != weight.shape[:1]:
         raise ValueError("upstream gradient length != out_units")
-    for name, arr, shape in (("weight", grad_weight, weight.shape),
-                             ("bias", grad_bias, weight.shape[:1])):
-        if arr.shape != shape or arr.dtype != np.float64:
-            raise ValueError(f"dense {name} gradient must be float64 of shape {shape}")
-    rows = _dense_block_rows(x.size)
-    block = np.empty((min(rows, grad_out.size), x.size))
-    for r in range(0, grad_out.size, rows):
-        part = block[:min(rows, grad_out.size - r)]
-        np.multiply(grad_out[r:r + rows, None], x, out=part)
-        grad_weight[r:r + rows] += part
+    if x.shape != weight.shape[1:]:
+        raise ValueError(f"dense input length {x.size} != in_units {weight.shape[1]}")
+    if not isinstance(grad_weight, OuterSum) or grad_weight.shape != weight.shape:
+        raise ValueError(f"dense weight gradient must be an OuterSum of shape {weight.shape}")
+    if grad_bias.shape != weight.shape[:1] or grad_bias.dtype != np.float64:
+        raise ValueError(f"dense bias gradient must be float64 of shape {weight.shape[:1]}")
+    grad_weight.pairs.append((grad_out, x))
     grad_bias += grad_out
     return weight.T @ grad_out
 
@@ -362,6 +407,20 @@ class SgdState:
                               weight_decay=self.weight_decay)
 
 
+def _chunk_bounds(size: int):
+    """(lo, hi) of each chunk of the SGD step: _SGD_CHUNK entries, and the
+    last one takes up a remainder of 8 or fewer.  NumPy's add keeps the
+    first operand's NaN payload for NaN + NaN except in the last n % 8
+    entries of a loop of n > 8 entries, or for n == 1.  So every chunk but
+    the last is a multiple of 8 long, and the last is longer than 8 or the
+    whole tensor: each entry meets the same rule as in one whole-tensor add."""
+    lo = 0
+    while lo < size:
+        hi = size if size - lo <= _SGD_CHUNK + 8 else lo + _SGD_CHUNK
+        yield lo, hi
+        lo = hi
+
+
 def _chunks(arr: np.ndarray, what: str, name: str) -> np.ndarray:
     # a flat view that in-place chunk updates write through to arr
     if arr.dtype != np.float64 or not arr.flags.c_contiguous:
@@ -373,17 +432,21 @@ def sgd_momentum_step(params: dict, grads: dict, state: SgdState) -> None:
     """One in-place update of every parameter.  Weight decay is applied to
     tensors whose name ends in '.weight' only, never to biases.
 
-    Each tensor streams through one scratch chunk of _SGD_CHUNK elements:
-    t = wd*w; t += g; t *= lr; v *= m; v -= t; w += v, the IEEE operations of
-    v = m*v - lr*(g + wd*w) reordered only by commutation, so every value is
-    the same (the payload that NaN + NaN keeps is not: NumPy picks it by
-    operand order).  Every updated chunk is checked while it is in cache;
-    after the whole step, ValueError names the first tensor that holds a
-    non-finite value.
+    Each tensor streams through one scratch chunk (_chunk_bounds); an
+    OuterSum gradient's chunk is formed in a second one just before it is
+    used.  Then t = wd*w; t += g; t *= lr; v *= m; v -= t; w += v, the IEEE
+    operations of v = m*v - lr*(g + wd*w) reordered only by commutation, so
+    every value is the same (the payload that NaN + NaN keeps is not: NumPy
+    picks it by operand order).  Every updated chunk is checked while it is
+    in cache; after the whole step, ValueError names the first tensor that
+    holds a non-finite value.
     """
     lr, m, wd = state.learning_rate, state.momentum, state.weight_decay
-    scratch = np.empty(_SGD_CHUNK)
-    finite = np.empty(_SGD_CHUNK, dtype=bool)
+    size = _SGD_CHUNK + 8  # the longest chunk
+    scratch, formed = np.empty(size), np.empty(size)
+    products = np.empty(max([g.scratch_size(size) for g in grads.values()
+                             if isinstance(g, OuterSum)], default=0))
+    finite = np.empty(size, dtype=bool)
     bad = None
     with np.errstate(over="ignore", invalid="ignore"):
         for name, w in params.items():
@@ -396,10 +459,14 @@ def sgd_momentum_step(params: dict, grads: dict, state: SgdState) -> None:
                     raise ValueError(f"{what} shape mismatch for {name}")
             decay = name.endswith(".weight")
             w, v = _chunks(w, "parameter", name), _chunks(v, "velocity", name)
-            g = _as_f64(g).reshape(-1)
-            for lo in range(0, w.size, _SGD_CHUNK):
-                part = slice(lo, lo + _SGD_CHUNK)
-                wc, gc, vc = w[part], g[part], v[part]
+            if not isinstance(g, OuterSum):
+                g = _as_f64(g).reshape(-1)
+            for lo, hi in _chunk_bounds(w.size):
+                wc, vc = w[lo:hi], v[lo:hi]
+                if isinstance(g, OuterSum):
+                    gc = g.form(lo, hi, formed, products)
+                else:
+                    gc = g[lo:hi]
                 t = scratch[:wc.size]
                 if decay:
                     np.multiply(wd, wc, out=t)
@@ -445,20 +512,22 @@ def load_checkpoint(path) -> dict:
             raise ValueError(f"{path}: not a checkpoint (bad magic)")
         left -= len(CHECKPOINT_MAGIC)
 
-        def claim(n):
+        def read(n, shape=None):
+            """n bytes, or with a shape, the float64 tensor they hold, read in
+            place; n is checked against the bytes left before anything is
+            allocated or read."""
             nonlocal left
             if n > left:
                 raise ValueError(f"{path}: truncated checkpoint")
             left -= n
-
-        def check(got, n):  # a file that shrank while it was read
-            if got != n:
+            if shape is None:
+                piece = fh.read(n)
+                got = len(piece)
+            else:
+                piece = np.empty(shape, dtype="<f8")
+                got = fh.readinto(piece.reshape(-1).view(np.uint8))
+            if got != n:  # a file that shrank while it was read
                 raise ValueError(f"{path}: truncated checkpoint")
-
-        def read(n):
-            claim(n)
-            piece = fh.read(n)
-            check(len(piece), n)
             return piece
 
         while left:
@@ -472,9 +541,7 @@ def load_checkpoint(path) -> dict:
             (rank,) = struct.unpack("<I", read(4))
             shape = struct.unpack(f"<{rank}I", read(4 * rank))
             # exact Python ints: an int64 product of u32 extents can wrap
-            claim(8 * math.prod(shape))
-            data = np.empty(shape, dtype="<f8")
-            check(fh.readinto(data.reshape(-1).view(np.uint8)), data.nbytes)
+            data = read(8 * math.prod(shape), shape)
             if not np.isfinite(data).all():
                 raise ValueError(f"{path}: tensor {name} holds non-finite values")
             out[name] = data

@@ -29,7 +29,10 @@ for its gradient to a tape, and one loop runs them backward, popping the tape.
 
 The per-patch loss is the summed binary cross entropy over the 256 output
 pixels; training is plain SGD with momentum and L2 weight decay, mini-batch
-gradients summed (or averaged, by configuration) over the batch.
+gradients summed (or averaged, by configuration) over the batch.  Each dense
+weight's batch gradient is an engine.OuterSum of the samples' (upstream
+gradient, input) pairs, which the SGD step forms chunk by chunk as it applies
+it; the other gradients are summed into arrays.
 """
 
 from __future__ import annotations
@@ -265,8 +268,9 @@ class LgSegModel:
 
     def _unrun(self, ops, tape: list, grad, grads: dict, input_grad: bool = True):
         """Backward pass through an op list, popping its entries off the end
-        of the tape; parameter gradients are added into grads and the input
-        gradient is returned.  With input_grad False, None is returned: the
+        of the tape; parameter gradients are added into grads (a dense
+        weight's pair recorded in its OuterSum) and the input gradient is
+        returned.  With input_grad False, None is returned: the
         first op with parameters skips its input gradient where the engine
         allows (a conv), and the ops below it only pop their tape entries."""
         stop = -1 if input_grad else next(
@@ -327,9 +331,11 @@ class LgSegModel:
     def backward(self, caches: list, grad_probs, out: dict | None = None) -> dict:
         """Parameter gradients of a scalar loss given d(loss)/d(probs).
 
-        With `out` given, they are accumulated into it in place (used for
-        mini-batch summation).  The gradient with respect to the input
-        windows is never computed: training does not read it.
+        With `out` given (a zero_grads() dict), they are accumulated into it
+        in place, for mini-batch summation: each dense weight's OuterSum
+        records the sample's pair.  Without it they come back as arrays.  The
+        gradient with respect to the input windows is never computed:
+        training does not read it.
         """
         grads = self.zero_grads() if out is None else out
         tape = list(caches)
@@ -338,10 +344,18 @@ class LgSegModel:
             width = self.pathways[prefix].embed_width
             grad, embed_grad = grad[:-width], grad[-width:]
             self._unrun(self.ops[prefix], tape, embed_grad, grads, input_grad=False)
+        if out is None:
+            return {name: g.toarray() if isinstance(g, engine.OuterSum) else g
+                    for name, g in grads.items()}
         return grads
 
     def zero_grads(self) -> dict:
-        return {name: np.zeros_like(arr) for name, arr in self.params.items()}
+        """Empty gradient sums: an engine.OuterSum per dense weight, zeros
+        for every other tensor."""
+        dense = {f"{name}.weight" for ops in self.ops.values() for kind, name, _ in ops
+                 if kind == "dense"}
+        return {name: engine.OuterSum(arr.shape) if name in dense else np.zeros_like(arr)
+                for name, arr in self.params.items()}
 
 
 def build_model(pathways: dict = DUAL_PATHWAYS, fusion_hidden: tuple = FUSION_HIDDEN,
@@ -429,10 +443,11 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
     Every triplet needs a .target and a .windows(pathways) method that returns
     the {prefix: window} input for the given pathways, here model.pathways.
     Gradients within a batch are summed (or averaged per config.reduction)
-    and applied in one optimiser step.  One gradient dict is allocated per
-    call and zero-filled before each batch.  A non-finite batch loss, or a
-    step that leaves a parameter non-finite, raises ValueError naming the
-    epoch and batch.
+    and applied in one optimiser step.  One gradient dict (zero_grads) is
+    allocated per call and cleared before each batch: its arrays zero-filled,
+    its dense weights' OuterSums emptied of pairs and factors.  A non-finite
+    batch loss, or a step that leaves a parameter non-finite, raises
+    ValueError naming the epoch and batch.
     """
     items = list(triplets)
     if not items:
@@ -451,7 +466,10 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             for g in grads.values():
-                g.fill(0.0)
+                if isinstance(g, engine.OuterSum):
+                    g.clear()
+                else:
+                    g.fill(0.0)
             batch_loss = 0.0
             for i in batch:
                 t = items[i]

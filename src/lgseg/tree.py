@@ -139,7 +139,8 @@ def residential_tiles(ground_truths, min_houses: int = 15) -> list:
 
 def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
                    step: float = DEFAULT_GRID_STEP, tol: float = DEFAULT_TOL,
-                   max_cycles: int = DEFAULT_MAX_CYCLES) -> FitResult:
+                   max_cycles: int = DEFAULT_MAX_CYCLES,
+                   classes: list | None = None) -> FitResult:
     """Fit (t1, t2, t3) on validation pairs of (TreeInput, LabelMap).
 
     Initialisation is per classifier: t1 maximises the F of the RA tile
@@ -149,6 +150,8 @@ def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
     the grid, keeping the current value on ties, until a full cycle improves
     the mean relaxed F by less than tol or max_cycles is hit.  A skipped sweep
     (see the module docstring) still appends its step to the trace.
+    `classes` may pass in what residential_tiles already gave for the
+    ground truths at min_houses; without it they are labelled here.
     """
     validation = list(validation)
     if not validation:
@@ -157,8 +160,9 @@ def fit_thresholds(validation, rho: int = DEFAULT_RHO, min_houses: int = 15,
     grid = threshold_grid(step)
 
     # tile-level residential truth for the gate threshold
-    classes = np.array([k.value for per_image in residential_tiles(
-        [gt for _, gt in validation], min_houses) for k in per_image])
+    if classes is None:
+        classes = residential_tiles([gt for _, gt in validation], min_houses)
+    classes = np.array([k.value for per_image in classes for k in per_image])
     kept = classes != ResidentialClass.EXCLUDED.value
     scores = np.concatenate([inp.ra_scores.ravel() for inp, _ in validation])[kept]
     truth = classes[kept] == ResidentialClass.RESIDENTIAL.value

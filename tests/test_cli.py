@@ -66,6 +66,18 @@ def trained_dir(tmp_path_factory, cfg_path, scene_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def infer_dir(tmp_path_factory, cfg_path, scene_dir, trained_dir):
+    """One `infer --sidecar` of scene_000 at one worker, for the tests that
+    only read its output."""
+    out = tmp_path_factory.mktemp("infer")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("LGSEG_THREADS", raising=False)
+        assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
+                   "--image", scene_dir / "scene_000.ppm", "--out", out, "--sidecar") == 0
+    return out
+
+
 class TestGen:
     def test_artifacts_and_report(self, scene_dir):
         assert (scene_dir / "scene_000.ppm").exists()
@@ -156,21 +168,16 @@ class TestTrain:
 
 
 class TestInfer:
-    def test_prob_map_artifacts(self, tmp_path, cfg_path, scene_dir, trained_dir):
-        out = tmp_path / "infer"
-        assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
-                   "--image", scene_dir / "scene_000.ppm", "--out", out, "--sidecar") == 0
-        prob = raster.read_prob_sidecar(out / "scene_000_prob.lgprob")
+    def test_prob_map_artifacts(self, infer_dir):
+        prob = raster.read_prob_sidecar(infer_dir / "scene_000_prob.lgprob")
         assert prob.shape == (512, 512)
         assert prob.min() > 0.0 and prob.max() < 1.0
-        quantised = raster.read_prob(out / "scene_000_prob.pgm")
+        quantised = raster.read_prob(infer_dir / "scene_000_prob.pgm")
         assert np.abs(quantised - prob).max() <= 0.5 / 255 + 1e-12
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, cfg_path, scene_dir,
-                                                trained_dir, monkeypatch):
-        out1, out4 = tmp_path / "t1", tmp_path / "t4"
-        assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
-                   "--image", scene_dir / "scene_000.ppm", "--out", out1, "--sidecar") == 0
+                                                trained_dir, infer_dir, monkeypatch):
+        out1, out4 = infer_dir, tmp_path / "t4"
         monkeypatch.setenv("LGSEG_THREADS", "4")
         assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
                    "--image", scene_dir / "scene_000.ppm", "--out", out4, "--sidecar") == 0
@@ -300,7 +307,7 @@ class TestEval:
 
 class TestAblate:
     def test_three_maps_and_full_matches_infer(self, tmp_path, cfg_path, scene_dir,
-                                               trained_dir):
+                                               trained_dir, infer_dir):
         out = tmp_path / "ablate"
         assert run("ablate", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
                    "--image", scene_dir / "scene_000.ppm", "--out", out) == 0
@@ -308,11 +315,7 @@ class TestAblate:
         local_only = raster.read_prob_sidecar(out / "scene_000_local_only.lgprob")
         global_only = raster.read_prob_sidecar(out / "scene_000_global_only.lgprob")
         assert not np.array_equal(local_only, global_only)
-        infer_out = tmp_path / "infer"
-        assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
-                   "--image", scene_dir / "scene_000.ppm", "--out", infer_out,
-                   "--sidecar") == 0
-        assert np.array_equal(full, raster.read_prob_sidecar(infer_out / "scene_000_prob.lgprob"))
+        assert np.array_equal(full, raster.read_prob_sidecar(infer_dir / "scene_000_prob.lgprob"))
 
     @pytest.mark.parametrize("variant", ["local", "global"])
     def test_single_pathway_model_is_usage_error_before_any_forward(
@@ -358,6 +361,39 @@ class TestTreeFit:
         assert set(fitted) >= {"t1", "t2", "t3", "f_trace", "leaf_order_ok"}
         trace = fitted["f_trace"]
         assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
+
+    def test_labels_each_image_once(self, tmp_path, scene_dir, trained_dir, monkeypatch):
+        # the gate check's tile classes serve the fit; per-tile inference is
+        # stubbed with a score per tile, which this test does not look at
+        probs = []
+        for idx in ("000", "001"):
+            labels = raster.read_label(scene_dir / f"labels_{idx}.pgm")
+            probs.append(tmp_path / f"prob_{idx}.lgprob")
+            raster.write_prob_sidecar(labels.labels * 0.8 + 0.1, probs[-1])
+        cfg = tmp_path / "tree.cfg"
+        cfg.write_text(SMALL_CFG + "\n[tree]\nmin_houses = 5\nmax_cycles = 1\n")
+        labelled, label = [], tree.residential_label
+
+        def counted(gt, centers, min_houses):
+            labelled.append(gt)
+            return label(gt, centers, min_houses)
+
+        def scores(model, img, predict):
+            centers = sampling.grid_centers((img.height, img.width))
+            return centers, [(r * 7 + c * 3) % 101 / 100 for r, c in centers]
+
+        monkeypatch.setattr(tree, "residential_label", counted)
+        monkeypatch.setattr(cli, "_tile_patches", scores)
+        out = tmp_path / "tree"
+        assert run("tree-fit", "--config", cfg, "--model", trained_dir / "model.ckpt",
+                   "--image", scene_dir / "scene_000.ppm", "--prob", probs[0],
+                   "--gt", scene_dir / "labels_000.pgm",
+                   "--image", scene_dir / "scene_001.ppm", "--prob", probs[1],
+                   "--gt", scene_dir / "labels_001.pgm", "--out", out) == 0
+        assert (out / "tree.json").exists()
+        assert [gt.labels.tobytes() for gt in labelled] == [
+            raster.read_label(scene_dir / f"labels_{idx}.pgm").labels.tobytes()
+            for idx in ("000", "001")]
 
     def test_gt_extent_mismatch_data_error_before_any_forward(self, tmp_path, cfg_path,
                                                              trained_dir, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 and checkpoint round-trips."""
 
 import math
+import os
 import re
 import struct
 import warnings
@@ -642,9 +643,10 @@ class TestGradCheck:
             return 0.5 * float(y @ y)
 
         y = engine.dense_forward(x, w, b)
-        gw, gb = np.zeros_like(w), np.zeros_like(b)
+        gw, gb = engine.OuterSum(w.shape), np.zeros_like(b)
         gx = engine.dense_backward(x, w, y, gw, gb)
-        err = grad_check(loss, {"w": w, "b": b, "x": x}, {"w": gw, "b": gb, "x": gx}, eps=1e-5)
+        err = grad_check(loss, {"w": w, "b": b, "x": x},
+                         {"w": gw.toarray(), "b": gb, "x": gx}, eps=1e-5)
         assert err < 1e-7
 
     @pytest.mark.parametrize("seed", range(20))
@@ -700,9 +702,10 @@ class TestGradCheck:
             return 0.5 * float(((y - target) ** 2).sum())
 
         y = engine.dense_forward(x, w, b)
-        gw, gb = np.zeros_like(w), np.zeros_like(b)
+        gw, gb = engine.OuterSum(w.shape), np.zeros_like(b)
         gx = engine.dense_backward(x, w, y - target, gw, gb)
-        err = grad_check(loss, {"w": w, "b": b, "x": x}, {"w": gw, "b": gb, "x": gx}, eps=1e-5)
+        err = grad_check(loss, {"w": w, "b": b, "x": x},
+                         {"w": gw.toarray(), "b": gb, "x": gx}, eps=1e-5)
         assert err < 1e-5
 
     def test_conv_fd_tighter_eps(self):
@@ -730,9 +733,9 @@ class TestGradCheck:
         def loss():
             return float((w @ x).sum())
 
-        gw = np.zeros_like(w)
+        gw = engine.OuterSum(w.shape)
         engine.dense_backward(x, w, np.ones(3), gw, np.zeros(3))
-        err = grad_check(loss, {"w": w}, {"w": 2.0 * gw}, eps=1e-5)
+        err = grad_check(loss, {"w": w}, {"w": 2.0 * gw.toarray()}, eps=1e-5)
         assert err == pytest.approx(0.5, abs=0.05)
 
     def test_sampled_coordinates(self):
@@ -743,9 +746,9 @@ class TestGradCheck:
         def loss():
             return float((w @ x).sum())
 
-        gw = np.zeros_like(w)
+        gw = engine.OuterSum(w.shape)
         engine.dense_backward(x, w, np.ones(10), gw, np.zeros(10))
-        err = grad_check(loss, {"w": w}, {"w": gw}, eps=1e-5, sample=7)
+        err = grad_check(loss, {"w": w}, {"w": gw.toarray()}, eps=1e-5, sample=7)
         assert err < 1e-7
 
     def test_bad_eps_rejected(self):
@@ -952,38 +955,97 @@ def around_blocks(block):
     return sorted({1, block - 1, block, block + 1, 3 * block + block // 2 + 1} - {0})
 
 
+def outer_sums_reference(pairs, shape, factors=()):
+    """Zero-filled sums that the per-call path adds each pair's outer product
+    into, then scales with *=."""
+    gw, gb = np.zeros(shape), np.zeros(shape[0])
+    weight = np.zeros(shape)
+    for x, grad_out in pairs:
+        dense_backward_reference(x, weight, grad_out, gw, gb)
+    for factor in factors:
+        gw *= factor
+    return gw
+
+
+def dense_pairs(rng, out_units, in_units, samples, specials):
+    draw = with_specials if specials else (lambda r, shape: r.uniform(-2, 2, shape))
+    # each sample's specials one place further on, so NaN meets inf and zeros
+    return [(np.roll(draw(rng, in_units), s), np.roll(draw(rng, out_units), s))
+            for s in range(samples)]
+
+
+def rows_around_a_chunk(in_units):
+    """Row counts whose sums end just short of, at and past one SGD chunk,
+    and past three."""
+    r = -(-engine._SGD_CHUNK // in_units)
+    return sorted({1, 2, r - 1, r, r + 1, r + 2, 3 * r + 1} - {0})
+
+
 class TestDenseBackwardStreaming:
-    @pytest.mark.parametrize("in_units, rows", [(5, 13107), (3000, 21), (2 ** 16, 1),
-                                                (2 ** 16 + 3, 1)])
-    def test_block_rows_hold_512_kib_or_one_row(self, in_units, rows):
-        assert engine._dense_block_rows(in_units) == rows
+    @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, engine._SGD_CHUNK - 1, engine._SGD_CHUNK,
+                                      engine._SGD_CHUNK + 7, engine._SGD_CHUNK + 8,
+                                      3 * engine._SGD_CHUNK + 2, 3 * engine._SGD_CHUNK + 9])
+    def test_chunks_keep_numpy_add_loop_tails_in_place(self, size):
+        # every chunk but the last a multiple of 8 long, and the last longer
+        # than 8 unless it is the only one
+        bounds = list(engine._chunk_bounds(size))
+        assert [i for lo, hi in bounds for i in range(lo, hi)] == list(range(size))
+        lengths = [hi - lo for lo, hi in bounds]
+        assert all(n % 8 == 0 for n in lengths[:-1])
+        assert all(n <= engine._SGD_CHUNK + 8 for n in lengths)
+        assert len(lengths) <= 1 or lengths[-1] > 8
 
-    @pytest.mark.parametrize("in_units", [5, 3000, 2 ** 16 + 3])
+    @pytest.mark.parametrize("in_units", [5, 3000, 2 ** 13 + 3])
     @pytest.mark.parametrize("specials", [False, True], ids=["finite", "specials"])
-    def test_adds_match_outer_then_add_bitwise(self, in_units, specials):
-        draw = with_specials if specials else (lambda rng, shape: rng.uniform(-2, 2, shape))
-        for out_units in around_blocks(engine._dense_block_rows(in_units)):
+    @pytest.mark.parametrize("factors", [(), (1.0 / 3,), (0.5, 1.0 / 3)],
+                             ids=["sum", "mean", "two_factors"])
+    def test_sums_match_outer_then_add_bitwise(self, in_units, specials, factors):
+        for out_units in rows_around_a_chunk(in_units):
             rng = SplitMix64(out_units * 7 + in_units)
-            x, weight = draw(rng, in_units), rng.uniform(-1, 1, (out_units, in_units))
-            gw, gb = draw(rng, (out_units, in_units)), draw(rng, out_units)
-            want_w, want_b = gw.copy(), gb.copy()
-            for sample in range(2):  # a second sample adds onto the first
-                grad_out = draw(rng, out_units)
-                with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf
+            weight = rng.uniform(-1, 1, (out_units, in_units))
+            pairs = dense_pairs(rng, out_units, in_units, 3, specials)
+            gw, gb = engine.OuterSum(weight.shape), np.zeros(out_units)
+            want_b = np.zeros(out_units)
+            with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, inf - inf
+                for x, grad_out in pairs:
                     got = engine.dense_backward(x, weight, grad_out, gw, gb)
-                    want = dense_backward_reference(x, weight, grad_out, want_w, want_b)
-                assert got.tobytes() == want.tobytes(), (out_units, sample)
-                assert gw.tobytes() == want_w.tobytes(), (out_units, sample)
-                assert gb.tobytes() == want_b.tobytes(), (out_units, sample)
+                    want = dense_backward_reference(x, weight, grad_out, np.zeros_like(weight),
+                                                    want_b)
+                    assert got.tobytes() == want.tobytes(), out_units
+                for factor in factors:
+                    gw *= factor
+                want_w = outer_sums_reference(pairs, weight.shape, factors)
+                assert gw.toarray().tobytes() == want_w.tobytes(), out_units
+            assert gb.tobytes() == want_b.tobytes(), out_units
 
-    @pytest.mark.parametrize("which, bad", [("weight", np.zeros((3, 5))),
-                                            ("weight", np.zeros((4, 5), dtype=np.float32)),
-                                            ("bias", np.zeros(5))])
-    def test_gradient_arrays_of_wrong_shape_or_dtype_rejected(self, which, bad):
-        grads = {"weight": np.zeros((4, 5)), "bias": np.zeros(4), which: bad}
-        with pytest.raises(ValueError, match=f"dense {which} gradient"):
-            engine.dense_backward(np.ones(5), np.ones((4, 5)), np.ones(4),
-                                  grads["weight"], grads["bias"])
+    def test_pairs_are_kept_by_reference_and_cleared_with_the_factors(self):
+        x, grad_out = np.arange(1.0, 4.0), np.array([-0.0, 2.0])
+        gw = engine.OuterSum((2, 3))
+        engine.dense_backward(x, np.ones((2, 3)), grad_out, gw, np.zeros(2))
+        gw *= 0.5
+        (got_g, got_x), = gw.pairs
+        assert got_g is grad_out and got_x is x and gw.factors == [0.5]
+        # 0.0 + -0.0 is +0.0: the sum starts from a zero fill, not the first product
+        assert gw.toarray().tobytes() == (np.outer(grad_out, x) * 0.5 + 0.0).tobytes()
+        gw.clear()
+        assert gw.pairs == [] and gw.factors == []
+        assert gw.toarray().tobytes() == np.zeros((2, 3)).tobytes()
+
+    @pytest.mark.parametrize("which, bad, match", [
+        ("weight", np.zeros((4, 5)), "dense weight gradient"),
+        ("weight", engine.OuterSum((3, 5)), "dense weight gradient"),
+        ("bias", np.zeros(5), "dense bias gradient"),
+        ("bias", np.zeros(4, dtype=np.float32), "dense bias gradient"),
+        ("x", np.ones(4), "dense input length"),
+        ("grad_out", np.ones(5), "upstream gradient length")])
+    def test_arguments_of_wrong_shape_or_type_rejected(self, which, bad, match):
+        args = {"x": np.ones(5), "weight": np.ones((4, 5)), "grad_out": np.ones(4),
+                "grad_weight": engine.OuterSum((4, 5)), "grad_bias": np.zeros(4)}
+        args[{"weight": "grad_weight", "bias": "grad_bias"}.get(which, which)] = bad
+        with pytest.raises(ValueError, match=match):
+            engine.dense_backward(**args)
+        if isinstance(args["grad_weight"], engine.OuterSum):
+            assert args["grad_weight"].pairs == []  # nothing was recorded
 
 
 def same_bits_but_nan_payloads(a, b):
@@ -1064,6 +1126,78 @@ class TestSgdStreaming:
                 assert same_bits_but_nan_payloads(params[name], want_params[name]), (step, name)
                 assert same_bits_but_nan_payloads(state.velocity[name],
                                                   want_state.velocity[name]), (step, name)
+
+    # dense weights whose rows are shorter than, about and longer than one
+    # chunk, and whose sizes end around chunk bounds
+    DENSE_SHAPES = [(out_units, in_units) for in_units in (5, 3000, 2 ** 13 + 3)
+                    for out_units in rows_around_a_chunk(in_units)]
+
+    def dense_case(self, seed, specials, factors):
+        """params, and per step the OuterSum gradients and the reference's
+        zero-filled sums of the same pairs (3, 2 and 1 samples)."""
+        rng = SplitMix64(seed)
+        draw = with_specials if specials else (lambda r, shape: r.uniform(-2, 2, shape))
+        params, steps = {}, []
+        for i, shape in enumerate(self.DENSE_SHAPES):
+            params[f"fc{i}.weight"] = draw(rng, shape)
+            params[f"fc{i}.bias"] = draw(rng, shape[:1])
+        for samples in (3, 2, 1):
+            got, want = {}, {}
+            for name, w in params.items():
+                if name.endswith(".bias"):
+                    got[name] = want[name] = draw(rng, w.shape)
+                    continue
+                pairs = dense_pairs(rng, w.shape[0], w.shape[1], samples, specials)
+                got[name] = engine.OuterSum(w.shape)
+                for x, grad_out in pairs:
+                    got[name].pairs.append((grad_out, x))
+                for factor in factors:
+                    got[name] *= factor
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want[name] = outer_sums_reference(pairs, w.shape, factors)
+            steps.append((got, want))
+        return params, steps
+
+    @pytest.mark.parametrize("lr, momentum, decay, factors", [
+        (0.1, 0.9, 5e-4, ()), (0.1, 0.0, 5e-4, (1.0 / 3,)), (1e-3, 0.9, 0.0, (0.5,)),
+        (1e-4, 0.9, 5e-4, (1.0 / 3,))])
+    def test_outer_sum_gradients_match_the_per_call_sums_bitwise(self, lr, momentum, decay,
+                                                                 factors):
+        params, steps = self.dense_case(13, False, factors)
+        want_params = {k: v.copy() for k, v in params.items()}
+        state, want_state = (engine.SgdState(lr, momentum, decay) for _ in range(2))
+        for step, (got, want) in enumerate(steps):
+            engine.sgd_momentum_step(params, got, state)
+            sgd_step_reference(want_params, want, want_state)
+            for name in params:
+                assert params[name].tobytes() == want_params[name].tobytes(), (step, name)
+                assert state.velocity[name].tobytes() == \
+                    want_state.velocity[name].tobytes(), (step, name)
+
+    @pytest.mark.parametrize("momentum, decay, factors", [(0.9, 5e-4, ()), (0.0, 5e-4, (0.5,)),
+                                                          (0.9, 0.0, (1.0 / 3,))])
+    def test_non_finite_outer_sums_complete_the_step_then_name_the_first_tensor(
+            self, momentum, decay, factors):
+        params, steps = self.dense_case(14, True, factors)
+        want_params = {k: v.copy() for k, v in params.items()}
+        state, want_state = (engine.SgdState(0.1, momentum, decay) for _ in range(2))
+        for step, (got, want) in enumerate(steps):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"^SGD step left non-finite values in "
+                                                     r"fc0\.weight$"):
+                    engine.sgd_momentum_step(params, got, state)
+            with np.errstate(invalid="ignore", over="ignore"):
+                sgd_step_reference(want_params, want, want_state)
+            for name in params:
+                assert same_bits_but_nan_payloads(params[name], want_params[name]), (step, name)
+                assert same_bits_but_nan_payloads(state.velocity[name],
+                                                  want_state.velocity[name]), (step, name)
+
+    def test_outer_sum_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="gradient shape mismatch for a.weight"):
+            engine.sgd_momentum_step({"a.weight": np.zeros((2, 3))},
+                                     {"a.weight": engine.OuterSum((3, 2))}, engine.SgdState(0.1))
 
     def test_overflowing_step_is_rejected_without_a_warning(self):
         params = {"a.weight": np.ones(3), "a.bias": np.ones(2)}
@@ -1174,3 +1308,18 @@ class TestCheckpointStreaming:
                      "tensor name is not UTF-8", "tensor a.weight appears more than once",
                      "tensor b.bias holds non-finite values"):
             assert any(text in message for message in messages), text
+
+    def test_file_that_shrinks_while_read_is_truncated(self, tmp_path, monkeypatch):
+        # the size taken at open still counts the bytes cut off: each read
+        # that comes up short, of a name, the extents or a payload, says so
+        save_checkpoint_reference(tmp_path / "ok.ckpt", checkpoint_tensors())
+        good = (tmp_path / "ok.ckpt").read_bytes()
+        fstat = os.fstat
+        monkeypatch.setattr(engine.os, "fstat", lambda fd: os.stat_result(
+            fstat(fd)[:6] + (len(good),) + fstat(fd)[7:]))
+        path = tmp_path / "case.ckpt"
+        for cut in range(len(engine.CHECKPOINT_MAGIC), len(good)):
+            path.write_bytes(good[:cut])
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated "
+                                                 r"checkpoint$"):
+                engine.load_checkpoint(path)

@@ -1,13 +1,15 @@
 """Model assembly, loss and training loop tests."""
 
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from gradcheck import grad_check
-from test_engine import (dense_backward_reference, maxpool_backward_reference,
-                         relu_backward_reference, sgd_step_reference)
+from test_engine import (SPECIALS, dense_backward_reference, maxpool_backward_reference,
+                         relu_backward_reference, same_bits_but_nan_payloads,
+                         sgd_step_reference)
 from lgseg import engine, network
 from lgseg.network import (ConvSpec, PathwaySpec, PoolSpec, ReluSpec,
                            TrainConfig, build_model, parse_layers, patch_loss, train)
@@ -44,6 +46,11 @@ def make_triplet(seed, positive=True):
     else:
         target = np.zeros((16, 16), dtype=np.uint8)
     return Triplet(local, global_, target)
+
+
+def zero_arrays(model):
+    """The per-call path's gradient dict: a zero-filled array per tensor."""
+    return {name: np.zeros_like(arr) for name, arr in model.params.items()}
 
 
 def small_dual(seed=0):
@@ -242,7 +249,8 @@ class TestFullModelGradients:
 
 # ---------------------------------------------------------------------------
 # oracle: the per-pathway cache-list forward/backward that the op-list loops
-# replaced, kept verbatim apart from reading the parameters off `model`
+# replaced, kept verbatim apart from reading the parameters off `model` and
+# adding each dense weight gradient per call into zero-filled arrays
 
 
 def _oracle_pathway_forward(model, prefix, spec, x, caches):
@@ -276,8 +284,8 @@ def _oracle_pathway_backward(model, prefix, spec, caches, grad, grads):
     grad = engine.relu_backward(z[1], grad)
     fl = steps.pop()
     assert fl[0] == "flatten"
-    grad = engine.dense_backward(fl[2], model.params[f"{prefix}.fc.weight"], grad,
-                                 grads[f"{prefix}.fc.weight"], grads[f"{prefix}.fc.bias"])
+    grad = dense_backward_reference(fl[2], model.params[f"{prefix}.fc.weight"], grad,
+                                    grads[f"{prefix}.fc.weight"], grads[f"{prefix}.fc.bias"])
     grad = grad.reshape(fl[1])
     for layer in reversed(spec.layers):
         step = steps.pop()
@@ -331,7 +339,7 @@ def oracle_forward(model, windows):
 
 
 def oracle_backward(model, caches, grad_probs):
-    grads = model.zero_grads()
+    grads = zero_arrays(model)
     grad = engine.sigmoid_backward(caches["sigmoid_out"], np.asarray(grad_probs).reshape(-1))
     fusion_steps = list(caches["fusion"])
     n_fusion = len(model.fusion_hidden) + 1
@@ -341,8 +349,8 @@ def oracle_backward(model, caches, grad_probs):
             assert tagged[0] == "pre_relu"
             grad = engine.relu_backward(tagged[1], grad)
         z_in = fusion_steps.pop()
-        grad = engine.dense_backward(z_in, model.params[f"fusion.{i}.weight"], grad,
-                                     grads[f"fusion.{i}.weight"], grads[f"fusion.{i}.bias"])
+        grad = dense_backward_reference(z_in, model.params[f"fusion.{i}.weight"], grad,
+                                        grads[f"fusion.{i}.weight"], grads[f"fusion.{i}.bias"])
 
     local_spec, global_spec = model.pathways.get("local"), model.pathways.get("global")
     grad_local = grad_global = None
@@ -437,6 +445,23 @@ def epoch_losses_in_shuffle_order(losses, cfg):
     return want
 
 
+def use_reference_engine(monkeypatch):
+    """Train with the per-call path: zero-filled gradient arrays, each dense
+    weight gradient added per call, and the reference SGD step."""
+    monkeypatch.setattr(network.LgSegModel, "zero_grads", zero_arrays)
+    monkeypatch.setattr(engine, "dense_backward", dense_backward_reference)
+    monkeypatch.setattr(engine, "relu_backward", relu_backward_reference)
+    monkeypatch.setattr(engine, "sgd_momentum_step", sgd_step_reference)
+
+
+def strew_specials(a, every=7):
+    """A copy of a with NaN, +-inf and signed zeros strewn in from index 0."""
+    a = np.array(a, dtype=np.float64)
+    for k, value in enumerate(SPECIALS):
+        a.reshape(-1)[k::every * len(SPECIALS)] = value
+    return a
+
+
 class TestTrain:
     def test_zero_learning_rate_is_noop(self):
         model = small_dual(seed=1)
@@ -525,7 +550,10 @@ class TestTrain:
                 probs, caches = model.forward_with_caches(data[i].windows(model.pathways))
                 model.backward(caches, patch_loss(probs, data[i].target)[1], out=summed)
             for name, g in grads.items():
-                assert np.array_equal(g, summed[name] * (1.0 / len(batch))), name
+                want = summed[name]
+                if isinstance(g, engine.OuterSum):
+                    g, want = g.toarray(), want.toarray()
+                assert np.array_equal(g, want * (1.0 / len(batch))), name
             applied.append(len(batch))
             sgd_step(params, grads, state)
 
@@ -546,9 +574,7 @@ class TestTrain:
                           momentum=momentum, weight_decay=decay, reduction=reduction)
         got_model, want_model = build(seed=6), build(seed=6)
         got = train(got_model, data, cfg)
-        monkeypatch.setattr(engine, "dense_backward", dense_backward_reference)
-        monkeypatch.setattr(engine, "relu_backward", relu_backward_reference)
-        monkeypatch.setattr(engine, "sgd_momentum_step", sgd_step_reference)
+        use_reference_engine(monkeypatch)
         want = train(want_model, data, cfg)
         assert got.epoch_losses == want.epoch_losses
         for name, arr in want_model.params.items():
@@ -557,7 +583,7 @@ class TestTrain:
     def test_one_gradient_dict_per_call_zeroed_before_each_batch(self, monkeypatch):
         model = small_dual(seed=3)
         data = [make_triplet(60 + s) for s in range(5)]
-        allocations, seen = [], []
+        allocations, seen, pairs = [], [], []
         zero_grads = network.LgSegModel.zero_grads
 
         def counted(self):
@@ -568,6 +594,8 @@ class TestTrain:
 
         def checked_step(params, grads, state):
             seen.append(grads)
+            pairs.append({name: len(g.pairs) for name, g in grads.items()
+                          if isinstance(g, engine.OuterSum)})
             sgd_step(params, grads, state)
 
         monkeypatch.setattr(network.LgSegModel, "zero_grads", counted)
@@ -575,6 +603,87 @@ class TestTrain:
         train(model, data, TrainConfig(epochs=2, batch_size=2, learning_rate=1e-3))
         assert len(allocations) == 1 and len(seen) == 6
         assert all(grads is seen[0] for grads in seen)
+        # each dense weight's pairs are cleared before each batch: 5 = 2 + 2 + 1
+        dense = [f"{name}.fc.weight" for name in ("local", "global")] + \
+            [f"fusion.{i}.weight" for i in range(2)]
+        assert pairs == [dict.fromkeys(dense, n) for n in (2, 2, 1, 2, 2, 1)]
+
+    @pytest.mark.parametrize("reduction, momentum", [("sum", 0.9), ("mean", 0.9), ("mean", 0.0)])
+    def test_non_finite_dense_inputs_and_gradients_match_the_reference_engine(
+            self, monkeypatch, reduction, momentum):
+        # NaN, +-inf and signed zeros in every dense input and upstream
+        # gradient of one batch: the step completes, then names a tensor
+        data = [make_triplet(80 + s, positive=s % 2 == 0) for s in range(3)]
+        cfg = TrainConfig(epochs=1, batch_size=3, seed=2, learning_rate=1e-3,
+                          momentum=momentum, reduction=reduction)
+        got_model, want_model = small_dual(seed=8), small_dual(seed=8)
+
+        def strewn(dense_backward):
+            return lambda x, weight, grad_out, gw, gb: dense_backward(
+                strew_specials(x), weight, strew_specials(grad_out), gw, gb)
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            monkeypatch.setattr(engine, "dense_backward", strewn(engine.dense_backward))
+            with pytest.raises(ValueError, match=r"^SGD step left non-finite values in \S+ "
+                                                 r"in epoch 1, batch 1$"):
+                train(got_model, data, cfg)
+            use_reference_engine(monkeypatch)
+            monkeypatch.setattr(engine, "dense_backward", strewn(dense_backward_reference))
+            train(want_model, data, cfg)
+        for name, arr in want_model.params.items():
+            assert same_bits_but_nan_payloads(got_model.params[name], arr), name
+        assert any(np.isnan(arr).any() for arr in want_model.params.values())
+
+    def test_no_recorded_pair_is_written_after_its_sample_backward(self, monkeypatch):
+        # the pathways' upstream gradients are views of one fusion input
+        # gradient that relu_backward writes over, one part per pathway
+        model = small_dual(seed=3)
+        data = [make_triplet(90 + s) for s in range(5)]
+        recorded = []
+        dense_backward, sgd_step = engine.dense_backward, engine.sgd_momentum_step
+
+        def recording(x, weight, grad_out, gw, gb):
+            out = dense_backward(x, weight, grad_out, gw, gb)
+            recorded.append([(a, a.copy()) for a in gw.pairs[-1]])
+            return out
+
+        def checked_step(params, grads, state):
+            assert recorded
+            for pair in recorded:
+                for arr, bytes_then in pair:
+                    assert arr.tobytes() == bytes_then.tobytes()
+            recorded.clear()
+            sgd_step(params, grads, state)
+
+        monkeypatch.setattr(engine, "dense_backward", recording)
+        monkeypatch.setattr(engine, "sgd_momentum_step", checked_step)
+        train(model, data, TrainConfig(epochs=1, batch_size=2, learning_rate=1e-3))
+
+    def test_train_holds_no_gradient_array_the_size_of_a_dense_weight(self):
+        # tracemalloc sees NumPy's buffers.  The traced peak of a train call
+        # is bounded by the velocity it creates, one sample's own peak
+        # (forward, loss and backward into gradient sums made beforehand) and
+        # a 2 MiB margin, a quarter of local.fc's 8 MiB weight.  Batch sums
+        # of the dense weights would add 17 MiB.
+        model = build_model(seed=3)
+        data = [make_triplet(100 + s, positive=s % 2 == 0) for s in range(4)]
+        velocity = sum(arr.nbytes for arr in model.params.values())
+        grads = model.zero_grads()
+        tracemalloc.start()
+        try:
+            probs, caches = model.forward_with_caches(data[0].windows(model.pathways))
+            model.backward(caches, patch_loss(probs, data[0].target)[1], out=grads)
+            del probs, caches
+            sample_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            tracemalloc.start()
+            train(model, data, TrainConfig(epochs=1, batch_size=2, learning_rate=1e-4))
+            train_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        margin = 2 << 20
+        assert train_peak < velocity + sample_peak + margin, \
+            (train_peak, velocity, sample_peak)
 
     def test_step_that_leaves_a_parameter_non_finite_aborts_naming_epoch_and_batch(self):
         model = small_dual(seed=1)
