@@ -8,6 +8,7 @@ writes the 8-bit PGM and, where exact values matter, the sidecar beside it.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,11 +115,12 @@ def read_raster(path) -> Raster:
 
 
 def write_raster(raster: Raster, path) -> None:
-    """Canonical header (single spaces, newlines) followed by the raw payload."""
+    """Canonical header (single spaces, newlines) followed by the raw payload,
+    written from the pixels' own buffer."""
     header = RASTER_MAGIC[raster.channels] + f"\n{raster.width} {raster.height}\n255\n".encode()
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(raster.pixels, dtype=np.uint8).tobytes())
+        fh.write(np.ascontiguousarray(raster.pixels, dtype=np.uint8))
 
 
 def read_image(path, channels: int = 3) -> Raster:
@@ -161,7 +163,8 @@ def prob_to_raster(prob: np.ndarray) -> Raster:
 
 def write_prob_sidecar(prob: np.ndarray, path) -> None:
     """Exact float64 map: 16-byte header (magic, u32 height, u32 width), then
-    row-major little-endian payload."""
+    row-major little-endian payload, written from the map's own buffer when
+    it is already a contiguous little-endian float64 array."""
     prob = np.asarray(prob, dtype=np.float64)
     if prob.ndim != 2 or 0 in prob.shape:
         raise DataError(f"probability map must be 2-D with positive extents, got {prob.shape}")
@@ -169,23 +172,28 @@ def write_prob_sidecar(prob: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
         fh.write(PROB_MAGIC)
         fh.write(struct.pack("<II", h, w))
-        fh.write(prob.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(prob, dtype="<f8"))
 
 
 def read_prob_sidecar(path) -> np.ndarray:
+    """The float64 map of a sidecar.  The header is checked against the file
+    size before the payload is read straight into the returned array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(PROB_MAGIC):
-        raise DataError(f"{path}: not a probability sidecar")
-    if len(blob) < 16:
-        raise DataError(f"{path}: truncated header")
-    h, w = struct.unpack("<II", blob[8:16])
-    if h == 0 or w == 0:
-        raise DataError(f"{path}: non-positive extents {h}x{w}")
-    need = 16 + 8 * h * w
-    if len(blob) != need:
-        raise DataError(f"{path}: payload size mismatch")
-    return np.frombuffer(blob[16:], dtype="<f8").reshape(h, w).astype(np.float64)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(16)
+        if not header.startswith(PROB_MAGIC):
+            raise DataError(f"{path}: not a probability sidecar")
+        if len(header) < 16:
+            raise DataError(f"{path}: truncated header")
+        h, w = struct.unpack("<II", header[8:16])
+        if h == 0 or w == 0:
+            raise DataError(f"{path}: non-positive extents {h}x{w}")
+        if size != 16 + 8 * h * w:
+            raise DataError(f"{path}: payload size mismatch")
+        prob = np.empty((h, w), dtype="<f8")
+        if fh.readinto(prob.reshape(-1).view(np.uint8)) != 8 * h * w:  # shrank while read
+            raise DataError(f"{path}: payload size mismatch")
+    return prob.astype(np.float64, copy=False)
 
 
 def read_prob(path) -> np.ndarray:

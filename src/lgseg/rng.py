@@ -76,10 +76,6 @@ class SplitMix64:
         self._state = (self._state + n * _GAMMA) & _MASK
         return out if low is None else out.view(np.float64)
 
-    def u64_block(self, n: int) -> np.ndarray:
-        """Next n raw outputs as a uint64 array (vectorised)."""
-        return self._block(n)
-
     def floats(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1), from the top 53 bits of each output
         (0 + 1*u is exactly u for u >= 0)."""

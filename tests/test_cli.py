@@ -219,8 +219,7 @@ class TestInfer:
         assert not out.exists() or not any(out.iterdir())
 
     def test_loading_a_checkpoint_draws_no_initial_parameters(self, tmp_path, cfg_path,
-                                                              scene_dir, trained_dir,
-                                                              monkeypatch):
+                                                              trained_dir, monkeypatch):
         def no_draw(*args):
             raise AssertionError("xavier_init called while loading a checkpoint")
 
@@ -230,8 +229,9 @@ class TestInfer:
         tensors = engine.load_checkpoint(ckpt)
         assert list(model.params) == list(tensors)
         assert all(np.array_equal(model.params[k], v) for k, v in tensors.items())
+        raster.write_raster(small_image(3), tmp_path / "small.ppm")
         assert run("infer", "--config", cfg_path, "--model", ckpt,
-                   "--image", scene_dir / "scene_000.ppm", "--out", tmp_path / "x") == 0
+                   "--image", tmp_path / "small.ppm", "--out", tmp_path / "x") == 0
 
     @pytest.mark.parametrize("fault", ["renamed", "reshaped"])
     def test_checkpoint_that_does_not_fit_the_config_is_data_error(self, tmp_path, cfg_path,
@@ -739,6 +739,7 @@ class TestDispatch:
     @pytest.mark.parametrize("command, text", [
         ("gen", "[scene]\nwidth = 100\n"),
         ("gen", "[scene]\nhouse_px_min = 2\n"),
+        ("gen", "[scene]\ncluster_radius = 300\n"),  # no centre 316 px from every edge
         ("train", "[model]\nfusion_hidden = abc\n"),
         ("train", "[model]\nfusion_hidden = 8,,4\n"),
         ("train", "[model]\nlocal_layers = pool128\n"),

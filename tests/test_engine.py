@@ -127,7 +127,7 @@ class TestRng:
 
     def test_block_matches_scalar_path(self):
         r1, r2 = SplitMix64(7), SplitMix64(7)
-        block = r1.u64_block(5)
+        block = r1._block(5)
         singles = [r2.next_u64() for _ in range(5)]
         assert block.tolist() == singles
 
@@ -152,7 +152,7 @@ class TestRng:
         for n in [0] + around_blocks(chunk):
             got, want = SplitMix64(seed), SplitMix64Reference(seed)
             assert got.next_u64() == want.next_u64()
-            assert got.u64_block(n).tobytes() == want.u64_block(n).tobytes(), n
+            assert got._block(n).tobytes() == want.u64_block(n).tobytes(), n
             assert got.floats(n).tobytes() == want.floats(n).tobytes(), n
             for low, high in [(-1, 1), (0, 256), (0.0, 1.0), (-0.0, 1.0), (2.0, 2.0),
                               (-3.5, 1e300), (np.float64(-0.25), np.float64(0.75))]:

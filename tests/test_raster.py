@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,53 @@ def test_prob_sidecar_exact(tmp_path):
     assert back.shape == (17, 23)
     assert np.array_equal(back, prob)
     assert back.tobytes() == prob.tobytes()
+
+
+def traced_peak(call) -> int:
+    """The peak bytes tracemalloc sees NumPy and Python allocate in call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_a_512_sidecar_holds_one_map(tmp_path):
+    # the payload is read straight into the returned map; reading the whole
+    # file and converting it held the map two and three times over
+    prob = SplitMix64(3).uniform(0, 1, (512, 512))
+    p = tmp_path / "prob.lgprob"
+    raster.write_prob_sidecar(prob, p)
+    back = []
+    peak = traced_peak(lambda: back.append(raster.read_prob_sidecar(p)))
+    margin = 64 << 10
+    assert peak < prob.nbytes + margin, (peak, prob.nbytes)
+    assert back[0].dtype == np.float64 and back[0].tobytes() == prob.tobytes()
+
+
+def test_writers_write_from_the_arrays_own_buffers(tmp_path):
+    # no whole-payload copy: a .tobytes() would add 768 KiB for the image,
+    # and astype plus .tobytes() 4 MiB for the map
+    prob = SplitMix64(4).uniform(0, 1, (512, 512))
+    img = Raster(512, 512, 3, SplitMix64(5).uniform(0, 256, (512, 512, 3)).astype(np.uint8))
+    margin = 64 << 10
+    assert traced_peak(lambda: raster.write_prob_sidecar(prob, tmp_path / "p.lgprob")) < margin
+    assert traced_peak(lambda: raster.write_raster(img, tmp_path / "i.ppm")) < margin
+    assert (tmp_path / "i.ppm").read_bytes() == b"P6\n512 512\n255\n" + img.pixels.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["transposed", "big-endian", "float32"])
+def test_prob_sidecar_bytes_do_not_depend_on_the_maps_layout(tmp_path, layout):
+    prob = SplitMix64(6).uniform(0, 1, (7, 5))
+    given = {"transposed": np.ascontiguousarray(prob.T).T,
+             "big-endian": prob.astype(">f8"),
+             "float32": prob.astype(np.float32)}[layout]
+    want = prob.astype(np.float32).astype(np.float64) if layout == "float32" else prob
+    p = tmp_path / "prob.lgprob"
+    raster.write_prob_sidecar(given, p)
+    assert p.read_bytes() == (raster.PROB_MAGIC + struct.pack("<II", 7, 5)
+                              + want.astype("<f8").tobytes())
 
 
 def test_prob_sidecar_header_is_16_bytes(tmp_path):
@@ -188,8 +236,9 @@ def test_read_prob_tells_a_sidecar_by_its_magic_not_its_name(tmp_path):
 @pytest.mark.parametrize("blob, reason", [
     (raster.PROB_MAGIC + b"\x01\x00", "truncated header"),
     (raster.PROB_MAGIC + struct.pack("<II", 1, 2) + b"\x00" * 8, "payload size mismatch"),
+    (raster.PROB_MAGIC + struct.pack("<II", 1, 2) + b"\x00" * 24, "payload size mismatch"),
     (b"", "truncated header"),
-], ids=["sidecar-header", "sidecar-payload", "empty"])
+], ids=["sidecar-header", "sidecar-payload", "sidecar-trailing", "empty"])
 def test_read_prob_names_the_file_whatever_it_holds(tmp_path, blob, reason):
     p = tmp_path / "map.bin"
     p.write_bytes(blob)

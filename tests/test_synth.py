@@ -1,12 +1,15 @@
 """Scene generator consistency tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lgseg import raster
+from lgseg import raster, synth
 from lgseg.counting import components
 from lgseg.rng import SplitMix64
 from lgseg.synth import SceneSpec, synth_scene
+from synth_oracle import synth_scene_full_frame
 
 
 def test_empty_scene():
@@ -73,6 +76,52 @@ def test_houses_brighter_than_background_on_average():
     assert gray[labels.labels == 1].mean() > gray[labels.labels == 0].mean() + 20
 
 
+ORACLE_SPECS = {
+    "default": SceneSpec(seed=0),
+    "seed-1": SceneSpec(seed=1),
+    "513x777": SceneSpec(width=513, height=777, seed=2),
+    "600x520": SceneSpec(width=600, height=520, seed=3),
+    "777x513": SceneSpec(width=777, height=513, seed=4),
+    "texture-0": SceneSpec(texture=0.0, seed=5),
+    "texture-40": SceneSpec(texture=40.0, seed=6),
+    "occluders-1": SceneSpec(occluders=1.0, seed=7),
+    "clusters-0": SceneSpec(clusters=0, seed=8),
+    "no-houses": SceneSpec(house_count=(0, 0), seed=9),
+    "3-clusters": SceneSpec(clusters=3, cluster_radius=60.0, texture=2.0, seed=10),
+    "small-houses": SceneSpec(house_count=(80, 90), house_px=(4, 6), occluders=0.6, seed=11),
+    "top-seed": SceneSpec(texture=0.05, seed=2 ** 64 - 1),
+}
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS.values(), ids=ORACLE_SPECS)
+def test_banded_scene_matches_the_full_frame_oracle(spec):
+    # 513x777, 600x520 and 777x513 end in a partial band, and texture 40
+    # clips the float image at both 0 and 255
+    img, labels, boxes = synth_scene(spec)
+    want_img, want_labels, want_boxes = synth_scene_full_frame(spec)
+    assert img.pixels.dtype == want_img.pixels.dtype == np.uint8
+    assert img.pixels.tobytes() == want_img.pixels.tobytes()
+    assert labels.labels.tobytes() == want_labels.labels.tobytes()
+    assert boxes == want_boxes
+    if spec.width != 512:
+        assert spec.height % max(1, synth._BAND_PX // spec.width) != 0
+    if spec.texture == 40.0:
+        assert (img.pixels == 0).any() and (img.pixels == 255).any()
+
+
+def test_default_scene_holds_no_full_frame_float_image():
+    # tracemalloc sees NumPy's buffers.  One (512, 512, 3) float64 image is
+    # 6 MiB; the full-frame generator peaked at 18.3 MiB with three of them
+    # and two 2 MiB coordinate grids
+    tracemalloc.start()
+    try:
+        synth_scene(SceneSpec(seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         SceneSpec(width=256)
@@ -82,6 +131,21 @@ def test_invalid_specs_rejected():
         SceneSpec(house_px=(2, 10))
     with pytest.raises(ValueError):
         SceneSpec(occluders=1.5)
+
+
+def test_cluster_radius_without_room_for_a_centre_rejected():
+    # centres keep int(radius) + 16 px from each edge: 2 * (239 + 16) + 1 =
+    # 511 fits in 512 px, 2 * (240 + 16) + 1 = 513 does not
+    SceneSpec(cluster_radius=239.9)
+    with pytest.raises(ValueError, match=r"^cluster_radius 240 leaves no room .* 512x600 scene"):
+        SceneSpec(cluster_radius=240.0, width=512, height=600)
+    with pytest.raises(ValueError, match=r"^cluster_radius 300 "):
+        SceneSpec(cluster_radius=300.0)
+    for radius in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="cluster count/radius invalid"):
+            SceneSpec(cluster_radius=radius, clusters=0)
+    # without clusters the radius places nothing, so it is not bounded
+    assert synth_scene(SceneSpec(cluster_radius=300.0, clusters=0, seed=1))[2]
 
 
 def test_infeasible_placement_raises():
