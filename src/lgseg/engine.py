@@ -6,8 +6,9 @@ ordered ``{name: array}`` dicts owned by the caller.  out_extent is the one
 output-extent rule of conv and pool windows, for the network too.  Convolution
 uses im2col + GEMM over one zero-padded buffer that forward and backward build
 alike.  The forward runs one GEMM per cache-sized band of output rows, bit-equal
-to one GEMM, and adds the bias once to the whole output; the backward can skip
-the input gradient when nothing reads it.
+to one GEMM, and adds the bias once to the whole output.  The backward holds
+one column matrix: it forms the weight gradient from it, then writes the
+input-gradient GEMM over it, or skips the input gradient when nothing reads it.
 Max-pool takes a running maximum over its window taps.  Its backward sends
 each window's gradient to the first tap in scan order that holds the output
 (the first NaN, if any): tap by tap into strided views of the input gradient
@@ -15,11 +16,12 @@ when windows do not overlap, and by a scatter over flat argmax positions when
 they do.  Dense backward adds its bias gradient into the caller's array,
 records its (upstream gradient, input) pair in the weight's OuterSum and
 returns the input gradient; the weight gradient, a batch's sum of outer
-products, is never stored.  relu's backward is written over its upstream
-gradient.  The classical momentum SGD step (weight decay on weights only,
-never biases) streams each tensor in fixed chunks through one scratch buffer,
-forms an OuterSum's chunk just before it applies it, and rejects a step that
-leaves a parameter non-finite.  Checkpoints serialise named tensors
+products, is never stored.  relu can write over its input, and its backward,
+written over its upstream gradient, takes relu's input or output alike.  The
+classical momentum SGD step (weight decay on weights only, never biases)
+streams each tensor in fixed chunks through one scratch buffer, forms an
+OuterSum's chunk just before it applies it, and rejects a step that leaves a
+parameter non-finite.  Checkpoints serialise named tensors
 bit-exactly, written from and read into the tensors' own buffers.
 """
 
@@ -135,7 +137,8 @@ def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0,
     """Gradients of conv2d_forward w.r.t. input, weights, and bias.
 
     With input_grad False the input gradient is not computed and None is
-    returned in its place.
+    returned in its place.  One column matrix is held: the weight gradient
+    is formed from it, then the input-gradient GEMM writes over it.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
@@ -145,8 +148,11 @@ def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0,
     if grad_out.shape != (out_ch, ho, wo):
         raise ValueError(f"upstream gradient shape {grad_out.shape} != {(out_ch, ho, wo)}")
 
-    # one full column matrix: banding would reorder grad_weight's column sum
-    cols = _windows(x, kh, kw, stride, pad, ho, wo).reshape(in_ch * kh * kw, ho * wo)
+    # one full column matrix: banding would reorder grad_weight's column sum.
+    # It is an array of its own, never a .reshape of the windows, which for a
+    # 1x1 stride-1 unpadded conv is a read-only view of x
+    cols = np.empty((in_ch * kh * kw, ho * wo))
+    cols.reshape(in_ch, kh, kw, ho, wo)[...] = _windows(x, kh, kw, stride, pad, ho, wo)
     g = grad_out.reshape(out_ch, -1)
 
     grad_bias = g.sum(axis=1)
@@ -154,7 +160,10 @@ def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0,
     if not input_grad:
         return None, grad_weight, grad_bias
 
-    grad_cols = (weight.reshape(out_ch, -1).T @ g).reshape(in_ch, kh, kw, ho, wo)
+    # the columns are dead once grad_weight is formed: the input-gradient
+    # GEMM writes over them, the same BLAS call as W.T @ g into a new array
+    grad_cols = np.matmul(weight.reshape(out_ch, -1).T, g, out=cols).reshape(
+        in_ch, kh, kw, ho, wo)
     grad_xp = np.zeros((in_ch, x.shape[1] + 2 * pad, x.shape[2] + 2 * pad))
     for i in range(kh):
         for j in range(kw):
@@ -350,13 +359,16 @@ def dense_backward(x, weight, grad_out, grad_weight: OuterSum, grad_bias) -> np.
     return weight.T @ grad_out
 
 
-def relu(x) -> np.ndarray:
-    return np.maximum(_as_f64(x), 0.0)
+def relu(x, out=None) -> np.ndarray:
+    """max(x, 0), NaN kept; written into `out` when given, which may be x."""
+    return np.maximum(_as_f64(x), 0.0, out=out)
 
 
 def relu_backward(x, grad_out) -> np.ndarray:
-    """Gradient through relu given its input x.  It is written over grad_out
-    when that is a C-contiguous float64 array, which the caller gives up."""
+    """Gradient through relu given its input or its output x: y > 0 exactly
+    where the input is, NaN, signed zeros and infinities included.  It is
+    written over grad_out when that is a C-contiguous float64 array, which
+    the caller gives up."""
     grad = _as_f64(grad_out)
     return np.multiply(grad, _as_f64(x) > 0.0, out=grad)
 

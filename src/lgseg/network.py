@@ -26,6 +26,8 @@ ops: (kind, parameter name or None, spec) entries such as
 ("sigmoid", None, None).  param_specs walks these lists for build_model and
 load_params; one loop runs any of them forward, appending what each op needs
 for its gradient to a tape, and one loop runs them backward, popping the tape.
+The tape holds each relu's output, not its input: a relu over a conv's or
+dense's output writes over it, so no pre-activation copy is kept.
 
 The per-patch loss is the summed binary cross entropy over the 256 output
 pixels; training is plain SGD with momentum and L2 weight decay, mini-batch
@@ -244,7 +246,11 @@ class LgSegModel:
 
     def _run(self, ops, x, tape: list | None):
         """Forward pass through an op list; with a tape, append per op what
-        _unrun needs to take the step back."""
+        _unrun needs to take the step back.  A relu tapes its output.  Over a
+        conv's or dense's fresh output it writes in place, so no pre-relu copy
+        is kept; over a pool's output (held by its PoolIndices), a flatten (a
+        view of one), another relu's output or the input, it writes a copy."""
+        fresh = False  # x is a conv's or dense's output, which no one else holds
         for kind, name, spec in ops:
             saved = x
             if kind == "conv":
@@ -253,7 +259,7 @@ class LgSegModel:
             elif kind == "pool":
                 x, saved = engine.maxpool2d(x, spec.k, spec.stride)
             elif kind == "relu":
-                x = engine.relu(x)
+                x = saved = engine.relu(x, out=x if fresh else None)
             elif kind == "flatten":
                 saved = x.shape
                 x = x.reshape(-1)
@@ -264,6 +270,7 @@ class LgSegModel:
                 x = saved = engine.sigmoid(x)
             if tape is not None:
                 tape.append(saved)
+            fresh = kind in ("conv", "dense")
         return x
 
     def _unrun(self, ops, tape: list, grad, grads: dict, input_grad: bool = True):

@@ -56,62 +56,78 @@ class LabelMap:
             raise DataError("label map extents must be positive")
         if self.labels.shape != (self.height, self.width):
             raise DataError("label buffer shape does not match declared extents")
-        if not np.isin(self.labels, (0, 1)).all():
+        # two bool maps at most, where np.isin sorted and copied the map
+        binary = self.labels == 0
+        binary |= self.labels == 1
+        if not binary.all():
             raise DataError("labels must be 0/1")
 
 
-def _read_header_tokens(blob: bytes, path) -> tuple:
-    """Magic, width, height, maxval plus the payload offset.
-
-    Tokens are separated by whitespace; '#' comments run to end of line and
-    may sit between tokens.  Exactly one whitespace byte follows maxval.
-    """
+def _header_tokens(head: bytes) -> tuple:
+    """(tokens, i): the first four whitespace-separated tokens of head (fewer
+    if it ends first) and the index just past them.  '#' comments run to end
+    of line and may sit between tokens.  The header is whole in head once it
+    holds four tokens and i < len(head): a token, or a comment, that runs to
+    the end of head may go on in the bytes after it."""
     tokens = []
     i = 0
-    while len(tokens) < 4:
-        if i >= len(blob):
-            raise DataError(f"{path}: truncated header")
-        c = blob[i:i + 1]
+    while len(tokens) < 4 and i < len(head):
+        c = head[i:i + 1]
         if c == b"#":
-            while i < len(blob) and blob[i:i + 1] not in (b"\n", b"\r"):
+            while i < len(head) and head[i:i + 1] not in (b"\n", b"\r"):
                 i += 1
         elif c.isspace():
             i += 1
         else:
             j = i
-            while j < len(blob) and not blob[j:j + 1].isspace() and blob[j:j + 1] != b"#":
+            while j < len(head) and not head[j:j + 1].isspace() and head[j:j + 1] != b"#":
                 j += 1
-            tokens.append(blob[i:j])
+            tokens.append(head[i:j])
             i = j
-    if i >= len(blob) or not blob[i:i + 1].isspace():
-        raise DataError(f"{path}: missing whitespace after maxval")
-    return tokens, i + 1
+    return tokens, i
 
 
 def read_raster(path) -> Raster:
-    """Parse a binary P5/P6 file with maxval 255."""
+    """Parse a binary P5/P6 file with maxval 255.  The header is read in a
+    prefix that doubles until it holds the byte after maxval, which must be
+    exactly one whitespace byte; the payload is checked against the file
+    size, then read straight into the pixel array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    tokens, offset = _read_header_tokens(blob, path)
-    channels = {magic: c for c, magic in RASTER_MAGIC.items()}.get(tokens[0])
-    if channels is None:
-        raise DataError(f"{path}: unsupported magic {tokens[0]!r} (want P5 or P6)")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric header field") from exc
-    if width <= 0 or height <= 0:
-        raise DataError(f"{path}: non-positive extents {width}x{height}")
-    if maxval != 255:
-        raise DataError(f"{path}: maxval must be 255, got {maxval}")
-    need = width * height * channels
-    payload = blob[offset:]
-    if len(payload) < need:
-        raise DataError(f"{path}: truncated payload ({len(payload)} of {need} bytes)")
-    if len(payload) > need:
-        raise DataError(f"{path}: {len(payload) - need} trailing bytes after payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return Raster(width, height, channels, pixels.copy())
+        size = os.fstat(fh.fileno()).st_size
+        head = b""
+        while True:
+            more = fh.read(max(64, len(head)))
+            head += more
+            tokens, i = _header_tokens(head)
+            if len(tokens) == 4 and i < len(head) or not more:
+                break
+        if len(tokens) < 4:
+            raise DataError(f"{path}: truncated header")
+        if i >= len(head) or not head[i:i + 1].isspace():
+            raise DataError(f"{path}: missing whitespace after maxval")
+        offset = i + 1
+        channels = {magic: c for c, magic in RASTER_MAGIC.items()}.get(tokens[0])
+        if channels is None:
+            raise DataError(f"{path}: unsupported magic {tokens[0]!r} (want P5 or P6)")
+        try:
+            width, height, maxval = (int(t) for t in tokens[1:])
+        except ValueError as exc:
+            raise DataError(f"{path}: non-numeric header field") from exc
+        if width <= 0 or height <= 0:
+            raise DataError(f"{path}: non-positive extents {width}x{height}")
+        if maxval != 255:
+            raise DataError(f"{path}: maxval must be 255, got {maxval}")
+        need, have = width * height * channels, size - offset
+        if have < need:
+            raise DataError(f"{path}: truncated payload ({have} of {need} bytes)")
+        if have > need:
+            raise DataError(f"{path}: {have - need} trailing bytes after payload")
+        pixels = np.empty((height, width, channels), dtype=np.uint8)
+        fh.seek(offset)
+        got = fh.readinto(pixels.reshape(-1))
+        if got != need:  # a file that shrank while it was read
+            raise DataError(f"{path}: truncated payload ({got} of {need} bytes)")
+    return Raster(width, height, channels, pixels)
 
 
 def write_raster(raster: Raster, path) -> None:

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -396,6 +397,53 @@ class TestConvBackwardBytes:
         got = engine.conv2d_backward(x, weight, up, stride, pad, input_grad)
         want = conv2d_backward_reference(x, weight, up, stride, pad, input_grad)
         assert backward_bytes(got) == backward_bytes(want)
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("specials", ["none", "x", "weight", "up"])
+    @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (1, 2, 0), (1, 1, 1), (3, 1, 1),
+                                              (5, 2, 2)])
+    def test_1x1_and_non_finite_cases_match_reference_bytes(self, k, stride, pad, specials,
+                                                            input_grad):
+        # a 1x1 stride-1 unpadded conv's windows reshape to a read-only view
+        # of x, which the input-gradient GEMM must not be written over; NaN,
+        # +-inf and signed zeros go into one operand at a time
+        rng = SplitMix64(100 * k + 10 * stride + pad)
+        ho, wo = engine.out_extent(11, 10, k, k, stride, pad)
+        shapes = {"x": (4, 11, 10), "weight": (3, 4, k, k), "up": (3, ho, wo)}
+        args = {name: with_specials(rng, shape, every=11, start=2) if name == specials
+                else rng.uniform(-1, 1, shape) for name, shape in shapes.items()}
+        kept = {name: a.tobytes() for name, a in args.items()}
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = engine.conv2d_backward(args["x"], args["weight"], args["up"], stride, pad,
+                                         input_grad)
+            want = conv2d_backward_reference(args["x"], args["weight"], args["up"], stride,
+                                             pad, input_grad)
+        assert backward_bytes(got) == backward_bytes(want)
+        assert {name: a.tobytes() for name, a in args.items()} == kept
+
+    def test_global_1_backward_holds_one_column_matrix(self):
+        # global.1's columns are 400 x 4096 doubles (12.5 MiB), and the input
+        # gradient is written over them.  The rest of the traced peak is the
+        # padded input gradient and the input gradient (0.6 + 0.5 MiB) and
+        # the small weight and bias gradients, inside a 2 MiB margin; a
+        # second column matrix would add 12.5 MiB
+        name, shape, layer = next(c for c in default_conv_layers() if c[0] == "global.1")
+        rng = SplitMix64(7)
+        k, stride, pad = layer.kernel, layer.stride, layer.padding()
+        ho, wo = engine.out_extent(shape[1], shape[2], k, k, stride, pad)
+        x = rng.uniform(0, 1, shape)
+        weight = rng.uniform(-0.1, 0.1, (layer.out_channels, shape[0], k, k))
+        up = rng.uniform(-1, 1, (layer.out_channels, ho, wo))
+        cols = 8 * (shape[0] * k * k) * (ho * wo)
+        assert cols == 8 * 400 * 4096
+        tracemalloc.start()
+        try:
+            grad_x, _, _ = engine.conv2d_backward(x, weight, up, stride, pad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grad_x.shape == shape
+        assert peak < cols + (2 << 20), (peak, cols)
 
 
 def maxpool_reference(x, k, stride):

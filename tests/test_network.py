@@ -374,6 +374,13 @@ LOCAL_CUSTOM = PathwaySpec(
             ConvSpec(6, 5, pad=1), ReluSpec(), PoolSpec(3, 2)),
     embed_width=16, input_width=64)
 
+# relus that must copy: over the input window, over a pool's output (which
+# its PoolIndices holds) and over another relu's output
+LOCAL_STACKED = PathwaySpec(
+    layers=(ReluSpec(), ConvSpec(4, 3), PoolSpec(2), ReluSpec(), ReluSpec(),
+            ConvSpec(6, 3), ReluSpec(), ReluSpec(), PoolSpec(4), ReluSpec()),
+    embed_width=16, input_width=64)
+
 ORACLE_MODELS = {
     "dual": lambda: small_dual(seed=5),
     "local_only": lambda: local_only(seed=6),
@@ -381,7 +388,27 @@ ORACLE_MODELS = {
     "custom": lambda: build_model({"local": LOCAL_CUSTOM, "global": GLOBAL_SMALL},
                                   fusion_hidden=(24, 12), seed=8),
     "default": lambda: build_model(seed=9),
+    "stacked": lambda: build_model({"local": LOCAL_STACKED, "global": GLOBAL_SMALL},
+                                   fusion_hidden=(24,), seed=10),
 }
+
+
+def strewn_outputs(forward, values, every=5):
+    """forward with `values` written into its fresh output from flat index 0,
+    one every `every` entries in turn."""
+    def strewn(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        for k, value in enumerate(values):
+            out.reshape(-1)[k * every::every * len(values)] = value
+        return out
+    return strewn
+
+
+def signed_windows(model, seed):
+    """Windows on [-1, 1): a relu over the input has values to change."""
+    rng = SplitMix64(seed)
+    return {p: rng.uniform(-1, 1, (3, w, w))
+            for p, w in network.INPUT_WIDTHS.items() if p in model.pathways}
 
 
 class TestOpListMatchesOracle:
@@ -416,6 +443,77 @@ class TestOpListMatchesOracle:
         assert list(grads) == list(want)
         for name in want:
             assert grads[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("values", [(-0.0, 0.0, -np.inf), SPECIALS],
+                             ids=["zeros-and-minus-inf", "nan-inf-zeros"])
+    @pytest.mark.parametrize("variant", ["dual", "custom", "stacked"])
+    def test_non_finite_pre_activations_match_the_oracle_bitwise(self, variant, values,
+                                                                  monkeypatch):
+        # every conv and dense output gets NaN, +-inf or signed zeros before
+        # its relu; the oracle's relu copies and tapes its input, the model's
+        # writes over a fresh output and tapes that
+        monkeypatch.setattr(engine, "conv2d_forward", strewn_outputs(engine.conv2d_forward,
+                                                                     values))
+        monkeypatch.setattr(engine, "dense_forward", strewn_outputs(engine.dense_forward,
+                                                                    values, every=3))
+        model = ORACLE_MODELS[variant]()
+        t = make_triplet(34)
+        windows = t.windows(model.pathways)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            probs, caches = model.forward_with_caches(windows)
+            want_probs, want_caches = oracle_forward(model, windows)
+            assert probs.tobytes() == want_probs.tobytes()
+            assert model.forward(windows).tobytes() == want_probs.tobytes()
+            _, dprobs = patch_loss(probs, t.target)
+            grads = model.backward(caches, dprobs)
+            want_grads, _, _ = oracle_backward(model, want_caches, dprobs)
+        assert list(grads) == list(want_grads)
+        for name in want_grads:
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+        assert np.isnan(probs).any() == (values == SPECIALS)
+
+    def test_relu_over_a_pool_relu_or_input_leaves_them_untouched(self):
+        model = ORACLE_MODELS["stacked"]()
+        windows = signed_windows(model, 35)
+        kept = {p: w.copy() for p, w in windows.items()}
+        _, tape = model.forward_with_caches(windows)
+        pools = [entry for entry in tape if isinstance(entry, engine.PoolIndices)]
+        assert len(pools) == 4
+        for indices in pools:
+            out, _ = engine.maxpool2d(indices.x, indices.k, indices.stride)
+            assert indices.out.tobytes() == out.tobytes()
+        # local's first pool runs over a conv output and is followed by relu
+        assert (pools[0].out < 0).any()
+        assert all(windows[p].tobytes() == kept[p].tobytes() for p in windows)
+
+    @pytest.mark.parametrize("variant", ["default", "stacked"])
+    def test_relu_tapes_its_output_and_keeps_no_pre_relu_copy(self, variant):
+        # each relu's tape entry is its output; over a conv's or dense's
+        # output it is the very array that the next op, unless a relu, was given
+        model = ORACLE_MODELS[variant]()
+        _, tape = model.forward_with_caches(signed_windows(model, 36))
+        entries = iter(tape)
+        fresh = 0
+        for prefix in [*model.pathways, "fusion"]:
+            ops = model.ops[prefix]
+            saved = [next(entries) for _ in ops]
+            for i, (kind, _, _) in enumerate(ops):
+                if kind != "relu":
+                    continue
+                assert not (saved[i] < 0).any()
+                prev = ops[i - 1][0] if i else None
+                if prev == "relu":  # over a relu's output, relu copies
+                    assert saved[i] is not saved[i - 1], (prefix, i)
+                if prev in ("conv", "dense") and i + 1 < len(ops) and ops[i + 1][0] != "relu":
+                    given = saved[i + 1]
+                    given = given.x if isinstance(given, engine.PoolIndices) else given
+                    assert given is saved[i], (prefix, i)
+                    fresh += 1
+        assert next(entries, None) is None
+        # default: 5 local and 3 global convs and 2 fusion denses (the
+        # pathways' last relus end their lists); stacked: 2 global convs and
+        # 1 fusion dense, its local conv relus being followed by relus
+        assert fresh == {"default": 10, "stacked": 3}[variant]
 
     def test_backward_leaves_caches_reusable(self):
         model = small_dual(seed=5)

@@ -75,6 +75,137 @@ def test_unknown_magic_rejected(tmp_path):
         raster.read_raster(p)
 
 
+def read_raster_reference(path):
+    """The whole-file reader: the file read at once, its header parsed from
+    the start, and the pixels copied out of the payload slice."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    tokens, i = [], 0
+    while len(tokens) < 4:
+        if i >= len(blob):
+            raise DataError(f"{path}: truncated header")
+        c = blob[i:i + 1]
+        if c == b"#":
+            while i < len(blob) and blob[i:i + 1] not in (b"\n", b"\r"):
+                i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(blob) and not blob[j:j + 1].isspace() and blob[j:j + 1] != b"#":
+                j += 1
+            tokens.append(blob[i:j])
+            i = j
+    if i >= len(blob) or not blob[i:i + 1].isspace():
+        raise DataError(f"{path}: missing whitespace after maxval")
+    channels = {b"P5": 1, b"P6": 3}.get(tokens[0])
+    if channels is None:
+        raise DataError(f"{path}: unsupported magic {tokens[0]!r} (want P5 or P6)")
+    try:
+        width, height, maxval = (int(t) for t in tokens[1:])
+    except ValueError as exc:
+        raise DataError(f"{path}: non-numeric header field") from exc
+    if width <= 0 or height <= 0:
+        raise DataError(f"{path}: non-positive extents {width}x{height}")
+    if maxval != 255:
+        raise DataError(f"{path}: maxval must be 255, got {maxval}")
+    need = width * height * channels
+    payload = blob[i + 1:]
+    if len(payload) < need:
+        raise DataError(f"{path}: truncated payload ({len(payload)} of {need} bytes)")
+    if len(payload) > need:
+        raise DataError(f"{path}: {len(payload) - need} trailing bytes after payload")
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    return Raster(width, height, channels, pixels.copy())
+
+
+def raster_outcome(read, path):
+    try:
+        r = read(path)
+    except DataError as exc:
+        return str(exc)
+    return (r.width, r.height, r.channels, r.pixels.shape, r.pixels.tobytes())
+
+
+def raster_blobs():
+    """Whole files and every prefix of them: comments and whitespace of every
+    kind, headers that cross the 64- and 128-byte reads, '#' right after
+    maxval, bad magic, maxval and extents, and trailing bytes."""
+    long = b"# " + b"x" * 150 + b"\n"
+    wholes = [
+        b"P5\n2 2\n255\n" + bytes([0, 64, 128, 255]),
+        b"P6\n2 1\n255\n" + bytes(range(6)),
+        b"P5 # magic\n# a comment line\n 3\t2 # dims\n255\r" + bytes(range(6)),
+        b"P5" + b" " * 61 + b"12 1\n255\n" + bytes(12),  # width straddles byte 64
+        b"P5\n" + long + b"1 1\n" + long + b"255\x0b" + b"\x07",
+        b"P5\n1 1\n" + b" " * 54 + b"255\n\x01",  # maxval ends at byte 63
+        b"P5\n1 1\n" + b" " * 55 + b"255\n\x01",  # its whitespace is byte 64
+        b"P5\n1 1\n255#x\n\x01",
+        b"P5\n1 1\n255\n\x01\x02",
+        b"P4\n1 1\n255\n\x01",
+        b"P5\n1 x\n255\n\x01",
+        b"P5\n0 1\n255\n",
+        b"P5\n1 1\n65535\n\x00\x01",
+    ]
+    blobs = set()
+    for whole in wholes:
+        blobs.update(whole[:n] for n in range(len(whole) + 1))
+    return sorted(blobs)
+
+
+def test_read_raster_matches_the_whole_file_reader(tmp_path):
+    p = tmp_path / "r.pgm"
+    outcomes = set()
+    for blob in raster_blobs():
+        p.write_bytes(blob)
+        got = raster_outcome(raster.read_raster, p)
+        assert got == raster_outcome(read_raster_reference, p), blob
+        outcomes.add(got if isinstance(got, str) else "read")
+    kinds = {re.sub(r"^\S+: ", "", o).split(" (")[0].split(",")[0] for o in outcomes}
+    assert {"read", "truncated header", "missing whitespace after maxval",
+            "non-numeric header field", "maxval must be 255", "truncated payload",
+            "1 trailing bytes after payload", "non-positive extents 0x1",
+            "unsupported magic b'P4'"} <= kinds
+
+
+def test_reading_a_512_p6_holds_its_pixels_once(tmp_path):
+    # the payload is read straight into the pixel array; the whole file,
+    # a slice of it and a copy held it three times over (2.25 MiB)
+    img = Raster(512, 512, 3, SplitMix64(7).uniform(0, 256, (512, 512, 3)).astype(np.uint8))
+    p = tmp_path / "i.ppm"
+    raster.write_raster(img, p)
+    back = []
+    peak = traced_peak(lambda: back.append(raster.read_raster(p)))
+    margin = 64 << 10
+    assert peak < img.pixels.nbytes + margin, (peak, img.pixels.nbytes)
+    assert back[0].pixels.tobytes() == img.pixels.tobytes()
+    assert back[0].pixels.flags.writeable and back[0].pixels.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int16, np.int64, np.uint64,
+                                   np.float32, np.float64, np.bool_])
+def test_label_check_rejects_what_isin_rejects(dtype):
+    values = {"u": [0, 1, 2, 255], "i": [0, 1, -1, 2, 127], "b": [False, True],
+              "f": [0, 1, -0.0, 0.5, np.nan, np.inf, -np.inf, 1.0000001, -1]}[np.dtype(dtype).kind]
+    for a in values:
+        for b in values:
+            labels = np.array([[0, a], [b, 1]]).astype(dtype)
+            accepted = bool(np.isin(labels, (0, 1)).all())
+            try:
+                LabelMap(2, 2, labels)
+            except DataError as exc:
+                assert not accepted and str(exc) == "labels must be 0/1", (a, b)
+            else:
+                assert accepted, (a, b)
+
+
+def test_label_check_of_a_512_map_holds_two_bool_maps():
+    # np.isin peaked at 3.0 MiB, 12 times the 256 KiB map
+    labels = (SplitMix64(8).uniform(0, 1, (512, 512)) > 0.5).astype(np.uint8)
+    peak = traced_peak(lambda: LabelMap(512, 512, labels))
+    assert peak < 2 * labels.size + (16 << 10), peak
+
+
 def test_label_round_trip(tmp_path):
     rng = SplitMix64(1)
     lab = LabelMap(20, 10, (rng.uniform(0, 1, (10, 20)) > 0.7).astype(np.uint8))
