@@ -6,7 +6,8 @@ inputs are checkable for byte-identical outputs.  Each subcommand only writes
 its artifacts into the output directory; `main` creates that directory,
 writes the `<command>_run.json` report and maps errors to the exit codes:
 0 success, 1 usage/config error (bad flags included), 2 data or file error.
-`cli` reads no file format: `raster` reads and checks each input file, and
+`cli` reads one file format itself, the `count --tallies` JSON; `config`,
+`engine`, `raster` and `counting` read and check the other input files, and
 only the rule that spans files (inputs that must share extents) lives here.
 `ablate` writes three maps of a dual-pathway model: `full`, `local_only`
 (the global pathway is fed the per-channel mean of its window, a constant
@@ -279,7 +280,7 @@ def _cmd_count(args, cfg: RunConfig, out: Path):
             raise ConfigError("count --tallies takes no --prob, --boxes or --threshold")
         try:
             tallies = json.loads(Path(args.tallies).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise DataError(f"{args.tallies}: {exc}") from None
         values = [tallies.get(key) for key in ("tp", "fp", "fn", "residential")] \
             if isinstance(tallies, dict) else [None]

@@ -215,13 +215,16 @@ def read_boxes_csv(path):
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {exc}") from None
     boxes = []
-    header = next(reader, None)
-    if header != ["id", "row_min", "col_min", "row_max", "col_max"]:
-        raise ValueError(f"{path}: unexpected box CSV header {header}")
-    for row in reader:
-        try:
-            _, rmin, cmin, rmax, cmax = (int(v) for v in row)
-            boxes.append(DetectionBox(rmin, cmin, rmax, cmax))
-        except ValueError as exc:
-            raise DataError(f"{path}:{reader.line_num}: bad box row {row}: {exc}") from None
+    try:
+        header = next(reader, None)
+        if header != ["id", "row_min", "col_min", "row_max", "col_max"]:
+            raise ValueError(f"{path}: unexpected box CSV header {header}")
+        for row in reader:
+            try:
+                _, rmin, cmin, rmax, cmax = (int(v) for v in row)
+                boxes.append(DetectionBox(rmin, cmin, rmax, cmax))
+            except ValueError as exc:
+                raise DataError(f"{path}:{reader.line_num}: bad box row {row}: {exc}") from None
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return boxes

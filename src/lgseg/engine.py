@@ -19,9 +19,9 @@ returns the input gradient; the weight gradient, a batch's sum of outer
 products, is never stored.  relu can write over its input, and its backward,
 written over its upstream gradient, takes relu's input or output alike.  The
 classical momentum SGD step (weight decay on weights only, never biases)
-streams each tensor in fixed chunks through one scratch buffer, forms an
-OuterSum's chunk just before it applies it, and rejects a step that leaves a
-parameter non-finite.  Checkpoints serialise named tensors
+streams each tensor in fixed chunks through one scratch buffer, forms each
+chunk of an OuterSum afresh just before it applies it, and rejects a step that
+leaves a parameter non-finite.  Checkpoints serialise named tensors
 bit-exactly, written from and read into the tensors' own buffers.
 """
 
@@ -288,8 +288,8 @@ class OuterSum:
     factors it is then scaled by (``*=``).  The sum is never stored: form()
     computes any flat run of its entries, and sgd_momentum_step forms each
     chunk just before it updates the weight there.  The pairs are kept by
-    reference until clear(), so neither array may be modified in place
-    meanwhile.
+    reference for the OuterSum's life, one batch in training, so neither
+    array may be modified in place meanwhile.
     """
 
     def __init__(self, shape):
@@ -297,21 +297,12 @@ class OuterSum:
         self.pairs: list = []
         self.factors: list = []
 
-    def clear(self) -> None:
-        self.pairs.clear()
-        self.factors.clear()
-
     def __imul__(self, factor):
         self.factors.append(factor)
         return self
 
-    def scratch_size(self, n: int) -> int:
-        """Floats of the products scratch that form() needs for n entries."""
-        return n + 2 * self.shape[1]
-
-    def form(self, lo: int, hi: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """Flat entries lo:hi of the sum, written into out[:hi - lo], with
-        scratch for the products of the rows they touch.  Each entry starts
+    def form(self, lo: int, hi: int) -> np.ndarray:
+        """Flat entries lo:hi of the sum, as a new array.  Each entry starts
         from 0.0, adds every pair's product in recording order and then takes
         each factor: the rounded operations of a zero-filled array that
         np.outer followed by += adds into, then scaled with *=.  A run that
@@ -319,10 +310,9 @@ class OuterSum:
         NaN + NaN there."""
         n = self.shape[1]
         r0, r1 = lo // n, -(-hi // n)
-        prods = scratch[:(r1 - r0) * n].reshape(r1 - r0, n)
+        prods = np.empty((r1 - r0, n))  # the products of the rows lo:hi touches
         part = prods.reshape(-1)[lo - r0 * n:hi - r0 * n]
-        acc = out[:hi - lo]
-        acc.fill(0.0)
+        acc = np.zeros(hi - lo)
         for grad_out, x in self.pairs:
             np.multiply(grad_out[r0:r1, None], x, out=prods)
             acc += part
@@ -334,9 +324,8 @@ class OuterSum:
         """The whole sum as an array, formed in the SGD step's chunks."""
         out = np.empty(self.shape)
         flat = out.reshape(-1)
-        scratch = np.empty(self.scratch_size(_SGD_CHUNK + 8))
         for lo, hi in _chunk_bounds(flat.size):
-            self.form(lo, hi, flat[lo:], scratch)
+            flat[lo:hi] = self.form(lo, hi)
         return out
 
 
@@ -445,7 +434,7 @@ def sgd_momentum_step(params: dict, grads: dict, state: SgdState) -> None:
     tensors whose name ends in '.weight' only, never to biases.
 
     Each tensor streams through one scratch chunk (_chunk_bounds); an
-    OuterSum gradient's chunk is formed in a second one just before it is
+    OuterSum gradient's chunk is formed (OuterSum.form) just before it is
     used.  Then t = wd*w; t += g; t *= lr; v *= m; v -= t; w += v, the IEEE
     operations of v = m*v - lr*(g + wd*w) reordered only by commutation, so
     every value is the same (the payload that NaN + NaN keeps is not: NumPy
@@ -455,9 +444,7 @@ def sgd_momentum_step(params: dict, grads: dict, state: SgdState) -> None:
     """
     lr, m, wd = state.learning_rate, state.momentum, state.weight_decay
     size = _SGD_CHUNK + 8  # the longest chunk
-    scratch, formed = np.empty(size), np.empty(size)
-    products = np.empty(max([g.scratch_size(size) for g in grads.values()
-                             if isinstance(g, OuterSum)], default=0))
+    scratch = np.empty(size)
     finite = np.empty(size, dtype=bool)
     bad = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -475,10 +462,7 @@ def sgd_momentum_step(params: dict, grads: dict, state: SgdState) -> None:
                 g = _as_f64(g).reshape(-1)
             for lo, hi in _chunk_bounds(w.size):
                 wc, vc = w[lo:hi], v[lo:hi]
-                if isinstance(g, OuterSum):
-                    gc = g.form(lo, hi, formed, products)
-                else:
-                    gc = g[lo:hi]
+                gc = g.form(lo, hi) if isinstance(g, OuterSum) else g[lo:hi]
                 t = scratch[:wc.size]
                 if decay:
                     np.multiply(wd, wc, out=t)

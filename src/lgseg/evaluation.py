@@ -24,6 +24,7 @@ not expected to reproduce them.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ def threshold_grid(step: float) -> tuple:
     """Ascending thresholds step, 2*step, ... below 1, rounded to 10 decimals."""
     if not 0.0 < step <= 0.5:
         raise ValueError("threshold step must lie in (0, 0.5]")
-    n = int(round(1.0 / step)) - 1
-    return tuple(round(i * step, 10) for i in range(1, n + 1))
+    grid = (round(i * step, 10) for i in range(1, math.ceil(1.0 / step) + 1))
+    return tuple(t for t in grid if t < 1.0)
 
 
 DEFAULT_THRESHOLDS = threshold_grid(0.01)

@@ -450,9 +450,8 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
     Every triplet needs a .target and a .windows(pathways) method that returns
     the {prefix: window} input for the given pathways, here model.pathways.
     Gradients within a batch are summed (or averaged per config.reduction)
-    and applied in one optimiser step.  One gradient dict (zero_grads) is
-    allocated per call and cleared before each batch: its arrays zero-filled,
-    its dense weights' OuterSums emptied of pairs and factors.  A non-finite
+    and applied in one optimiser step, from a fresh gradient dict
+    (zero_grads) that each batch draws.  A non-finite
     batch loss, or a step that leaves a parameter non-finite, raises
     ValueError naming the epoch and batch.
     """
@@ -461,7 +460,6 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
         raise ValueError("training requires a nonempty dataset")
     state = engine.SgdState(config.learning_rate, config.momentum, config.weight_decay)
     rng = SplitMix64(config.seed)
-    grads = model.zero_grads()
     losses: list = []
     walls: list = []
 
@@ -472,11 +470,7 @@ def train(model: LgSegModel, triplets, config: TrainConfig) -> TrainReport:
         total = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            for g in grads.values():
-                if isinstance(g, engine.OuterSum):
-                    g.clear()
-                else:
-                    g.fill(0.0)
+            grads = model.zero_grads()
             batch_loss = 0.0
             for i in batch:
                 t = items[i]

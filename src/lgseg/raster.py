@@ -170,9 +170,10 @@ def unit_array(values, what: str = "probabilities") -> np.ndarray:
 
 
 def prob_to_raster(prob: np.ndarray) -> Raster:
-    """Quantise probabilities to 8 bits: round(p * 255)."""
+    """Quantise probabilities to 8 bits: round(p * 255), rounded in place."""
     prob = unit_array(prob)
-    q = np.rint(prob * 255.0).astype(np.uint8)
+    q = prob * 255.0
+    q = np.rint(q, out=q).astype(np.uint8)
     h, w = prob.shape
     return Raster(w, h, 1, q[..., None])
 

@@ -338,24 +338,26 @@ class TestAblate:
 
 class TestTreeFit:
     def test_fit_writes_thresholds(self, tmp_path, cfg_path, scene_dir, trained_dir):
-        # L-Seg-style probs straight from the labels plus a confident smudge
+        # L-Seg-style probs straight from the labels plus a confident smudge,
+        # on 72x264 crops (85 tiles each) that hold both residential classes
         out = tmp_path / "tree"
-        probs = []
-        for idx in ("000", "001"):
-            labels = raster.read_label(scene_dir / f"labels_{idx}.pgm")
-            prob = labels.labels.astype(float) * 0.8 + 0.05
-            prob[30:40, 450:460] = 0.95  # hallucination far from clusters
-            p = tmp_path / f"prob_{idx}.lgprob"
-            raster.write_prob_sidecar(prob, p)
-            probs.append(p)
+        argv = []
+        for idx, r0 in (("000", 80), ("001", 304)):
+            crop = np.s_[r0:r0 + 72, 64:328]
+            img = raster.read_raster(scene_dir / f"scene_{idx}.ppm").pixels[crop]
+            labels = raster.read_label(scene_dir / f"labels_{idx}.pgm").labels[crop]
+            prob = labels.astype(float) * 0.8 + 0.05
+            prob[2:12, 20:30] = 0.95  # hallucination far from clusters
+            paths = [tmp_path / f"{name}_{idx}" for name in ("scene.ppm", "prob.lgprob",
+                                                             "labels.pgm")]
+            raster.write_raster(raster.Raster(264, 72, 3, img.copy()), paths[0])
+            raster.write_prob_sidecar(prob, paths[1])
+            raster.write_label(raster.LabelMap(264, 72, labels.copy()), paths[2])
+            argv += ["--image", paths[0], "--prob", paths[1], "--gt", paths[2]]
         cfg2 = tmp_path / "tree.cfg"
         cfg2.write_text(SMALL_CFG + "\n[tree]\nmin_houses = 5\n")
         code = run("tree-fit", "--config", cfg2, "--model", trained_dir / "model.ckpt",
-                   "--image", scene_dir / "scene_000.ppm", "--prob", probs[0],
-                   "--gt", scene_dir / "labels_000.pgm",
-                   "--image", scene_dir / "scene_001.ppm", "--prob", probs[1],
-                   "--gt", scene_dir / "labels_001.pgm",
-                   "--out", out)
+                   *argv, "--out", out)
         assert code == 0
         fitted = json.loads((out / "tree.json").read_text())
         assert set(fitted) >= {"t1", "t2", "t3", "f_trace", "leaf_order_ok"}
@@ -842,8 +844,8 @@ class TestDispatch:
                          "and lie in [0, 1]"]
         assert not list(tmp_path.rglob("*_run.json"))
 
-    @pytest.mark.parametrize("fault", ["config", "checkpoint", "boxes", "tallies-utf8",
-                                       "tallies-json"])
+    @pytest.mark.parametrize("fault", ["config", "checkpoint", "boxes", "boxes-field",
+                                       "tallies-utf8", "tallies-json", "tallies-deep"])
     def test_undecodable_file_names_itself(self, tmp_path, capsys, cfg_path, scene_dir,
                                            trained_dir, fault):
         # a config is a usage error (exit 1); every other input is data (exit 2)
@@ -859,15 +861,20 @@ class TestDispatch:
                             + b"\xff\xfe" + struct.pack("<2I", 1, 1) + struct.pack("<d", 0.0))
             command, code = "infer", 2
             argv = ("--config", cfg_path, "--model", bad, "--image", scene_dir / "scene_000.ppm")
-        elif fault == "boxes":
-            bad.write_bytes(b"id,row_min,col_min,row_max,col_max\n0,1,2,3,\xff\n")
+        elif fault.startswith("boxes"):
+            # a byte that is not UTF-8, or a field over csv.field_size_limit()
+            row = b"0,1,2,3,\xff" if fault == "boxes" else b"0,1,2,3," + b"4" * (1 << 17) + b"0"
+            bad.write_bytes(b"id,row_min,col_min,row_max,col_max\n" + row + b"\n")
             command, argv, code = "count", ("--prob", prob_path, "--boxes", bad), 2
         else:
-            bad.write_bytes(b'{"tp": \xff}' if fault == "tallies-utf8" else b'{"tp": 1,')
+            bad.write_bytes({"tallies-utf8": b'{"tp": \xff}', "tallies-json": b'{"tp": 1,',
+                             "tallies-deep": b"[" * 100_000 + b"]" * 100_000}[fault])
             command, argv, code = "count", ("--tallies", bad), 2
         assert run(command, *argv, "--out", tmp_path / "out") == code
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"lgseg {command}: {bad}: ")
+        if fault == "boxes-field":
+            assert lines[0].startswith(f"lgseg count: {bad}: line 2: field larger than")
         assert not list(tmp_path.rglob("*_run.json"))
 
     def test_missing_image_data_error(self, tmp_path, cfg_path, trained_dir):

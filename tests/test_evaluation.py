@@ -430,12 +430,15 @@ class TestThresholdGrid:
     def test_default_grid_is_hundredths(self):
         assert evaluation.DEFAULT_THRESHOLDS == tuple(i / 100.0 for i in range(1, 100))
 
-    @pytest.mark.parametrize("step", [0.001, 0.003, 0.02, 0.05, 0.1, 0.3, 0.5])
+    # step: the number of its multiples below 1, also where 1 / step is not whole
+    MULTIPLES = {0.001: 999, 0.003: 333, 0.02: 49, 0.03: 33, 0.05: 19, 0.1: 9, 0.3: 3,
+                 0.4: 2, 0.45: 2, 0.5: 1}
+
+    @pytest.mark.parametrize("step", MULTIPLES)
     def test_matches_rounded_multiples(self, step):
-        grid = evaluation.threshold_grid(step)
-        n = int(round(1.0 / step)) - 1
-        assert len(grid) == n >= 1
+        grid, n = evaluation.threshold_grid(step), self.MULTIPLES[step]
         assert grid == tuple(np.round(np.arange(1, n + 1) * step, 10).tolist())
+        assert grid[-1] < 1.0 <= round((n + 1) * step, 10)
 
     @pytest.mark.parametrize("step", [0.0, -0.1, 0.51, 1.0])
     def test_step_outside_range_rejected(self, step):

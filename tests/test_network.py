@@ -678,15 +678,15 @@ class TestTrain:
         for name, arr in want_model.params.items():
             assert got_model.params[name].tobytes() == arr.tobytes(), name
 
-    def test_one_gradient_dict_per_call_zeroed_before_each_batch(self, monkeypatch):
+    def test_one_fresh_gradient_dict_per_batch(self, monkeypatch):
         model = small_dual(seed=3)
         data = [make_triplet(60 + s) for s in range(5)]
         allocations, seen, pairs = [], [], []
         zero_grads = network.LgSegModel.zero_grads
 
         def counted(self):
-            allocations.append(1)
-            return zero_grads(self)
+            allocations.append(zero_grads(self))
+            return allocations[-1]
 
         sgd_step = engine.sgd_momentum_step
 
@@ -699,9 +699,11 @@ class TestTrain:
         monkeypatch.setattr(network.LgSegModel, "zero_grads", counted)
         monkeypatch.setattr(engine, "sgd_momentum_step", checked_step)
         train(model, data, TrainConfig(epochs=2, batch_size=2, learning_rate=1e-3))
-        assert len(allocations) == 1 and len(seen) == 6
-        assert all(grads is seen[0] for grads in seen)
-        # each dense weight's pairs are cleared before each batch: 5 = 2 + 2 + 1
+        # each batch steps with the dict it drew, and no dict serves two batches
+        assert len(allocations) == len(seen) == 6
+        assert all(grads is drawn for grads, drawn in zip(seen, allocations))
+        assert len({id(grads) for grads in seen}) == 6
+        # each dense weight's pairs are the batch's own: 5 = 2 + 2 + 1
         dense = [f"{name}.fc.weight" for name in ("local", "global")] + \
             [f"fusion.{i}.weight" for i in range(2)]
         assert pairs == [dict.fromkeys(dense, n) for n in (2, 2, 1, 2, 2, 1)]

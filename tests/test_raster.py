@@ -311,6 +311,15 @@ def test_prob_quantisation_rejects_bad_probabilities(bad):
         raster.prob_to_raster(prob)
 
 
+def test_quantising_a_512_map_holds_one_float_map():
+    # p * 255 is rounded in place: np.rint of it held a second float map (4.0 MiB)
+    prob = SplitMix64(9).uniform(0, 1, (512, 512))
+    r = []
+    peak = traced_peak(lambda: r.append(raster.prob_to_raster(prob)))
+    assert peak < prob.nbytes + (1 << 20), (peak, prob.nbytes)
+    assert r[0].pixels[..., 0].tobytes() == np.rint(prob * 255.0).astype(np.uint8).tobytes()
+
+
 def test_prob_quantisation_round_trip(tmp_path):
     prob = np.array([[0.0, 0.5, 1.0]])
     r = raster.prob_to_raster(prob)
