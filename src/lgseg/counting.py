@@ -1,11 +1,12 @@
 """House detection and counting over binarised probability maps.
 
-The post-processing chain: threshold the probability map, erode once with a
-square element to separate closely placed buildings, take connected components
-as individual houses, and match their bounding boxes against manually labelled
-boxes.  A matched pair (IoU strictly above threshold by default) is a true
-positive; an unmatched detection containing two or more manual boxes is a
-residential hit worth at least two houses in the derived precision/recall.
+The post-processing chain: threshold the probability map, erode with a square
+element to separate closely placed buildings, take connected components as
+individual houses, and match their bounding boxes against manually labelled
+boxes through one detections x manual matrix of shared pixels.  A matched pair
+(IoU strictly above threshold by default) is a true positive; an unmatched
+detection containing two or more manual boxes is a residential hit worth at
+least two houses in the derived precision/recall.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ class DetectionBox:
         if not (0 <= self.row_min <= self.row_max and 0 <= self.col_min <= self.col_max):
             raise ValueError("box corners negative or out of order")
 
-    def box_area(self) -> int:
-        return (self.row_max - self.row_min + 1) * (self.col_max - self.col_min + 1)
-
 
 @dataclass
 class CountReport:
@@ -58,16 +56,20 @@ class CountReport:
 
 
 def erode(mask: np.ndarray, radius: int = 1, iterations: int = 1) -> np.ndarray:
-    """Binary erosion by a (2r+1)x(2r+1) square; out-of-bounds counts as 0."""
+    """Binary erosion by a (2r+1)x(2r+1) square, `iterations` passes; out-of-bounds
+    counts as 0.  Each pass is a separable running minimum, which holds O(pixels)
+    memory for any radius; passes stop once the mask is empty."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    mask = np.asarray(mask).astype(bool)
-    if radius == 0 or iterations == 0:
-        return mask.astype(np.uint8)
-    structure = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
-    out = ndimage.binary_erosion(mask, structure=structure, iterations=iterations,
-                                 border_value=0)
-    return out.astype(np.uint8)
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
+    out = np.asarray(mask).astype(bool).view(np.uint8)
+    size = 2 * min(radius, max(out.shape)) + 1  # any larger square erodes every pixel too
+    for _ in range(iterations if radius else 0):
+        if not out.any():
+            break
+        out = ndimage.minimum_filter(out, size=size, mode="constant", cval=0)
+    return out
 
 
 def components(mask: np.ndarray, connectivity: int = 8):
@@ -87,26 +89,27 @@ def components(mask: np.ndarray, connectivity: int = 8):
     return labelled, boxes
 
 
-def _overlap(a: DetectionBox, b: DetectionBox) -> int:
-    """Pixels the two boxes share on the inclusive pixel grid (0 if disjoint)."""
-    ri = max(a.row_min, b.row_min)
-    ci = max(a.col_min, b.col_min)
-    rx = min(a.row_max, b.row_max)
-    cx = min(a.col_max, b.col_max)
-    if ri > rx or ci > cx:
-        return 0
-    return (rx - ri + 1) * (cx - ci + 1)
+def box_array(boxes) -> np.ndarray:
+    """(n, 4) int64 inclusive corners, one row per box in DetectionBox field order."""
+    return np.array([(b.row_min, b.col_min, b.row_max, b.col_max) for b in boxes],
+                    dtype=np.int64).reshape(-1, 4)
+
+
+def _areas(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[:, 2:] + 1 - boxes[:, :2]).prod(axis=1)
+
+
+def _overlaps(det: np.ndarray, man: np.ndarray) -> tuple:
+    """The pixels each pair of box_array rows shares on the inclusive pixel
+    grid (0 where disjoint) and the pair's IoU, as two (det, man) matrices."""
+    lo, hi = np.maximum(det[:, None, :2], man[:, :2]), np.minimum(det[:, None, 2:], man[:, 2:])
+    inter = np.maximum(hi + 1 - lo, 0).prod(axis=2)
+    return inter, inter / (_areas(det)[:, None] + _areas(man) - inter)
 
 
 def iou(a: DetectionBox, b: DetectionBox) -> float:
-    """Intersection over union of boxes on the inclusive pixel grid."""
-    inter = _overlap(a, b)
-    return inter / (a.box_area() + b.box_area() - inter)
-
-
-def _containment(inner: DetectionBox, outer: DetectionBox) -> float:
-    """Fraction of inner's area inside outer."""
-    return _overlap(inner, outer) / inner.box_area()
+    """Intersection over union of two boxes, by the rule match_boxes applies."""
+    return float(_overlaps(box_array([a]), box_array([b]))[1][0, 0])
 
 
 def count_metrics(tp: int, fp: int, fn: int, residential: int) -> tuple:
@@ -126,57 +129,39 @@ def count_metrics(tp: int, fp: int, fn: int, residential: int) -> tuple:
 
 def match_boxes(detected, manual, iou_threshold: float = 0.5,
                 strict: bool = True) -> CountReport:
-    """Greedy one-to-one matching in descending IoU order.
+    """Greedy one-to-one matching in descending IoU order (ties by detection,
+    then manual index), with both rules read from one shared-pixel matrix.
 
     Pairs above the threshold (strictly above when `strict`) are TPs.  An
     unmatched detection is Residential when it contains two or more manual
-    boxes not already consumed (a manual box counts as contained when at least
-    half its own area lies inside the detection); those manual boxes are
-    consumed.  Remaining detections are FPs; remaining manual boxes are FNs.
+    boxes not already consumed (at least half of a manual box's own area lies
+    inside it); those manual boxes are consumed.  Remaining detections are FPs;
+    remaining manual boxes are FNs.
     """
-    detected = list(detected)
-    manual = list(manual)
-    pairs = []
-    for di, d in enumerate(detected):
-        for mi, m in enumerate(manual):
-            v = iou(d, m)
-            ok = v > iou_threshold if strict else v >= iou_threshold
-            if ok:
-                pairs.append((v, di, mi))
-    # descending IoU; ties resolved by detection then manual index
-    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
-    det_used = [False] * len(detected)
-    man_used = [False] * len(manual)
-    tp = 0
-    for _, di, mi in pairs:
-        if not det_used[di] and not man_used[mi]:
-            det_used[di] = True
-            man_used[mi] = True
+    det, man = box_array(detected), box_array(manual)
+    inter, ious = _overlaps(det, man)
+    di, mi = np.nonzero(ious > iou_threshold if strict else ious >= iou_threshold)
+    det_used, man_used = np.zeros(len(det), dtype=bool), np.zeros(len(man), dtype=bool)
+    tp = residential = residential_houses = 0
+    order = np.lexsort((mi, di, -ious[di, mi]))
+    for d, m in zip(di[order].tolist(), mi[order].tolist()):
+        if not (det_used[d] or man_used[m]):
+            det_used[d] = man_used[m] = True
             tp += 1
-
-    residential = 0
-    residential_houses = 0
-    for di, d in enumerate(detected):
-        if det_used[di]:
-            continue
-        inside = [mi for mi, m in enumerate(manual)
-                  if not man_used[mi] and _containment(m, d) >= 0.5]
-        if len(inside) >= 2:
-            det_used[di] = True
+    contains = 2 * inter >= _areas(man)  # at least half of the manual box inside
+    for d in np.flatnonzero(~det_used).tolist():
+        inside = contains[d] & ~man_used
+        houses = int(inside.sum())
+        if houses >= 2:
+            det_used[d] = True
+            man_used |= inside
             residential += 1
-            residential_houses += len(inside)
-            for mi in inside:
-                man_used[mi] = True
-
-    fp = det_used.count(False)
-    fn = man_used.count(False)
+            residential_houses += houses
+    fp, fn = det_used.tolist().count(False), man_used.tolist().count(False)
     precision, recall = count_metrics(tp, fp, fn, residential)
-    return CountReport(
-        human_count=len(manual), machine_count=len(detected),
-        tp=tp, fp=fp, fn=fn, residential=residential,
-        residential_houses=residential_houses,
-        precision=precision, recall=recall,
-    )
+    return CountReport(human_count=len(man), machine_count=len(det), tp=tp, fp=fp, fn=fn,
+                       residential=residential, residential_houses=residential_houses,
+                       precision=precision, recall=recall)
 
 
 def count_pipeline(prob_map: np.ndarray, threshold: float, erode_radius: int = 1,

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .counting import components
+from .counting import box_array, components
 from .network import GLOBAL_WIDTH, TARGET_WIDTH
 from .raster import LabelMap, Raster
 from .rng import SplitMix64
@@ -221,8 +221,7 @@ def residential_label(labels: LabelMap, centers, min_houses: int = 15) -> list:
     comps, boxes = components(labels.labels, 8)
     # axis 0 is (rows, columns) and every span runs to one past its last
     # pixel; C order keeps the broadcasts below running along their long axes
-    spans = np.array([(b.row_min, b.col_min, b.row_max + 1, b.col_max + 1) for b in boxes],
-                     dtype=np.int64).reshape(-1, 4)
+    spans = box_array(boxes) + (0, 0, 1, 1)
     first, stop = np.ascontiguousarray(spans.T).reshape(2, 2, 1, len(boxes))  # (2, 1, components)
     half = GLOBAL_WIDTH // 2
     mid = np.ascontiguousarray(centers.T)[:, :, None]  # (2, centres, 1)

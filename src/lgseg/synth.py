@@ -145,7 +145,6 @@ def _place_houses(spec: SceneSpec, rng: SplitMix64, pixels, labels, cluster_cent
     lo, hi = spec.house_count
     n = rng.int_range(lo, hi)
     n_cluster = int(round(_CLUSTER_FRACTION * n)) if cluster_centers else 0
-    occupied = np.zeros((spec.height, spec.width), dtype=bool)
     boxes = []
     for i in range(n):
         hh = rng.int_range(spec.house_px[0], spec.house_px[1])
@@ -174,7 +173,7 @@ def _place_houses(spec: SceneSpec, rng: SplitMix64, pixels, labels, cluster_cent
             if r0 < 2 or c0 < 2 or r1 > spec.height - 3 or c1 > spec.width - 3:
                 continue
             # 3 px clearance keeps every house its own 8-connected component
-            if occupied[max(0, r0 - 3):r1 + 4, max(0, c0 - 3):c1 + 4].any():
+            if labels[max(0, r0 - 3):r1 + 4, max(0, c0 - 3):c1 + 4].any():
                 continue
             break
         else:
@@ -188,7 +187,6 @@ def _place_houses(spec: SceneSpec, rng: SplitMix64, pixels, labels, cluster_cent
         pixels[r0:r1 + 1, c0] = border
         pixels[r0:r1 + 1, c1] = border
         labels[r0:r1 + 1, c0:c1 + 1] = 1
-        occupied[r0:r1 + 1, c0:c1 + 1] = True
         boxes.append(DetectionBox(r0, c0, r1, c1))
     return boxes
 

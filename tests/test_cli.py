@@ -1,11 +1,17 @@
 """End-to-end command tests on compact configurations."""
 
 import json
+import os
+import resource
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lgseg
 from lgseg import cli, engine, raster, sampling, tree
 from lgseg.cli import _load_model, _tile_patches, main
 from lgseg.config import parse_config_text
@@ -67,14 +73,23 @@ def trained_dir(tmp_path_factory, cfg_path, scene_dir):
 
 
 @pytest.fixture(scope="module")
-def infer_dir(tmp_path_factory, cfg_path, scene_dir, trained_dir):
-    """One `infer --sidecar` of scene_000 at one worker, for the tests that
+def crop_path(tmp_path_factory, scene_dir):
+    """Rows 0-71 and columns 0-87 of scene_000: 30 tiles, ragged on both axes."""
+    path = tmp_path_factory.mktemp("crop") / "crop.ppm"
+    pixels = raster.read_raster(scene_dir / "scene_000.ppm").pixels[:72, :88]
+    raster.write_raster(raster.Raster(88, 72, 3, pixels.copy()), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def infer_dir(tmp_path_factory, cfg_path, crop_path, trained_dir):
+    """One `infer --sidecar` of the crop at one worker, for the tests that
     only read its output."""
     out = tmp_path_factory.mktemp("infer")
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("LGSEG_THREADS", raising=False)
         assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
-                   "--image", scene_dir / "scene_000.ppm", "--out", out, "--sidecar") == 0
+                   "--image", crop_path, "--out", out, "--sidecar") == 0
     return out
 
 
@@ -169,20 +184,20 @@ class TestTrain:
 
 class TestInfer:
     def test_prob_map_artifacts(self, infer_dir):
-        prob = raster.read_prob_sidecar(infer_dir / "scene_000_prob.lgprob")
-        assert prob.shape == (512, 512)
+        prob = raster.read_prob_sidecar(infer_dir / "crop_prob.lgprob")
+        assert prob.shape == (72, 88)
         assert prob.min() > 0.0 and prob.max() < 1.0
-        quantised = raster.read_prob(infer_dir / "scene_000_prob.pgm")
+        quantised = raster.read_prob(infer_dir / "crop_prob.pgm")
         assert np.abs(quantised - prob).max() <= 0.5 / 255 + 1e-12
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, cfg_path, scene_dir,
+    def test_thread_count_does_not_change_bytes(self, tmp_path, cfg_path, crop_path,
                                                 trained_dir, infer_dir, monkeypatch):
         out1, out4 = infer_dir, tmp_path / "t4"
         monkeypatch.setenv("LGSEG_THREADS", "4")
         assert run("infer", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
-                   "--image", scene_dir / "scene_000.ppm", "--out", out4, "--sidecar") == 0
-        assert (out1 / "scene_000_prob.lgprob").read_bytes() == \
-            (out4 / "scene_000_prob.lgprob").read_bytes()
+                   "--image", crop_path, "--out", out4, "--sidecar") == 0
+        assert (out1 / "crop_prob.lgprob").read_bytes() == \
+            (out4 / "crop_prob.lgprob").read_bytes()
 
     def test_bad_threads_env_is_usage_error(self, tmp_path, cfg_path, scene_dir,
                                             trained_dir, monkeypatch):
@@ -306,16 +321,16 @@ class TestEval:
 
 
 class TestAblate:
-    def test_three_maps_and_full_matches_infer(self, tmp_path, cfg_path, scene_dir,
+    def test_three_maps_and_full_matches_infer(self, tmp_path, cfg_path, crop_path,
                                                trained_dir, infer_dir):
         out = tmp_path / "ablate"
         assert run("ablate", "--config", cfg_path, "--model", trained_dir / "model.ckpt",
-                   "--image", scene_dir / "scene_000.ppm", "--out", out) == 0
-        full = raster.read_prob_sidecar(out / "scene_000_full.lgprob")
-        local_only = raster.read_prob_sidecar(out / "scene_000_local_only.lgprob")
-        global_only = raster.read_prob_sidecar(out / "scene_000_global_only.lgprob")
+                   "--image", crop_path, "--out", out) == 0
+        full = raster.read_prob_sidecar(out / "crop_full.lgprob")
+        local_only = raster.read_prob_sidecar(out / "crop_local_only.lgprob")
+        global_only = raster.read_prob_sidecar(out / "crop_global_only.lgprob")
         assert not np.array_equal(local_only, global_only)
-        assert np.array_equal(full, raster.read_prob_sidecar(infer_dir / "scene_000_prob.lgprob"))
+        assert np.array_equal(full, raster.read_prob_sidecar(infer_dir / "crop_prob.lgprob"))
 
     @pytest.mark.parametrize("variant", ["local", "global"])
     def test_single_pathway_model_is_usage_error_before_any_forward(
@@ -603,6 +618,34 @@ class TestCount:
         assert report["machine_count"] == report["human_count"]
         detections = (out / "detections.csv").read_text().splitlines()
         assert len(detections) == report["machine_count"] + 1
+
+    @pytest.mark.parametrize("radius", [40, 60])
+    def test_square_larger_than_the_map_twice_over_in_a_child_process(self, tmp_path, radius):
+        # an 81x81 or 121x121 square, two passes, on a 64x256 map, in a child
+        # process held to 1 GB of address space: SciPy's binary_erosion
+        # corrupted the heap here (a crash that would take the test run with
+        # it), and at radius 60 held 921 MiB
+        prob = np.full((64, 256), 0.9)
+        prob[::7, ::5] = 0.1
+        raster.write_prob_sidecar(prob, tmp_path / "p.lgprob")
+        cfg = tmp_path / "erode.cfg"
+        cfg.write_text(f"[count]\nerode_radius = {radius}\nerode_iterations = 2\n")
+        out = tmp_path / "count"
+        path = [str(Path(lgseg.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(
+            os.pathsep)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                   OPENBLAS_NUM_THREADS="1")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+
+        done = subprocess.run([sys.executable, "-m", "lgseg", "count", "--config", str(cfg),
+                               "--prob", str(tmp_path / "p.lgprob"), "--out", str(out)],
+                              capture_output=True, text=True, env=env, preexec_fn=limit,
+                              timeout=300)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (out / "detections.csv").read_text().splitlines() == \
+            ["id,row_min,col_min,row_max,col_max"]
 
     @pytest.mark.parametrize("text", ['[1, 2, 3, 4]', '{"tp": 1, "fp": null, "fn": 0, '
                                       '"residential": 0}', '"tp"',

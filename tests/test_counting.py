@@ -1,7 +1,10 @@
 """Morphology, component, IoU-matching, and counting-arithmetic tests."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from lgseg import counting
 from lgseg.counting import (CountReport, DetectionBox, components,
@@ -13,6 +16,68 @@ from lgseg.rng import SplitMix64
 
 def box(rmin, cmin, rmax, cmax):
     return DetectionBox(rmin, cmin, rmax, cmax)
+
+
+def box_area(b):
+    return (b.row_max - b.row_min + 1) * (b.col_max - b.col_min + 1)
+
+
+def box_overlap(a, b):
+    ri, ci = max(a.row_min, b.row_min), max(a.col_min, b.col_min)
+    rx, cx = min(a.row_max, b.row_max), min(a.col_max, b.col_max)
+    return 0 if ri > rx or ci > cx else (rx - ri + 1) * (cx - ci + 1)
+
+
+def pair_iou(a, b):
+    inter = box_overlap(a, b)
+    return inter / (box_area(a) + box_area(b) - inter)
+
+
+def match_boxes_per_pair(detected, manual, iou_threshold=0.5, strict=True):
+    """The per-pair matching that match_boxes' one overlap matrix replaced,
+    kept as its oracle: nested loops over Python-int box arithmetic."""
+    pairs = []
+    for di, d in enumerate(detected):
+        for mi, m in enumerate(manual):
+            v = pair_iou(d, m)
+            if (v > iou_threshold if strict else v >= iou_threshold):
+                pairs.append((v, di, mi))
+    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+    det_used = [False] * len(detected)
+    man_used = [False] * len(manual)
+    tp = 0
+    for _, di, mi in pairs:
+        if not det_used[di] and not man_used[mi]:
+            det_used[di] = man_used[mi] = True
+            tp += 1
+    residential = residential_houses = 0
+    for di, d in enumerate(detected):
+        if det_used[di]:
+            continue
+        inside = [mi for mi, m in enumerate(manual)
+                  if not man_used[mi] and box_overlap(m, d) / box_area(m) >= 0.5]
+        if len(inside) >= 2:
+            det_used[di] = True
+            residential += 1
+            residential_houses += len(inside)
+            for mi in inside:
+                man_used[mi] = True
+    fp, fn = det_used.count(False), man_used.count(False)
+    precision, recall = count_metrics(tp, fp, fn, residential)
+    return CountReport(len(manual), len(detected), tp, fp, fn, residential,
+                       residential_houses, precision, recall)
+
+
+def random_boxes(rng, n, extent):
+    """n boxes in an extent x extent field, some repeated so that IoUs tie."""
+    boxes = []
+    for _ in range(n):
+        if boxes and rng.below(4) == 0:
+            boxes.append(boxes[rng.below(len(boxes))])
+            continue
+        r, c = rng.below(extent), rng.below(extent)
+        boxes.append(box(r, c, r + rng.below(9), c + rng.below(9)))
+    return boxes
 
 
 def scan_order_labels(mask, connectivity):
@@ -40,10 +105,11 @@ def scan_order_labels(mask, connectivity):
 
 
 class TestErode:
-    def test_radius_zero_is_identity(self):
+    @pytest.mark.parametrize("radius, iterations", [(0, 1), (3, 0)])
+    def test_radius_or_iterations_zero_is_identity(self, radius, iterations):
         rng = SplitMix64(0)
         mask = (rng.uniform(0, 1, (12, 12)) > 0.5).astype(np.uint8)
-        assert np.array_equal(erode(mask, 0), mask)
+        assert np.array_equal(erode(mask, radius, iterations), mask)
 
     def test_all_ones_4x4_leaves_central_2x2(self):
         out = erode(np.ones((4, 4), dtype=np.uint8), 1)
@@ -78,6 +144,38 @@ class TestErode:
     def test_iterations(self):
         mask = np.ones((8, 8), dtype=np.uint8)
         assert np.array_equal(erode(mask, 1, 2), erode(mask, 2, 1))
+
+    def test_matches_binary_erosion_where_it_runs_safely(self):
+        # SciPy's binary_erosion is the oracle only where it is safe: one
+        # pass, or a square that fits the map.  Iterated with a larger square
+        # it can corrupt the heap and abort the process.
+        rng = SplitMix64(8)
+        for _ in range(400):
+            shape = (1 + rng.below(24), 1 + rng.below(24))
+            mask = rng.uniform(0, 1, shape) < rng.uniform(0.3, 1.0, 1)[0]
+            radius = rng.below(7)
+            fits = 2 * radius + 1 <= min(shape)
+            iterations = 1 + rng.below(4) if fits else 1
+            square = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+            want = ndimage.binary_erosion(mask, structure=square, iterations=iterations,
+                                          border_value=0)
+            got = erode(mask, radius, iterations)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+
+    def test_passes_stop_once_the_mask_is_empty(self):
+        # a billion passes would take weeks; 20 empty a 40x40 map
+        assert not erode(np.ones((40, 40), dtype=np.uint8), 1, 10 ** 9).any()
+
+    def test_square_of_any_size_holds_little_memory(self):
+        # the running minimum's buffer grows with the square's side, which is
+        # cut to the map's: any wider square erodes every pixel all the same
+        assert not erode(np.ones((20, 30), dtype=np.uint8), 10 ** 9, 2).any()
+
+    @pytest.mark.parametrize("radius, iterations", [(-1, 1), (1, -1), (0, -1)])
+    def test_negative_radius_or_iterations_rejected(self, radius, iterations):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            erode(np.ones((4, 4), dtype=np.uint8), radius, iterations)
 
 
 class TestComponents:
@@ -182,6 +280,26 @@ class TestMatchBoxes:
         detected = [box(0, 0, 9, 11), box(0, 0, 9, 9)]
         rep = match_boxes(detected, manual)
         assert rep.tp == 1 and rep.fp == 1
+
+    def test_matches_per_pair_oracle_over_random_sets(self):
+        rng = SplitMix64(10)
+        for trial in range(1200):
+            extent = 4 + rng.below(40)
+            detected = random_boxes(rng, rng.below(9), extent)
+            manual = random_boxes(rng, rng.below(9), extent)
+            pairs = [(d, m) for d in detected for m in manual]
+            ious = [pair_iou(d, m) for d, m in pairs]
+            # the fixed ends, a threshold equal to some pair's IoU, and any value
+            thresholds = [0.0, 1.0, float(rng.uniform(0, 1, 1)[0])] + ious[:1]
+            for threshold in thresholds:
+                for strict in (True, False):
+                    got = match_boxes(detected, manual, threshold, strict)
+                    want = match_boxes_per_pair(detected, manual, threshold, strict)
+                    assert asdict(got) == asdict(want), (trial, threshold, strict)
+                    assert [type(v) for v in asdict(got).values()] == \
+                        [type(v) for v in asdict(want).values()]
+            for (d, m), v in zip(pairs, ious):
+                assert iou(d, m) == v and type(iou(d, m)) is float
 
     def test_conservation_over_random_sets(self):
         rng = SplitMix64(5)
