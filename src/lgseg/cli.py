@@ -5,7 +5,10 @@ config text, the seed, and sha256 hashes of the artifacts, so identical
 inputs are checkable for byte-identical outputs.  Each subcommand only writes
 its artifacts into the output directory; `main` creates that directory,
 writes the `<command>_run.json` report and maps errors to the exit codes:
-0 success, 1 usage/config error (bad flags included), 2 data or file error.
+0 success, 1 usage/config error (bad flags included), 2 data or file error,
+or a run that ran out of memory on its inputs (one stderr line, `lgseg
+<command>: out of memory: ` and NumPy's message, which names the size; no
+report is written).
 `cli` reads one file format itself, the `count --tallies` JSON; `config`,
 `engine`, `raster` and `counting` read and check the other input files, and
 only the rule that spans files (inputs that must share extents) lives here.
@@ -164,8 +167,11 @@ def _cmd_gen(args, cfg: RunConfig, out: Path):
     return args.seed, artifacts, {}
 
 
-def _cmd_train(args, cfg: RunConfig, out: Path):
-    pairs = _scene_pairs(Path(args.data))
+def _training_triplets(data_dir: Path, cfg: RunConfig) -> list:
+    """The triplets of every scene pair in data_dir.  Each scene's Raster and
+    LabelMap die with this call: the triplets keep only the padded scene and
+    their own targets."""
+    pairs = _scene_pairs(data_dir)
     per_scene = cfg.get("train", "samples_per_scene")
     positive_fraction = cfg.get("train", "positive_fraction")
     use_grid = cfg.get("train", "sampler") == "grid"
@@ -180,7 +186,11 @@ def _cmd_train(args, cfg: RunConfig, out: Path):
         else:
             centers = balanced_centers(labels, per_scene, positive_fraction, sampler.split())
         triplets += sample_triplets(img, labels, centers)
+    return triplets
 
+
+def _cmd_train(args, cfg: RunConfig, out: Path):
+    triplets = _training_triplets(Path(args.data), cfg)
     model = build_model(*cfg.model_specs(), seed=cfg.get("model", "init_seed"))
     report = train(model, triplets, cfg.train_config(epochs=args.epochs))
     print(f"trained {len(report.epoch_losses)} epochs on {len(triplets)} triplets "
@@ -424,6 +434,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError and DataError are ValueErrors
         print(f"lgseg {args.command}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 2
+    except MemoryError as exc:
+        print(f"lgseg {args.command}: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

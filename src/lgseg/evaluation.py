@@ -9,7 +9,9 @@ distances, so the rho test is exact), and where each true pixel's rho-disk
 lies in the padded, flattened scores.  A true pixel is found at t exactly when
 the highest score in its disk reaches t; that maximum is read at the true
 pixels only, one disk offset at a time.  A truth built once serves any number
-of score maps, as a tree fit's sweeps do.
+of score maps, as a tree fit's sweeps do.  Its disk is cut at the map: a rho
+past the map's diagonal gives the counts of the smallest radius that reaches
+every pixel from every other (_disk_cap), so the truth uses that radius.
 `relaxed_prf` derives precision, recall and F arrays from the counts.  A curve
 is a list of PrPoint, one per threshold; `pr_curve` is the set curve of one
 image, and both set aggregates (the mean per-image F by default, or counts
@@ -72,21 +74,30 @@ def nearest_sqdist(mask: np.ndarray) -> np.ndarray:
     return (dr * dr + dc * dc).astype(np.float64)
 
 
+def _disk_cap(shape: tuple) -> int:
+    """The smallest r with r**2 >= (H-1)**2 + (W-1)**2 (0 for a 1x1 map): a
+    disk of that radius around any pixel of an H x W map covers the map."""
+    d2 = (shape[0] - 1) ** 2 + (shape[1] - 1) ** 2
+    return math.isqrt(d2 - 1) + 1 if d2 else 0
+
+
 class RelaxedTruth:
     """One truth map at match radius rho, as relaxed_counts reads it.
 
     `gt` is the bool truth and `near` the mask sqdist <= rho**2, where sqdist
-    is nearest_sqdist(gt) (computed here when not given).  In the scores padded
-    by rho cells of -inf on every side and flattened, the rho-disk of the k-th
-    true pixel (row-major) is the cells corners[k] + offset for each offset in
-    `offsets`: the disk is read at the true pixels only, one offset at a time.
+    is nearest_sqdist(gt) (computed here when not given), and `rho` is the
+    given radius cut at the map (_disk_cap), which finds the same pixels.  In
+    the scores padded by rho cells of -inf on every side and flattened, the
+    rho-disk of the k-th true pixel (row-major) is the cells corners[k] +
+    offset for each offset in `offsets`: the disk is read at the true pixels
+    only, one offset at a time.
     """
 
     def __init__(self, gt: np.ndarray, rho: int, sqdist: np.ndarray = None):
         if rho < 0:
             raise ValueError("rho must be nonnegative")
         self.gt = np.asarray(gt).astype(bool)
-        self.rho = rho
+        self.rho = rho = min(rho, _disk_cap(self.gt.shape))
         if sqdist is None:
             sqdist = nearest_sqdist(self.gt)
         self.near = sqdist <= float(rho) * float(rho)

@@ -27,7 +27,10 @@ ops: (kind, parameter name or None, spec) entries such as
 load_params; one loop runs any of them forward, appending what each op needs
 for its gradient to a tape, and one loop runs them backward, popping the tape.
 The tape holds each relu's output, not its input: a relu over a conv's or
-dense's output writes over it, so no pre-activation copy is kept.
+dense's output writes over it, so no pre-activation copy is kept.  backward
+consumes the tape it is given, popping the caller's own list, so each
+activation is freed once its step back has used it; a caller that needs the
+tape twice passes backward a copy (list(tape)).
 
 The per-patch loss is the summed binary cross entropy over the 256 output
 pixels; training is plain SGD with momentum and L2 weight decay, mini-batch
@@ -343,14 +346,18 @@ class LgSegModel:
         records the sample's pair.  Without it they come back as arrays.  The
         gradient with respect to the input windows is never computed:
         training does not read it.
+
+        The tape `caches` (from forward_with_caches) is consumed: backward
+        pops the caller's own list, so each activation is freed once its step
+        back has used it, and the list is empty on return.  To run backward
+        twice on one tape, pass it a copy, list(caches).
         """
         grads = self.zero_grads() if out is None else out
-        tape = list(caches)
-        grad = self._unrun(self.ops["fusion"], tape, np.asarray(grad_probs).reshape(-1), grads)
+        grad = self._unrun(self.ops["fusion"], caches, np.asarray(grad_probs).reshape(-1), grads)
         for prefix in reversed(self.pathways):  # the tape is last in, first out
             width = self.pathways[prefix].embed_width
             grad, embed_grad = grad[:-width], grad[-width:]
-            self._unrun(self.ops[prefix], tape, embed_grad, grads, input_grad=False)
+            self._unrun(self.ops[prefix], caches, embed_grad, grads, input_grad=False)
         if out is None:
             return {name: g.toarray() if isinstance(g, engine.OuterSum) else g
                     for name, g in grads.items()}

@@ -51,6 +51,22 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_limited(*argv):
+    """`python -m lgseg argv` in a child process held to 1 GB of address
+    space, so that a runaway allocation fails there, not in the test run."""
+    path = [str(Path(lgseg.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(
+        os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               OPENBLAS_NUM_THREADS="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+
+    return subprocess.run([sys.executable, "-m", "lgseg", *map(str, argv)],
+                          capture_output=True, text=True, env=env, preexec_fn=limit,
+                          timeout=300)
+
+
 @pytest.fixture(scope="module")
 def cfg_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "small.cfg"
@@ -177,6 +193,18 @@ class TestTrain:
         assert err.count("\n") == 1 and "non-finite" in err and "epoch 1, batch 1" in err
         assert list(out.iterdir()) == []
 
+    def test_allocation_failure_is_one_line_data_error_without_a_checkpoint(self, tmp_path,
+                                                                           scene_dir):
+        # fusion.0.weight alone would take 381 GiB
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("[model]\nfusion_hidden = 100000000\n[train]\nsamples_per_scene = 4\n")
+        out = tmp_path / "out"
+        done = run_limited("train", "--config", cfg, "--data", scene_dir, "--out", out)
+        assert done.returncode == 2
+        assert done.stderr.startswith("lgseg train: out of memory: Unable to allocate 381. GiB")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert list(out.iterdir()) == []
+
     def test_missing_data_dir_is_data_error(self, tmp_path, cfg_path):
         assert run("train", "--config", cfg_path, "--data", tmp_path / "none",
                    "--out", tmp_path / "out") == 2
@@ -299,6 +327,31 @@ class TestEval:
         lines = (out / "pr_curve.csv").read_text().splitlines()
         assert lines[0] == "threshold,precision,recall,f"
         assert len(lines) == 100
+
+    def test_rho_past_the_map_in_a_child_process(self, tmp_path):
+        # rho = 100000 once asked for a (200001, 200001) disk test; the disk is
+        # cut at the 64x256 map's diagonal, 263, which finds the same pixels
+        labels = np.zeros((64, 256), np.uint8)
+        labels[5:12, 20:31] = 1
+        labels[40:50, 180:200] = 1
+        gt = tmp_path / "gt.pgm"
+        raster.write_label(raster.LabelMap(256, 64, labels), gt)
+        pred = tmp_path / "p.lgprob"
+        raster.write_prob_sidecar(0.6 * labels + SplitMix64(3).uniform(0, 0.4, labels.shape),
+                                  pred)
+        for rho in (100000, 263):
+            (tmp_path / f"rho{rho}.cfg").write_text(f"[eval]\nrho = {rho}\n")
+        done = run_limited("eval", "--config", tmp_path / "rho100000.cfg", "--pred", pred,
+                           "--gt", gt, "--out", tmp_path / "far")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert run("eval", "--config", tmp_path / "rho263.cfg", "--pred", pred, "--gt", gt,
+                   "--out", tmp_path / "cap") == 0
+        assert (tmp_path / "far" / "pr_curve.csv").read_bytes() == \
+            (tmp_path / "cap" / "pr_curve.csv").read_bytes()
+        # a rho that spans the map finds every house once anything is
+        # predicted, and every prediction is correct; the report keeps rho
+        best = json.loads((tmp_path / "far" / "max_f.json").read_text())
+        assert (best["threshold"], best["f"], best["rho"]) == (0.01, 1.0, 100000)
 
     def test_extent_mismatch_data_error_naming_the_prediction(self, tmp_path, cfg_path,
                                                                scene_dir, capsys):
@@ -631,18 +684,8 @@ class TestCount:
         cfg = tmp_path / "erode.cfg"
         cfg.write_text(f"[count]\nerode_radius = {radius}\nerode_iterations = 2\n")
         out = tmp_path / "count"
-        path = [str(Path(lgseg.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(
-            os.pathsep)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
-                   OPENBLAS_NUM_THREADS="1")
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
-
-        done = subprocess.run([sys.executable, "-m", "lgseg", "count", "--config", str(cfg),
-                               "--prob", str(tmp_path / "p.lgprob"), "--out", str(out)],
-                              capture_output=True, text=True, env=env, preexec_fn=limit,
-                              timeout=300)
+        done = run_limited("count", "--config", cfg, "--prob", tmp_path / "p.lgprob",
+                           "--out", out)
         assert (done.returncode, done.stderr) == (0, "")
         assert (out / "detections.csv").read_text().splitlines() == \
             ["id,row_min,col_min,row_max,col_max"]

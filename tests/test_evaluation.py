@@ -263,6 +263,57 @@ class TestDiskMaxOracle:
                               footprint_counts(again, gt, rho, thresholds))
 
 
+def diagonal_cap(shape):
+    """The smallest r with r * r >= (H-1)**2 + (W-1)**2, found by search."""
+    d2 = (shape[0] - 1) ** 2 + (shape[1] - 1) ** 2
+    r = 0
+    while r * r < d2:
+        r += 1
+    return r
+
+
+def whole_map_counts(scores, gt, thresholds):
+    """relaxed_counts at any rho that spans the map: a predicted pixel is
+    correct when the map holds any truth, and a true pixel is found when
+    anything is predicted."""
+    n_pred = np.array([int((scores >= t).sum()) for t in thresholds])
+    n_gt = int(gt.sum())
+    return np.stack([n_pred, n_pred if n_gt else 0 * n_pred, np.full(len(thresholds), n_gt),
+                     np.where(n_pred > 0, n_gt, 0)])
+
+
+class TestDiskCutAtTheMap:
+    """A rho past the map's diagonal is cut to it and counts as the whole map."""
+
+    THRESHOLDS = (0.0, 0.05, 0.35, 0.65, 0.95, 1.5)
+
+    @pytest.mark.parametrize("density", [0.0, 0.02, 0.3])
+    def test_any_rho_past_the_diagonal_gives_the_whole_map_counts(self, density):
+        rng = SplitMix64(int(density * 100) + 7)
+        shapes = [(1, 1), (1, 39), (39, 1), (39, 39)]
+        shapes += [(1 + rng.below(39), 1 + rng.below(39)) for _ in range(76)]
+        for shape in shapes:
+            gt = random_mask(rng, shape, density)
+            # few levels give ties, and the last threshold predicts nothing
+            scores = np.round(rng.uniform(0, 1, shape), 1)
+            cap = diagonal_cap(shape)
+            want = whole_map_counts(scores, gt, self.THRESHOLDS).tolist()
+            for rho in (cap, cap + 7, 3 * cap + 1):
+                truth = RelaxedTruth(gt, rho)
+                assert truth.rho == cap, (shape, rho)
+                assert relaxed_counts(scores, truth, self.THRESHOLDS).tolist() == want, \
+                    (shape, rho)
+            if cap:
+                assert RelaxedTruth(gt, cap - 1).rho == cap - 1
+
+    def test_a_huge_rho_is_cut_on_a_64x256_map(self):
+        gt = np.zeros((64, 256), dtype=bool)
+        gt[10:14, 200:205] = True
+        truth = RelaxedTruth(gt, 100000)
+        assert truth.rho == 263 == diagonal_cap(gt.shape)
+        assert truth.near.all()
+
+
 class TestRelaxedPrf:
     def test_array_f_matches_f_measure_bit_for_bit(self):
         rng = SplitMix64(51)

@@ -1,6 +1,7 @@
 """Model assembly, loss and training loop tests."""
 
 import tracemalloc
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -437,7 +438,7 @@ class TestOpListMatchesOracle:
         t = make_triplet(33)
         probs, caches = model.forward_with_caches(t.windows(model.pathways))
         _, dprobs = patch_loss(probs, t.target)
-        grads = model.backward(caches, dprobs)
+        grads = model.backward(list(caches), dprobs)
         monkeypatch.setattr(engine, "maxpool2d_backward", maxpool_backward_reference)
         want = model.backward(caches, dprobs)
         assert list(grads) == list(want)
@@ -515,15 +516,66 @@ class TestOpListMatchesOracle:
         # 1 fusion dense, its local conv relus being followed by relus
         assert fresh == {"default": 10, "stacked": 3}[variant]
 
-    def test_backward_leaves_caches_reusable(self):
+    def test_backward_consumes_its_tape(self):
+        # backward pops the caller's own list: a copy leaves the tape whole
+        # for a second pass, which gives the same gradients and empties it
         model = small_dual(seed=5)
         t = make_triplet(32)
         probs, caches = model.forward_with_caches(t.windows(model.pathways))
         _, dprobs = patch_loss(probs, t.target)
-        first = model.backward(caches, dprobs)
+        entries = len(caches)
+        first = model.backward(list(caches), dprobs)
+        assert len(caches) == entries
         second = model.backward(caches, dprobs)
+        assert caches == []
         for name in first:
             assert np.array_equal(first[name], second[name])
+
+    def test_global_activations_are_freed_before_its_first_conv_step(self, monkeypatch):
+        # the outputs of the default global pathway's convs and of the pools
+        # that feed a conv, all on the tape, are dead when global.0's gradient
+        # starts: backward frees each activation once its step back has used
+        # it.  (The last pool's output is global.fc's input, which the fc
+        # weight's OuterSum keeps for the batch's step.)
+        model = ORACLE_MODELS["default"]()
+        weights = [model.params[f"global.{i}.weight"] for i in range(3)]
+        refs = []  # weakrefs to the global conv outputs, then to their pools'
+        conv2d_forward, maxpool2d = engine.conv2d_forward, engine.maxpool2d
+
+        def conv_forward(x, weight, *args):
+            out = conv2d_forward(x, weight, *args)
+            if any(weight is w for w in weights):
+                refs.append(weakref.ref(out))
+            return out
+
+        def pool(x, *args):
+            out, indices = maxpool2d(x, *args)
+            if any(x is ref() for ref in refs):
+                refs.append(weakref.ref(out))
+            return out, indices
+
+        monkeypatch.setattr(engine, "conv2d_forward", conv_forward)
+        monkeypatch.setattr(engine, "maxpool2d", pool)
+        t = make_triplet(37)
+        probs, caches = model.forward_with_caches(t.windows(model.pathways))
+        assert len(refs) == 6
+        del refs[-1]
+        assert all(any(entry is ref() or getattr(entry, "out", None) is ref()
+                       for entry in caches) for ref in refs)
+        _, dprobs = patch_loss(probs, t.target)
+
+        conv2d_backward = engine.conv2d_backward
+        alive_at_first_conv = []
+
+        def conv_backward(x, weight, *args, **kwargs):
+            if weight is model.params["global.0.weight"]:
+                alive_at_first_conv.append([ref() is not None for ref in refs])
+            return conv2d_backward(x, weight, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "conv2d_backward", conv_backward)
+        model.backward(caches, dprobs)
+        assert alive_at_first_conv == [[False] * 5]
+        assert caches == []
 
 
 def epoch_losses_in_shuffle_order(losses, cfg):
