@@ -107,11 +107,6 @@ def _overlaps(det: np.ndarray, man: np.ndarray) -> tuple:
     return inter, inter / (_areas(det)[:, None] + _areas(man) - inter)
 
 
-def iou(a: DetectionBox, b: DetectionBox) -> float:
-    """Intersection over union of two boxes, by the rule match_boxes applies."""
-    return float(_overlaps(box_array([a]), box_array([b]))[1][0, 0])
-
-
 def count_metrics(tp: int, fp: int, fn: int, residential: int) -> tuple:
     """Residential-adjusted precision and recall.
 

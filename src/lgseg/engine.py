@@ -4,11 +4,13 @@ Everything is a plain C-contiguous float64 ndarray; layers are free functions
 (forward/backward pairs) so they stay re-entrant, and parameters live in
 ordered ``{name: array}`` dicts owned by the caller.  out_extent is the one
 output-extent rule of conv and pool windows, for the network too.  Convolution
-uses im2col + GEMM over one zero-padded buffer that forward and backward build
-alike.  The forward runs one GEMM per cache-sized band of output rows, bit-equal
-to one GEMM, and adds the bias once to the whole output.  The backward holds
-one column matrix: it forms the weight gradient from it, then writes the
-input-gradient GEMM over it, or skips the input gradient when nothing reads it.
+uses im2col + GEMM, reading the input one band of output rows at a time from
+a zero-padded slab of just the rows the band reads.  The forward runs one GEMM
+per cache-sized band, bit-equal to one GEMM, and adds the bias once to the
+whole output.  The backward holds one column matrix: it forms the weight
+gradient from it, then writes the input-gradient GEMM over it and adds each
+tap's part inside the input into the input gradient, or skips the input
+gradient when nothing reads it.
 Max-pool takes a running maximum over its window taps.  Its backward sends
 each window's gradient to the first tap in scan order that holds the output
 (the first NaN, if any): tap by tap into strided views of the input gradient
@@ -85,19 +87,33 @@ def _conv_geometry(x, weight, stride, pad):
     return out_extent(h, w, kh, kw, stride, pad, "conv window")
 
 
-def _windows(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
-             ho: int, wo: int) -> np.ndarray:
-    # the read-only im2col view that forward and backward share, for the
-    # out_extent (ho, wo): [c, i, j, y, x] = padded[c, y*stride + i, x*stride + j].
-    # The zero padding is one zeroed buffer with x copied into its interior
+def _bands(x: np.ndarray, kh: int, kw: int, stride: int, pad: int,
+           ho: int, wo: int, rows: int):
+    # per band of `rows` output rows, the read-only view [c, i, j, y, x] =
+    # slab[c, y*stride + i, x*stride + j] over a zero-padded slab of the input
+    # rows from `top` on.  Rows below the input are cleared again per band;
+    # rows above it and the pad columns stay zero (bands only descend)
     c, h, w = x.shape
-    if pad:
-        xp = np.zeros((c, h + 2 * pad, w + 2 * pad))
-        xp[:, pad:pad + h, pad:pad + w] = x
-        x = xp
-    sc, sh, sw = x.strides
-    return as_strided(x, (c, kh, kw, ho, wo), (sc, sh, sw, stride * sh, stride * sw),
+    span = (rows - 1) * stride + kh
+    slab = np.zeros((c, span, w + 2 * pad))
+    sc, sh, sw = slab.strides
+    view = as_strided(slab, (c, kh, kw, rows, wo), (sc, sh, sw, stride * sh, stride * sw),
                       writeable=False)
+    for top in range(-pad, ho * stride - pad, rows * stride):
+        lo, hi = max(top, 0), min(top + span, h)  # the input rows the band reads
+        if lo < hi:
+            slab[:, lo - top:hi - top, pad:pad + w] = x[:, lo:hi]
+        slab[:, max(hi - top, 0):] = 0.0
+        yield view
+
+
+def _clipped_taps(k: int, stride: int, pad: int, n_out: int, n_in: int):
+    # per tap t along one axis, the slices of the outputs whose tap t reads
+    # inside the input and of the input pixels they read
+    for t in range(k):
+        lo = max(0, -(-(pad - t) // stride))
+        n = max(min(n_out, (n_in - 1 + pad - t) // stride + 1) - lo, 0)
+        yield slice(lo, lo + n), slice(lo * stride + t - pad, (lo + n) * stride + t - pad, stride)
 
 
 def _band_rows(out_ch: int, k: int, ho: int, wo: int) -> int:
@@ -121,12 +137,11 @@ def conv2d_forward(x, weight, bias, stride: int = 1, pad: int = 0) -> np.ndarray
     bias = _as_f64(bias)
     ho, wo = _conv_geometry(x, weight, stride, pad)
     out_ch, in_ch, kh, kw = weight.shape
-    win = _windows(x, kh, kw, stride, pad, ho, wo)
     rows = _band_rows(out_ch, in_ch * kh * kw, ho, wo)
     cols = np.empty((in_ch, kh, kw, rows, wo))
     y = np.empty((out_ch, ho // rows, rows * wo))
-    for i in range(ho // rows):
-        cols[...] = win[..., i * rows:(i + 1) * rows, :]
+    for i, win in enumerate(_bands(x, kh, kw, stride, pad, ho, wo, rows)):
+        cols[...] = win
         np.matmul(weight.reshape(out_ch, -1), cols.reshape(-1, rows * wo), out=y[:, i])
     y += bias[:, None, None]
     return y.reshape(out_ch, ho, wo)
@@ -138,7 +153,9 @@ def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0,
 
     With input_grad False the input gradient is not computed and None is
     returned in its place.  One column matrix is held: the weight gradient
-    is formed from it, then the input-gradient GEMM writes over it.
+    is formed from it, then the input-gradient GEMM writes over it.  Its taps
+    are added in (i, j) order into a zero input gradient, each where it reads
+    inside the input: a padded gradient's interior sums, in the same order.
     """
     x = _as_f64(x)
     weight = _as_f64(weight)
@@ -148,11 +165,12 @@ def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0,
     if grad_out.shape != (out_ch, ho, wo):
         raise ValueError(f"upstream gradient shape {grad_out.shape} != {(out_ch, ho, wo)}")
 
-    # one full column matrix: banding would reorder grad_weight's column sum.
-    # It is an array of its own, never a .reshape of the windows, which for a
-    # 1x1 stride-1 unpadded conv is a read-only view of x
+    # one full column matrix, filled band by band: banding the GEMM would
+    # reorder grad_weight's column sum
     cols = np.empty((in_ch * kh * kw, ho * wo))
-    cols.reshape(in_ch, kh, kw, ho, wo)[...] = _windows(x, kh, kw, stride, pad, ho, wo)
+    rows = _band_rows(out_ch, in_ch * kh * kw, ho, wo)
+    for i, win in enumerate(_bands(x, kh, kw, stride, pad, ho, wo, rows)):
+        cols.reshape(in_ch, kh, kw, ho, wo)[..., i * rows:(i + 1) * rows, :] = win
     g = grad_out.reshape(out_ch, -1)
 
     grad_bias = g.sum(axis=1)
@@ -164,12 +182,12 @@ def conv2d_backward(x, weight, grad_out, stride: int = 1, pad: int = 0,
     # GEMM writes over them, the same BLAS call as W.T @ g into a new array
     grad_cols = np.matmul(weight.reshape(out_ch, -1).T, g, out=cols).reshape(
         in_ch, kh, kw, ho, wo)
-    grad_xp = np.zeros((in_ch, x.shape[1] + 2 * pad, x.shape[2] + 2 * pad))
-    for i in range(kh):
-        for j in range(kw):
-            grad_xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += grad_cols[:, i, j]
-    grad_x = grad_xp[:, pad:pad + x.shape[1], pad:pad + x.shape[2]] if pad else grad_xp
-    return np.ascontiguousarray(grad_x), grad_weight, grad_bias
+    grad_x = np.zeros(x.shape)
+    taps_x = list(_clipped_taps(kw, stride, pad, wo, x.shape[2]))
+    for i, (out_y, in_y) in enumerate(_clipped_taps(kh, stride, pad, ho, x.shape[1])):
+        for j, (out_x, in_x) in enumerate(taps_x):
+            grad_x[:, in_y, in_x] += grad_cols[:, i, j, out_y, out_x]
+    return grad_x, grad_weight, grad_bias
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +337,6 @@ class OuterSum:
         for factor in self.factors:
             acc *= factor
         return acc
-
-    def toarray(self) -> np.ndarray:
-        """The whole sum as an array, formed in the SGD step's chunks."""
-        out = np.empty(self.shape)
-        flat = out.reshape(-1)
-        for lo, hi in _chunk_bounds(flat.size):
-            flat[lo:hi] = self.form(lo, hi)
-        return out
 
 
 def dense_backward(x, weight, grad_out, grad_weight: OuterSum, grad_bias) -> np.ndarray:

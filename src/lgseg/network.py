@@ -338,30 +338,23 @@ class LgSegModel:
         probs = self._forward(windows, tape)
         return probs, tape
 
-    def backward(self, caches: list, grad_probs, out: dict | None = None) -> dict:
-        """Parameter gradients of a scalar loss given d(loss)/d(probs).
-
-        With `out` given (a zero_grads() dict), they are accumulated into it
-        in place, for mini-batch summation: each dense weight's OuterSum
-        records the sample's pair.  Without it they come back as arrays.  The
-        gradient with respect to the input windows is never computed:
-        training does not read it.
+    def backward(self, caches: list, grad_probs, out: dict) -> None:
+        """Add the parameter gradients of a scalar loss, given d(loss)/d(probs),
+        into `out` (a zero_grads() dict) in place, for mini-batch summation:
+        each dense weight's OuterSum records the sample's pair.  The gradient
+        with respect to the input windows is never computed: training does
+        not read it.
 
         The tape `caches` (from forward_with_caches) is consumed: backward
         pops the caller's own list, so each activation is freed once its step
         back has used it, and the list is empty on return.  To run backward
         twice on one tape, pass it a copy, list(caches).
         """
-        grads = self.zero_grads() if out is None else out
-        grad = self._unrun(self.ops["fusion"], caches, np.asarray(grad_probs).reshape(-1), grads)
+        grad = self._unrun(self.ops["fusion"], caches, np.asarray(grad_probs).reshape(-1), out)
         for prefix in reversed(self.pathways):  # the tape is last in, first out
             width = self.pathways[prefix].embed_width
             grad, embed_grad = grad[:-width], grad[-width:]
-            self._unrun(self.ops[prefix], caches, embed_grad, grads, input_grad=False)
-        if out is None:
-            return {name: g.toarray() if isinstance(g, engine.OuterSum) else g
-                    for name, g in grads.items()}
-        return grads
+            self._unrun(self.ops[prefix], caches, embed_grad, out, input_grad=False)
 
     def zero_grads(self) -> dict:
         """Empty gradient sums: an engine.OuterSum per dense weight, zeros

@@ -8,14 +8,19 @@ from scipy import ndimage
 
 from lgseg import counting
 from lgseg.counting import (CountReport, DetectionBox, components,
-                            count_metrics, count_pipeline, erode, iou,
-                            match_boxes)
+                            count_metrics, count_pipeline, erode, match_boxes)
 from lgseg.raster import DataError
 from lgseg.rng import SplitMix64
 
 
 def box(rmin, cmin, rmax, cmax):
     return DetectionBox(rmin, cmin, rmax, cmax)
+
+
+def iou(a, b):
+    """Intersection over union of two boxes, read from the overlap matrices
+    that match_boxes matches by."""
+    return float(counting._overlaps(counting.box_array([a]), counting.box_array([b]))[1][0, 0])
 
 
 def box_area(b):

@@ -404,9 +404,9 @@ class TestConvBackwardBytes:
                                               (5, 2, 2)])
     def test_1x1_and_non_finite_cases_match_reference_bytes(self, k, stride, pad, specials,
                                                             input_grad):
-        # a 1x1 stride-1 unpadded conv's windows reshape to a read-only view
-        # of x, which the input-gradient GEMM must not be written over; NaN,
-        # +-inf and signed zeros go into one operand at a time
+        # the input-gradient GEMM writes over the column matrix, never over
+        # x, down to a 1x1 stride-1 unpadded conv whose columns are x's own
+        # values; NaN, +-inf and signed zeros go into one operand at a time
         rng = SplitMix64(100 * k + 10 * stride + pad)
         ho, wo = engine.out_extent(11, 10, k, k, stride, pad)
         shapes = {"x": (4, 11, 10), "weight": (3, 4, k, k), "up": (3, ho, wo)}
@@ -424,9 +424,10 @@ class TestConvBackwardBytes:
     def test_global_1_backward_holds_one_column_matrix(self):
         # global.1's columns are 400 x 4096 doubles (12.5 MiB), and the input
         # gradient is written over them.  The rest of the traced peak is the
-        # padded input gradient and the input gradient (0.6 + 0.5 MiB) and
-        # the small weight and bias gradients, inside a 2 MiB margin; a
-        # second column matrix would add 12.5 MiB
+        # input gradient (0.5 MiB), one band's padded slab (51 KiB), the
+        # small weight and bias gradients and NumPy's buffers for the tap
+        # sums, inside a 1 MiB margin; a padded input gradient would add
+        # 0.6 MiB, and a second column matrix 12.5 MiB
         name, shape, layer = next(c for c in default_conv_layers() if c[0] == "global.1")
         rng = SplitMix64(7)
         k, stride, pad = layer.kernel, layer.stride, layer.padding()
@@ -443,7 +444,140 @@ class TestConvBackwardBytes:
         finally:
             tracemalloc.stop()
         assert grad_x.shape == shape
-        assert peak < cols + (2 << 20), (peak, cols)
+        assert peak < cols + (1 << 20), (peak, cols)
+
+
+# (out_ch, in_ch, h, w, kh, kw, stride, pad) whose bands meet the input's
+# edges in every way the band slab must handle.  The rows per band and the
+# bands that read padding only are pinned, so a change of _band_rows cannot
+# quietly drop a case
+BAND_EDGE_CASES = {
+    "pad_over_kernel": ((64, 64, 3, 59, 2, 2, 1, 3), 1, [0, 1, 6, 7]),
+    # the last band starts below the input, one band after a band that read it
+    "pad_far_over_kernel": ((64, 64, 3, 15, 2, 2, 1, 5), 3, [0, 3]),
+    "1x1_pad_over_kernel": ((64, 64, 8, 64, 1, 1, 1, 4), 4, [0, 3]),
+    "stride_over_kernel": ((64, 64, 33, 45, 2, 2, 3, 1), 4, []),
+    "last_band_past_input": ((32, 32, 20, 24, 3, 3, 1, 1), 5, []),
+    "non_square_kernel": ((32, 16, 16, 24, 3, 5, 1, 2), 6, []),
+    "one_band": ((4, 3, 9, 9, 3, 3, 1, 1), 9, []),
+    "one_band_pad_over_kernel": ((32, 32, 30, 16, 3, 3, 2, 3), 17, []),
+    "one_band_stride_over_kernel": ((64, 32, 7, 30, 2, 2, 3, 2), 4, []),
+}
+
+over_band_edge_cases = pytest.mark.parametrize("case", list(BAND_EDGE_CASES))
+
+
+def band_edge_args(case, specials):
+    """x, weight, bias and upstream gradient of a BAND_EDGE_CASES case; with
+    specials, NaN, +-inf and -0.0 lie in x's first and last rows and columns."""
+    (o, c, h, w, kh, kw, stride, pad), _, _ = BAND_EDGE_CASES[case]
+    rng = SplitMix64(h * 100 + w)
+    x = rng.uniform(-1, 1, (c, h, w))
+    if specials:
+        values = np.array([np.nan, 0.5, np.inf, -0.0, -np.inf, -0.25, -0.0])
+        for k, edge in enumerate((x[:, 0], x[:, -1], x[:, :, 0], x[:, :, -1])):
+            edge[...] = np.resize(np.roll(values, k), edge.shape)
+    ho, wo = engine.out_extent(h, w, kh, kw, stride, pad)
+    return (x, rng.uniform(-1, 1, (o, c, kh, kw)), rng.uniform(-1, 1, (o,)),
+            rng.uniform(-1, 1, (o, ho, wo)), stride, pad)
+
+
+class TestConvBandEdges:
+    """The band slab at the input's edges, against the np.pad references by
+    bytes: a slab row left from the previous band, or one read where the
+    padding should be, changes a column and fails."""
+
+    @over_band_edge_cases
+    def test_cases_band_as_pinned(self, case):
+        (o, c, h, w, kh, kw, stride, pad), rows, padding_only = BAND_EDGE_CASES[case]
+        ho, wo = engine.out_extent(h, w, kh, kw, stride, pad)
+        assert engine._band_rows(o, c * kh * kw, ho, wo) == rows
+        span = (rows - 1) * stride + kh
+        tops = [b * rows * stride - pad for b in range(ho // rows)]
+        assert [b for b, top in enumerate(tops) if top + span <= 0 or top >= h] == padding_only
+        if pad:  # the last band's slab reaches below the input
+            assert tops[-1] + span > h
+
+    @pytest.mark.parametrize("specials", [False, True], ids=["finite", "specials"])
+    @over_band_edge_cases
+    def test_bands_hold_the_reference_columns_for_every_band_height(self, case, specials):
+        x, weight, _, up, stride, pad = band_edge_args(case, specials)
+        c, kh, kw = weight.shape[1:]
+        ho, wo = up.shape[1:]
+        want = im2col_reference(x, kh, kw, stride, pad)[0]
+        for rows in [r for r in range(1, ho + 1) if ho % r == 0]:
+            got = np.concatenate([win.copy() for win in
+                                  engine._bands(x, kh, kw, stride, pad, ho, wo, rows)], axis=3)
+            assert got.tobytes() == want.tobytes(), rows
+
+    @pytest.mark.parametrize("specials", [False, True], ids=["finite", "specials"])
+    @over_band_edge_cases
+    def test_forward_matches_reference_bytes(self, case, specials):
+        x, weight, bias, _, stride, pad = band_edge_args(case, specials)
+        kept = [a.tobytes() for a in (x, weight, bias)]
+        with np.errstate(invalid="ignore"):
+            got = engine.conv2d_forward(x, weight, bias, stride, pad)
+            want = conv2d_forward_reference(x, weight, bias, stride, pad)
+        assert got.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in (x, weight, bias)] == kept
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("specials", [False, True], ids=["finite", "specials"])
+    @over_band_edge_cases
+    def test_backward_matches_reference_bytes_for_every_band_height(self, case, specials,
+                                                                    input_grad, monkeypatch):
+        # the backward's bytes do not depend on the band height, so every
+        # divisor of Ho is tried, down to one output row per band
+        x, weight, _, up, stride, pad = band_edge_args(case, specials)
+        kept = [a.tobytes() for a in (x, weight, up)]
+        ho = up.shape[1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = conv2d_backward_reference(x, weight, up, stride, pad, input_grad)
+            for rows in [r for r in range(1, ho + 1) if ho % r == 0]:
+                monkeypatch.setattr(engine, "_band_rows", lambda *_, rows=rows: rows)
+                got = engine.conv2d_backward(x, weight, up, stride, pad, input_grad)
+                assert backward_bytes(got) == backward_bytes(want), rows
+        assert [a.tobytes() for a in (x, weight, up)] == kept
+
+    def global_0(self):
+        name, shape, layer = next(c for c in default_conv_layers() if c[0] == "global.0")
+        rng = SplitMix64(9)
+        k, stride, pad = layer.kernel, layer.stride, layer.padding()
+        ho, wo = engine.out_extent(shape[1], shape[2], k, k, stride, pad)
+        x = rng.uniform(0, 1, shape)
+        weight = rng.uniform(-0.1, 0.1, (layer.out_channels, shape[0], k, k))
+        bias = rng.uniform(-0.1, 0.1, (layer.out_channels,))
+        up = rng.uniform(-1, 1, (layer.out_channels, ho, wo))
+        assert x.shape == (3, 256, 256) and up.shape == (16, 128, 128) and (k, pad) == (7, 3)
+        return x, weight, bias, up, stride, pad
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_global_0_forward_holds_one_band(self):
+        # the output is 16 x 128 x 128 doubles (2 MiB) and the band buffer
+        # 147 x 4 x 128 (0.57 MiB); one band's padded slab is 3 x 13 x 262
+        # (80 KiB), inside a 0.5 MiB margin.  A zero-padded copy of the whole
+        # 3 x 262 x 262 input would add 1.57 MiB
+        x, weight, bias, up, stride, pad = self.global_0()
+        band = 8 * 147 * DEFAULT_BAND_ROWS["global.0"] * 128
+        peak = self.traced_peak(engine.conv2d_forward, x, weight, bias, stride, pad)
+        assert peak < up.nbytes + band + (1 << 19), (peak, up.nbytes + band)
+
+    def test_global_0_weight_backward_holds_one_column_matrix(self):
+        # the columns are 147 x 16384 doubles (18.4 MiB); one band's slab and
+        # the weight and bias gradients lie inside a 0.5 MiB margin, which a
+        # padded copy of the whole input (1.57 MiB) would overrun
+        x, weight, _, up, stride, pad = self.global_0()
+        cols = 8 * 147 * 128 * 128
+        peak = self.traced_peak(engine.conv2d_backward, x, weight, up, stride, pad, False)
+        assert peak < cols + (1 << 19), (peak, cols)
 
 
 def maxpool_reference(x, k, stride):
@@ -694,7 +828,7 @@ class TestGradCheck:
         gw, gb = engine.OuterSum(w.shape), np.zeros_like(b)
         gx = engine.dense_backward(x, w, y, gw, gb)
         err = grad_check(loss, {"w": w, "b": b, "x": x},
-                         {"w": gw.toarray(), "b": gb, "x": gx}, eps=1e-5)
+                         {"w": outer_sum_array(gw), "b": gb, "x": gx}, eps=1e-5)
         assert err < 1e-7
 
     @pytest.mark.parametrize("seed", range(20))
@@ -753,7 +887,7 @@ class TestGradCheck:
         gw, gb = engine.OuterSum(w.shape), np.zeros_like(b)
         gx = engine.dense_backward(x, w, y - target, gw, gb)
         err = grad_check(loss, {"w": w, "b": b, "x": x},
-                         {"w": gw.toarray(), "b": gb, "x": gx}, eps=1e-5)
+                         {"w": outer_sum_array(gw), "b": gb, "x": gx}, eps=1e-5)
         assert err < 1e-5
 
     def test_conv_fd_tighter_eps(self):
@@ -783,7 +917,7 @@ class TestGradCheck:
 
         gw = engine.OuterSum(w.shape)
         engine.dense_backward(x, w, np.ones(3), gw, np.zeros(3))
-        err = grad_check(loss, {"w": w}, {"w": 2.0 * gw.toarray()}, eps=1e-5)
+        err = grad_check(loss, {"w": w}, {"w": 2.0 * outer_sum_array(gw)}, eps=1e-5)
         assert err == pytest.approx(0.5, abs=0.05)
 
     def test_sampled_coordinates(self):
@@ -796,7 +930,7 @@ class TestGradCheck:
 
         gw = engine.OuterSum(w.shape)
         engine.dense_backward(x, w, np.ones(10), gw, np.zeros(10))
-        err = grad_check(loss, {"w": w}, {"w": gw.toarray()}, eps=1e-5, sample=7)
+        err = grad_check(loss, {"w": w}, {"w": outer_sum_array(gw)}, eps=1e-5, sample=7)
         assert err < 1e-7
 
     def test_bad_eps_rejected(self):
@@ -878,6 +1012,16 @@ class TestCheckpoint:
 # oracles: the dense backward (its gradients then added with +=), relu
 # backward, SGD step, block generator and checkpoint writer and reader that the
 # in-place and streaming versions replaced, kept verbatim
+
+
+def outer_sum_array(grad_weight):
+    """The whole sum of an engine.OuterSum as an array, formed in the SGD
+    step's chunks."""
+    out = np.empty(grad_weight.shape)
+    flat = out.reshape(-1)
+    for lo, hi in engine._chunk_bounds(flat.size):
+        flat[lo:hi] = grad_weight.form(lo, hi)
+    return out
 
 
 def dense_backward_reference(x, weight, grad_out, grad_weight, grad_bias):
@@ -1063,7 +1207,7 @@ class TestDenseBackwardStreaming:
                 for factor in factors:
                     gw *= factor
                 want_w = outer_sums_reference(pairs, weight.shape, factors)
-                assert gw.toarray().tobytes() == want_w.tobytes(), out_units
+                assert outer_sum_array(gw).tobytes() == want_w.tobytes(), out_units
             assert gb.tobytes() == want_b.tobytes(), out_units
 
     def test_pairs_are_kept_by_reference_with_the_factors(self):
@@ -1074,7 +1218,7 @@ class TestDenseBackwardStreaming:
         (got_g, got_x), = gw.pairs
         assert got_g is grad_out and got_x is x and gw.factors == [0.5]
         # 0.0 + -0.0 is +0.0: the sum starts from a zero fill, not the first product
-        assert gw.toarray().tobytes() == (np.outer(grad_out, x) * 0.5 + 0.0).tobytes()
+        assert outer_sum_array(gw).tobytes() == (np.outer(grad_out, x) * 0.5 + 0.0).tobytes()
 
     @pytest.mark.parametrize("which, bad, match", [
         ("weight", np.zeros((4, 5)), "dense weight gradient"),

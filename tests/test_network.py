@@ -9,8 +9,8 @@ import pytest
 
 from gradcheck import grad_check
 from test_engine import (SPECIALS, dense_backward_reference, maxpool_backward_reference,
-                         relu_backward_reference, same_bits_but_nan_payloads,
-                         sgd_step_reference)
+                         outer_sum_array, relu_backward_reference,
+                         same_bits_but_nan_payloads, sgd_step_reference)
 from lgseg import engine, network
 from lgseg.network import (ConvSpec, PathwaySpec, PoolSpec, ReluSpec,
                            TrainConfig, build_model, parse_layers, patch_loss, train)
@@ -226,6 +226,15 @@ class TestPatchLoss:
         assert grad[0, 0] == 0.0 and grad[0, 1] != 0.0
 
 
+def backward_arrays(model, caches, grad_probs):
+    """model.backward into a fresh zero_grads() dict, each OuterSum formed
+    as an array."""
+    grads = model.zero_grads()
+    model.backward(caches, grad_probs, grads)
+    return {name: outer_sum_array(g) if isinstance(g, engine.OuterSum) else g
+            for name, g in grads.items()}
+
+
 class TestFullModelGradients:
     def test_finite_difference_agreement(self):
         model = small_dual(seed=7)
@@ -238,7 +247,7 @@ class TestFullModelGradients:
 
         probs, caches = model.forward_with_caches(windows)
         _, dprobs = patch_loss(probs, t.target)
-        grads = model.backward(caches, dprobs)
+        grads = backward_arrays(model, caches, dprobs)
 
         tensors = dict(model.params)
         analytic = dict(grads)
@@ -425,7 +434,7 @@ class TestOpListMatchesOracle:
         assert np.array_equal(model.forward(windows), want_probs)
 
         _, dprobs = patch_loss(probs, t.target)
-        grads = model.backward(caches, dprobs)
+        grads = backward_arrays(model, caches, dprobs)
         want_grads, _, _ = oracle_backward(model, want_caches, dprobs)
         assert list(grads) == list(want_grads) == list(model.params)
         for name in want_grads:
@@ -438,9 +447,9 @@ class TestOpListMatchesOracle:
         t = make_triplet(33)
         probs, caches = model.forward_with_caches(t.windows(model.pathways))
         _, dprobs = patch_loss(probs, t.target)
-        grads = model.backward(list(caches), dprobs)
+        grads = backward_arrays(model, list(caches), dprobs)
         monkeypatch.setattr(engine, "maxpool2d_backward", maxpool_backward_reference)
-        want = model.backward(caches, dprobs)
+        want = backward_arrays(model, caches, dprobs)
         assert list(grads) == list(want)
         for name in want:
             assert grads[name].tobytes() == want[name].tobytes(), name
@@ -466,7 +475,7 @@ class TestOpListMatchesOracle:
             assert probs.tobytes() == want_probs.tobytes()
             assert model.forward(windows).tobytes() == want_probs.tobytes()
             _, dprobs = patch_loss(probs, t.target)
-            grads = model.backward(caches, dprobs)
+            grads = backward_arrays(model, caches, dprobs)
             want_grads, _, _ = oracle_backward(model, want_caches, dprobs)
         assert list(grads) == list(want_grads)
         for name in want_grads:
@@ -524,9 +533,9 @@ class TestOpListMatchesOracle:
         probs, caches = model.forward_with_caches(t.windows(model.pathways))
         _, dprobs = patch_loss(probs, t.target)
         entries = len(caches)
-        first = model.backward(list(caches), dprobs)
+        first = backward_arrays(model, list(caches), dprobs)
         assert len(caches) == entries
-        second = model.backward(caches, dprobs)
+        second = backward_arrays(model, caches, dprobs)
         assert caches == []
         for name in first:
             assert np.array_equal(first[name], second[name])
@@ -573,7 +582,7 @@ class TestOpListMatchesOracle:
             return conv2d_backward(x, weight, *args, **kwargs)
 
         monkeypatch.setattr(engine, "conv2d_backward", conv_backward)
-        model.backward(caches, dprobs)
+        model.backward(caches, dprobs, model.zero_grads())
         assert alive_at_first_conv == [[False] * 5]
         assert caches == []
 
@@ -702,7 +711,7 @@ class TestTrain:
             for name, g in grads.items():
                 want = summed[name]
                 if isinstance(g, engine.OuterSum):
-                    g, want = g.toarray(), want.toarray()
+                    g, want = outer_sum_array(g), outer_sum_array(want)
                 assert np.array_equal(g, want * (1.0 / len(batch))), name
             applied.append(len(batch))
             sgd_step(params, grads, state)
