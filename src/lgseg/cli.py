@@ -7,8 +7,8 @@ its artifacts into the output directory; `main` creates that directory,
 writes the `<command>_run.json` report and maps errors to the exit codes:
 0 success, 1 usage/config error (bad flags included), 2 data or file error,
 or a run that ran out of memory on its inputs (one stderr line, `lgseg
-<command>: out of memory: ` and NumPy's message, which names the size; no
-report is written).
+<command>: out of memory`, then `: ` and the error's message when it has one,
+as NumPy's does, naming the size; no report is written).
 `cli` reads one file format itself, the `count --tallies` JSON; `config`,
 `engine`, `raster` and `counting` read and check the other input files, and
 only the rule that spans files (inputs that must share extents) lives here.
@@ -434,8 +434,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError and DataError are ValueErrors
         print(f"lgseg {args.command}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 2
-    except MemoryError as exc:
-        print(f"lgseg {args.command}: out of memory: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # NumPy's message names the size; a list's has none
+        detail = f": {exc}" if str(exc) else ""
+        print(f"lgseg {args.command}: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -11,7 +11,9 @@ the highest score in its disk reaches t; that maximum is read at the true
 pixels only, one disk offset at a time.  A truth built once serves any number
 of score maps, as a tree fit's sweeps do.  Its disk is cut at the map: a rho
 past the map's diagonal gives the counts of the smallest radius that reaches
-every pixel from every other (_disk_cap), so the truth uses that radius.
+every pixel from every other (_disk_cap), so the truth uses that radius.  At
+that radius every disk covers the map, so no disk is built: each true pixel
+reaches the map's highest score.
 `relaxed_prf` derives precision, recall and F arrays from the counts.  A curve
 is a list of PrPoint, one per threshold; `pr_curve` is the set curve of one
 image, and both set aggregates (the mean per-image F by default, or counts
@@ -90,24 +92,28 @@ class RelaxedTruth:
     the scores padded by rho cells of -inf on every side and flattened, the
     rho-disk of the k-th true pixel (row-major) is the cells corners[k] +
     offset for each offset in `offsets`: the disk is read at the true pixels
-    only, one offset at a time.
+    only, one offset at a time.  At the cap `offsets` is None: every disk
+    covers the map.
     """
 
     def __init__(self, gt: np.ndarray, rho: int, sqdist: np.ndarray = None):
         if rho < 0:
             raise ValueError("rho must be nonnegative")
         self.gt = np.asarray(gt).astype(bool)
-        self.rho = rho = min(rho, _disk_cap(self.gt.shape))
+        cap = _disk_cap(self.gt.shape)
+        self.rho = rho = min(rho, cap)
         if sqdist is None:
             sqdist = nearest_sqdist(self.gt)
         self.near = sqdist <= float(rho) * float(rho)
-        # cell (i, j) of the disk's box around the true pixel (r, c) is padded cell (r + i, c + j)
-        dy, dx = np.ogrid[-rho:rho + 1, -rho:rho + 1]
-        box_rows, box_cols = np.nonzero(dy * dy + dx * dx <= rho * rho)
         rows, cols = np.nonzero(self.gt)
         width = self.gt.shape[1] + 2 * rho
         self.corners = rows * width + cols
-        self.offsets = (box_rows * width + box_cols).tolist()
+        self.offsets = None
+        if rho < cap:
+            # cell (i, j) of the disk's box around true pixel (r, c) is padded cell (r + i, c + j)
+            dy, dx = np.ogrid[-rho:rho + 1, -rho:rho + 1]
+            box_rows, box_cols = np.nonzero(dy * dy + dx * dx <= rho * rho)
+            self.offsets = (box_rows * width + box_cols).tolist()
 
 
 def relaxed_counts(scores: np.ndarray, truth: RelaxedTruth, thresholds) -> np.ndarray:
@@ -120,13 +126,16 @@ def relaxed_counts(scores: np.ndarray, truth: RelaxedTruth, thresholds) -> np.nd
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != truth.gt.shape:
         raise ValueError(f"extent mismatch: {scores.shape} vs {truth.gt.shape}")
-    rho = truth.rho
-    padded = np.full((scores.shape[0] + 2 * rho, scores.shape[1] + 2 * rho), -np.inf)
-    padded[rho:rho + scores.shape[0], rho:rho + scores.shape[1]] = scores
-    flat = padded.ravel()
-    reach = np.full(truth.corners.shape, -np.inf)
-    for offset in truth.offsets:
-        np.maximum(reach, flat[offset:].take(truth.corners), out=reach)
+    if truth.offsets is None:  # every disk covers the map
+        reach = np.full(truth.corners.shape, scores.max(initial=-np.inf))
+    else:
+        rho = truth.rho
+        padded = np.full((scores.shape[0] + 2 * rho, scores.shape[1] + 2 * rho), -np.inf)
+        padded[rho:rho + scores.shape[0], rho:rho + scores.shape[1]] = scores
+        flat = padded.ravel()
+        reach = np.full(truth.corners.shape, -np.inf)
+        for offset in truth.offsets:
+            np.maximum(reach, flat[offset:].take(truth.corners), out=reach)
     thresholds = np.asarray(thresholds, dtype=np.float64)
 
     def at_least(values):

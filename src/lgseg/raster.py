@@ -2,8 +2,10 @@
 and values and names the file in every error: `read_image` (a 3-channel P6
 image), `read_label` (a 1-channel P5 label map) and `read_prob` (a float64
 sidecar told by its magic, else a 1-channel P5 scaled by 1/255).  Formats are
-header-plus-raw with maxval 255, so round trips are bit-exact; `write_prob`
-writes the 8-bit PGM and, where exact values matter, the sidecar beside it.
+header-plus-raw with maxval 255, so round trips are bit-exact.  A raster's
+header is scanned from the open file a byte at a time, and its checked
+payload is read straight into the pixel array.  `write_prob` writes the 8-bit
+PGM and, where exact values matter, the sidecar beside it.
 """
 
 from __future__ import annotations
@@ -63,49 +65,38 @@ class LabelMap:
             raise DataError("labels must be 0/1")
 
 
-def _header_tokens(head: bytes) -> tuple:
-    """(tokens, i): the first four whitespace-separated tokens of head (fewer
-    if it ends first) and the index just past them.  '#' comments run to end
-    of line and may sit between tokens.  The header is whole in head once it
-    holds four tokens and i < len(head): a token, or a comment, that runs to
-    the end of head may go on in the bytes after it."""
-    tokens = []
-    i = 0
-    while len(tokens) < 4 and i < len(head):
-        c = head[i:i + 1]
+def _header(fh, path) -> tuple:
+    """(tokens, offset): the four header tokens, read from fh one byte at a
+    time, and the payload offset just past the byte after maxval, which must
+    be whitespace.  A byte that is neither whitespace nor '#' extends the
+    current token; '#' starts a comment that runs to CR, LF or end of file."""
+    tokens, token = [], bytearray()
+    while True:
+        c = fh.read(1)
+        if c and not c.isspace() and c != b"#":
+            token += c
+            continue
+        if token:
+            tokens.append(bytes(token))
+            token.clear()
+            if len(tokens) == 4:
+                if not c.isspace():
+                    raise DataError(f"{path}: missing whitespace after maxval")
+                return tokens, fh.tell()
         if c == b"#":
-            while i < len(head) and head[i:i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(head) and not head[j:j + 1].isspace() and head[j:j + 1] != b"#":
-                j += 1
-            tokens.append(head[i:j])
-            i = j
-    return tokens, i
+            while c not in (b"\n", b"\r", b""):
+                c = fh.read(1)
+        if not c:
+            raise DataError(f"{path}: truncated header")
 
 
 def read_raster(path) -> Raster:
-    """Parse a binary P5/P6 file with maxval 255.  The header is read in a
-    prefix that doubles until it holds the byte after maxval, which must be
-    exactly one whitespace byte; the payload is checked against the file
-    size, then read straight into the pixel array."""
+    """Parse a binary P5/P6 file with maxval 255.  The header is read from
+    the open file one byte at a time (_header); the payload is checked
+    against the file size, then read straight into the pixel array."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        head = b""
-        while True:
-            more = fh.read(max(64, len(head)))
-            head += more
-            tokens, i = _header_tokens(head)
-            if len(tokens) == 4 and i < len(head) or not more:
-                break
-        if len(tokens) < 4:
-            raise DataError(f"{path}: truncated header")
-        if i >= len(head) or not head[i:i + 1].isspace():
-            raise DataError(f"{path}: missing whitespace after maxval")
-        offset = i + 1
+        tokens, offset = _header(fh, path)
         channels = {magic: c for c, magic in RASTER_MAGIC.items()}.get(tokens[0])
         if channels is None:
             raise DataError(f"{path}: unsupported magic {tokens[0]!r} (want P5 or P6)")
@@ -123,7 +114,6 @@ def read_raster(path) -> Raster:
         if have > need:
             raise DataError(f"{path}: {have - need} trailing bytes after payload")
         pixels = np.empty((height, width, channels), dtype=np.uint8)
-        fh.seek(offset)
         got = fh.readinto(pixels.reshape(-1))
         if got != need:  # a file that shrank while it was read
             raise DataError(f"{path}: truncated payload ({got} of {need} bytes)")

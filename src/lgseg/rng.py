@@ -76,11 +76,6 @@ class SplitMix64:
         self._state = (self._state + n * _GAMMA) & _MASK
         return out if low is None else out.view(np.float64)
 
-    def floats(self, n: int) -> np.ndarray:
-        """n doubles uniform on [0, 1), from the top 53 bits of each output
-        (0 + 1*u is exactly u for u >= 0)."""
-        return self._block(n, 0.0, 1.0)
-
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
         size = int(shape) if np.isscalar(shape) else math.prod(shape)
         return self._block(size, low, high).reshape(shape)

@@ -205,6 +205,24 @@ class TestTrain:
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("message,line", [
+        ("", "lgseg train: out of memory\n"),
+        ("Unable to allocate 8. GiB", "lgseg train: out of memory: Unable to allocate 8. GiB\n"),
+    ], ids=["empty", "numpy"])
+    def test_out_of_memory_line_has_a_colon_only_before_a_message(
+            self, tmp_path, scene_dir, monkeypatch, capsys, message, line):
+        # a list of a billion centres runs out of memory with an empty MemoryError
+        def no_room(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "balanced_centers", no_room)
+        cfg = tmp_path / "many.cfg"
+        cfg.write_text("[train]\nsamples_per_scene = 1000000000\n")
+        out = tmp_path / "out"
+        assert run("train", "--config", cfg, "--data", scene_dir, "--out", out) == 2
+        assert capsys.readouterr().err == line
+        assert list(out.iterdir()) == []
+
     def test_missing_data_dir_is_data_error(self, tmp_path, cfg_path):
         assert run("train", "--config", cfg_path, "--data", tmp_path / "none",
                    "--out", tmp_path / "out") == 2

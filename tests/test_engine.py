@@ -122,8 +122,8 @@ over_default_conv_layers = pytest.mark.parametrize(
 
 class TestRng:
     def test_deterministic_streams(self):
-        a = SplitMix64(42).floats(100)
-        b = SplitMix64(42).floats(100)
+        a = SplitMix64(42).uniform(0.0, 1.0, 100)
+        b = SplitMix64(42).uniform(0.0, 1.0, 100)
         assert np.array_equal(a, b)
 
     def test_block_matches_scalar_path(self):
@@ -135,10 +135,10 @@ class TestRng:
     def test_split_children_differ(self):
         parent = SplitMix64(0)
         a, b = parent.split(), parent.split()
-        assert not np.array_equal(a.floats(10), b.floats(10))
+        assert not np.array_equal(a.uniform(0.0, 1.0, 10), b.uniform(0.0, 1.0, 10))
 
     def test_floats_in_unit_interval(self):
-        u = SplitMix64(3).floats(10000)
+        u = SplitMix64(3).uniform(0.0, 1.0, 10000)
         assert u.min() >= 0.0 and u.max() < 1.0
 
     def test_shuffle_is_permutation(self):
@@ -154,7 +154,7 @@ class TestRng:
             got, want = SplitMix64(seed), SplitMix64Reference(seed)
             assert got.next_u64() == want.next_u64()
             assert got._block(n).tobytes() == want.u64_block(n).tobytes(), n
-            assert got.floats(n).tobytes() == want.floats(n).tobytes(), n
+            assert got.uniform(0.0, 1.0, n).tobytes() == want.floats(n).tobytes(), n
             for low, high in [(-1, 1), (0, 256), (0.0, 1.0), (-0.0, 1.0), (2.0, 2.0),
                               (-3.5, 1e300), (np.float64(-0.25), np.float64(0.75))]:
                 a, b = got.uniform(low, high, n), want.uniform(low, high, n)

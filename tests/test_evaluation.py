@@ -8,6 +8,7 @@ from lgseg import evaluation
 from lgseg.evaluation import (PrPoint, RelaxedTruth, count_points, f_measure, max_f,
                               nearest_sqdist, pr_curve, relaxed_counts, relaxed_prf, set_curve)
 from lgseg.rng import SplitMix64
+from test_raster import traced_peak
 
 
 def relaxed_pr(pred, gt, rho):
@@ -312,6 +313,23 @@ class TestDiskCutAtTheMap:
         truth = RelaxedTruth(gt, 100000)
         assert truth.rho == 263 == diagonal_cap(gt.shape)
         assert truth.near.all()
+
+    def test_a_huge_rho_on_a_512_map_builds_no_disk(self):
+        # the disk at the cap, 723, once held 1.6M offsets (103 MiB traced to
+        # build) and its counts padded the scores to 1958 x 1958; the near
+        # mask's distance transform takes about 15 MiB
+        rng = SplitMix64(512)
+        gt = rng.uniform(0, 1, (512, 512)) < 0.03
+        scores = np.round(rng.uniform(0, 1, gt.shape), 2)
+        thresholds = (0.0, 0.5, 0.99, 1.5)
+        truth = []
+        peak = traced_peak(lambda: truth.append(RelaxedTruth(gt, 100000)))
+        assert peak < 24 << 20, peak
+        assert truth[0].rho == 723 == diagonal_cap(gt.shape)
+        counts = []
+        peak = traced_peak(lambda: counts.append(relaxed_counts(scores, truth[0], thresholds)))
+        assert peak < 8 << 20, peak
+        assert counts[0].tolist() == whole_map_counts(scores, gt, thresholds).tolist()
 
 
 class TestRelaxedPrf:

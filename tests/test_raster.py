@@ -168,6 +168,17 @@ def test_read_raster_matches_the_whole_file_reader(tmp_path):
             "unsupported magic b'P4'"} <= kinds
 
 
+def test_a_carriage_return_ends_a_comment(tmp_path):
+    # raster_blobs' comments all end at '\n'; here each ends at '\r' alone
+    whole = b"P5 #a\r2#b\r1 #c\r255\n\x07\x09"
+    p = tmp_path / "r.pgm"
+    for n in range(len(whole) + 1):
+        p.write_bytes(whole[:n])
+        assert raster_outcome(raster.read_raster, p) == \
+            raster_outcome(read_raster_reference, p), whole[:n]
+    assert raster.read_raster(p).pixels.ravel().tolist() == [7, 9]
+
+
 def test_reading_a_512_p6_holds_its_pixels_once(tmp_path):
     # the payload is read straight into the pixel array; the whole file,
     # a slice of it and a copy held it three times over (2.25 MiB)
